@@ -13,8 +13,8 @@ from .likelihood import (FitReport, TestScore, fit_ml, grad_tdid,
                          iid_log_likelihood, tdid_log_likelihood,
                          test_log_likelihood)
 from .models import (GaussianModel, KernelModel, MutationModel, TabularModel,
-                     build_beta, gaussian_init_iid, grad_log_weights,
-                     kernel_init_iid, tabular_init_iid)
+                     build_beta, gaussian_init_iid, kernel_init_iid,
+                     tabular_init_iid)
 from .sampler import SampleDraw, sample_dataset, sample_given_tree, \
     sample_uniform_out_tree
 from .semisup import (LabelModel, build_joint_beta, cross_validate_alpha,
@@ -24,7 +24,7 @@ from .treemath import (EdgeMarginals, IncrementalLogdet, LogPartition, OutTree,
                        build_augmented_laplacian, build_out_laplacian,
                        edge_marginals, enumerate_out_trees, log_partition,
                        log_partition_per_root, per_root_marginal,
-                       root_posterior, tree_entropy)
+                       posterior_weights, root_posterior, tree_entropy)
 from .vb import DirichletPrior, VariationalState, exact_log_evidence, vb_fit
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -528,7 +528,36 @@ def _parse_floats(text):
         raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _load_config_file(path, known):
+def _config_value(action, text, where):
+    """A config-file value converted as its command-line flag would be."""
+    if action.nargs == 0:  # store_true / store_false
+        lowered = text.lower()
+        if lowered not in ("1", "true", "yes", "0", "false", "no"):
+            raise ConfigError(f"{where}: {action.dest} expects true or false, got {text!r}")
+        return action.const if lowered in ("1", "true", "yes") else action.default
+    convert = action.type or str
+    try:
+        value = convert(text)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        raise ConfigError(f"{where}: {action.dest} expects "
+                          f"{getattr(convert, '__name__', 'another value')}, "
+                          f"got {text!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"{where}: {action.dest} must be one of "
+                          f"{list(action.choices)}, got {text!r}")
+    return value
+
+
+def _option_actions(parser, command):
+    """dest -> argparse action for every option of one subcommand."""
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in subparsers.choices[command]._actions
+            if a.option_strings and a.default is not argparse.SUPPRESS}
+
+
+def _load_config_file(path, actions):
+    """Flat ``key = value`` file; values come back typed, keyed by dest."""
     values = {}
     try:
         with open(path) as handle:
@@ -540,9 +569,10 @@ def _load_config_file(path, known):
                     raise ConfigError(f"{path}:{line_no}: expected key = value")
                 key, _, value = line.partition("=")
                 dest = key.strip().replace("-", "_")
-                if dest not in known:
+                if dest not in actions:
                     raise ConfigError(f"{path}:{line_no}: unknown key {key.strip()!r}")
-                values[dest] = value.strip()
+                values[dest] = _config_value(actions[dest], value.strip(),
+                                             f"{path}:{line_no}")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return values
@@ -583,7 +613,7 @@ def cmd_fit(args):
                                early_stop=holdout is not None)
     otio.write_model(args.output, report.model)
     otio.write_fit_log(args.output + ".log", report)
-    print(f"fit: {report.initial_objective!r} -> {report.final_objective!r} "
+    print(f"fit: {float(report.initial_objective)!r} -> {float(report.final_objective)!r} "
           f"({len(report.iterations)} iterations, {report.reason})")
     return 0
 
@@ -831,7 +861,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         try:
-            overrides = _load_config_file(args.config, set(vars(args)))
+            overrides = _load_config_file(args.config,
+                                          _option_actions(parser, args.command))
         except ConfigError as exc:
             _emit_error(exc, 2)
             return 2
@@ -842,18 +873,9 @@ def main(argv=None) -> int:
         for token in raw:
             if token.startswith("--"):
                 explicit.add(token[2:].split("=")[0].replace("-", "_"))
-        for dest, text in overrides.items():
-            if dest in explicit:
-                continue
-            current = getattr(args, dest, None)
-            if isinstance(current, bool):
-                setattr(args, dest, text.lower() in ("1", "true", "yes"))
-            elif isinstance(current, int):
-                setattr(args, dest, int(text))
-            elif isinstance(current, float):
-                setattr(args, dest, float(text))
-            else:
-                setattr(args, dest, text)
+        for dest, value in overrides.items():
+            if dest not in explicit:
+                setattr(args, dest, value)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -194,9 +194,9 @@ def read_matrix_tsv(path):
 def write_fit_log(path, report):
     """Line-oriented fit trace: iteration, objective, step, gradient norm."""
     lines = ["iteration\tobjective\tstep\tgrad_norm",
-             f"0\t{report.initial_objective!r}\t0.0\t0.0"]
-    lines.extend(f"{it.index}\t{it.objective!r}\t{it.step!r}\t{it.grad_norm!r}"
-                 for it in report.iterations)
+             f"0\t{float(report.initial_objective)!r}\t0.0\t0.0"]
+    lines.extend(f"{it.index}\t{float(it.objective)!r}\t{float(it.step)!r}\t"
+                 f"{float(it.grad_norm)!r}" for it in report.iterations)
     lines.append(f"# reason\t{report.reason}")
     atomic_write(path, "\n".join(lines) + "\n")
 

@@ -48,12 +48,16 @@ class FitReport:
     model: MutationModel | None = None
 
 
-def tdid_log_likelihood(data, model: MutationModel) -> float:
-    """ln Z - (T - 1) ln T for the dataset under the model."""
-    beta, roots = build_beta(data, model)
+def tdid_log_likelihood(data, model: MutationModel, weights=None) -> float:
+    """ln Z - (T - 1) ln T for the dataset under the model.
+
+    ``weights`` is the (beta, roots) pair of this data and model when the
+    caller has already built it.
+    """
+    beta, roots = build_beta(data, model) if weights is None else weights
     lp = treemath.log_partition(beta, roots)
     size = beta.size
-    return lp.log_z - (size - 1) * np.log(size)
+    return float(lp.log_z - (size - 1) * np.log(size))
 
 
 def iid_log_likelihood(data, model: MutationModel) -> float:
@@ -62,47 +66,35 @@ def iid_log_likelihood(data, model: MutationModel) -> float:
     return float(model.log_marginal_vector(data).sum())
 
 
-def _partition_gradient(beta, roots, d_beta, d_roots):
-    """d ln Z / d theta from log-weight gradients and one shared inverse.
+def _partition_gradient(data, model, beta, roots):
+    """d ln Z / d theta for weights (beta, roots) built from validated data.
 
-    Assembles the root-normalization term and the trace term
-    tr(Qhat^-1 dQhat/dtheta) explicitly, including the quotient-rule
-    contribution of the normalized root vector inside Qhat.
+    ln Z is the log of a sum over trees, so its gradient is the posterior
+    expectation of the tree's log-likelihood gradient: the model contracts
+    its log-weight derivatives against the edge marginals and the root
+    posterior, both from one inverse of the bordered Laplacian.
     """
-    q_hat, p_adj, _ = treemath._scaled_augmented_parts(beta, roots)
-    try:
-        inv = np.linalg.inv(q_hat)
-    except np.linalg.LinAlgError as exc:
-        raise ZeroPartitionError("no out-tree has positive weight") from exc
-    # ln Z decomposes (exactly, for any fixed row rescaling) into the
-    # rescale constant + ln(sum_r adjusted p) + logdet(q_hat), so the
-    # derivative may hold the row scales fixed
-    root_term = d_roots @ p_adj
-    # beta entries enter Qhat at (u+1, u+1) and (u+1, v+1)
-    core = inv[1:, 1:]
-    gain = np.diag(core)[:, None] - core.T
-    w = beta.scaled * gain
-    np.fill_diagonal(w, 0.0)
-    trace_beta = np.einsum("puv,uv->p", d_beta, w)
-    # the bordered root vector also moves with theta (quotient rule)
-    border = inv[1:, 0] - inv[0, 1:]
-    dp = p_adj * (d_roots - (d_roots @ p_adj)[:, None])
-    trace_root = dp @ border
-    return root_term + trace_beta + trace_root
+    W, rho = treemath.posterior_weights(beta, roots)
+    return model.grad_from_marginals(data, W, rho)
 
 
-def grad_tdid(data, model: MutationModel) -> np.ndarray:
-    """Gradient of the out-tree log-likelihood in the flat parameter vector."""
+def grad_tdid(data, model: MutationModel, weights=None) -> np.ndarray:
+    """Gradient of the out-tree log-likelihood in the flat parameter vector.
+
+    ``weights`` is the (beta, roots) pair of this data and model when the
+    caller has already built it.
+    """
     data = model.validate_data(data)
-    beta, roots = build_beta(data, model)
-    d_beta, d_roots = model.log_weight_gradients(data)
-    return _partition_gradient(beta, roots, d_beta, d_roots)
+    beta, roots = build_beta(data, model) if weights is None else weights
+    return _partition_gradient(data, model, beta, roots)
 
 
 def _objective(data, model, vector):
-    value = tdid_log_likelihood(data, model)
+    """Penalized log-likelihood, and the weights it was computed from."""
+    weights = build_beta(data, model)
+    value = tdid_log_likelihood(data, model, weights)
     penalty, _ = model.penalty(vector)
-    return value + penalty
+    return value + penalty, weights
 
 
 def fit_ml(data, model0: MutationModel, *, max_iters=500, grad_tol=1e-5,
@@ -125,7 +117,7 @@ def fit_ml(data, model0: MutationModel, *, max_iters=500, grad_tol=1e-5,
     data = model0.validate_data(data)
     model = model0
     vector = model.param_vector()
-    objective = _objective(data, model, vector)
+    objective, weights = _objective(data, model, vector)
     report = FitReport(initial_objective=objective, final_objective=objective,
                        model=model)
     use_holdout = early_stop and holdout is not None
@@ -136,7 +128,7 @@ def fit_ml(data, model0: MutationModel, *, max_iters=500, grad_tol=1e-5,
     last_step = 1.0
     for index in range(1, max_iters + 1):
         penalty_grad = model.penalty(vector)[1]
-        grad = grad_tdid(data, model) + penalty_grad
+        grad = grad_tdid(data, model, weights) + penalty_grad
         grad_norm = float(np.abs(grad).max())
         if grad_norm < grad_tol:
             report.reason = "gradient_tolerance"
@@ -149,7 +141,8 @@ def fit_ml(data, model0: MutationModel, *, max_iters=500, grad_tol=1e-5,
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     candidate = model.with_params(candidate_vec)
-                    value = _objective(data, candidate, candidate_vec)
+                    value, candidate_weights = _objective(data, candidate,
+                                                          candidate_vec)
             except (ZeroPartitionError, NumericalFaultError, DataError,
                     ValueError, np.linalg.LinAlgError):
                 # the trial step left the numerically representable region
@@ -165,6 +158,7 @@ def fit_ml(data, model0: MutationModel, *, max_iters=500, grad_tol=1e-5,
             break
         last_step = step
         vector, model, objective = candidate_vec, candidate, value
+        weights = candidate_weights
         report.iterations.append(FitIteration(index, objective, step, grad_norm))
         if use_holdout:
             holdout_score = test_log_likelihood(data, holdout, model).score

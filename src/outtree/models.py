@@ -10,8 +10,13 @@ attributes.
 
 Every family exposes an unconstrained flat parameter vector (covariances
 via Cholesky factors with log diagonals, probability tables via log-odds
-with the last category as reference) together with analytic gradients of
-all log-weights, so gradient ascent needs no projection step.
+with the last category as reference), so gradient ascent needs no
+projection step. Gradients come as a vector-Jacobian product: the
+derivative of sum_uv W_uv log beta_uv + sum_r rho_r log p(x_r) for given
+edge weights W and root weights rho, which with the posterior edge
+marginals and root posterior is the gradient of ln Z. Each family computes
+it from W-weighted moments or counts in O(T^2 D), never forming the
+derivative of each log-weight.
 """
 
 from __future__ import annotations
@@ -50,11 +55,13 @@ class MutationModel(abc.ABC):
         """New model of the same family from an unconstrained vector."""
 
     @abc.abstractmethod
-    def log_weight_gradients(self, data):
-        """(d_log_beta, d_log_roots) with shapes (P, T, T) and (P, T).
+    def grad_from_marginals(self, data, W, rho) -> np.ndarray:
+        """Gradient of sum_uv W_uv log beta_uv + sum_r rho_r log p(x_r).
 
-        Entry [i, u, v] is the derivative of log beta_uv with respect to
-        coordinate i of the unconstrained vector; diagonals are zero.
+        ``data`` is validated, ``W`` is T x T with a zero diagonal (entry
+        (u, v) weights the edge v -> u) and ``rho`` has length T. Returns a
+        vector the length of the unconstrained parameter vector. W and rho
+        are taken as given: negative entries are not clipped.
         """
 
     @abc.abstractmethod
@@ -73,18 +80,13 @@ class MutationModel(abc.ABC):
         """Additive regularizer (value, gradient) for fitting; zero by default."""
         return 0.0, np.zeros_like(vector)
 
+    @abc.abstractmethod
     def log_marginal_vector(self, data) -> np.ndarray:
-        return np.array([self.log_marginal(row) for row in data])
+        """Root log densities of every row of validated data."""
 
+    @abc.abstractmethod
     def log_conditional_matrix(self, data) -> np.ndarray:
         """All pairwise conditionals, entry (u, v) = log p(x_u | x_v); -inf diagonal."""
-        size = len(data)
-        out = np.full((size, size), -np.inf)
-        for u in range(size):
-            for v in range(size):
-                if u != v:
-                    out[u, v] = self.log_conditional(data[u], data[v])
-        return out
 
 
 def build_beta(data, model: MutationModel):
@@ -105,11 +107,6 @@ def build_beta(data, model: MutationModel):
         r = int(np.flatnonzero(~np.isfinite(log_marg))[0])
         raise DataError(f"non-finite log marginal for row {r}")
     return WeightMatrix(log_entries=log_cond), RootWeights(log_values=log_marg)
-
-
-def grad_log_weights(data, model: MutationModel):
-    """Gradients of every log-weight with respect to the flat parameter vector."""
-    return model.log_weight_gradients(model.validate_data(data))
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +170,9 @@ class GaussianModel(MutationModel):
         self._chol_pipi = _chol_or_raise(self.sigma_pipi, "sigma_pipi")
         self._inv_cc = np.linalg.inv(self.sigma_cc)
         self._inv_pipi = np.linalg.inv(self.sigma_pipi)
+        # inverse Cholesky factors: |white @ r|^2 = r^T Sigma^-1 r
+        self._white_cc = np.linalg.inv(self._chol_cc)
+        self._white_pipi = np.linalg.inv(self._chol_pipi)
         self._logdet_cc = 2.0 * np.log(np.diag(self._chol_cc)).sum()
         self._logdet_pipi = 2.0 * np.log(np.diag(self._chol_pipi)).sum()
 
@@ -203,14 +203,18 @@ class GaussianModel(MutationModel):
         return float(self._log_normal(resid, self._inv_cc, self._logdet_cc))
 
     def log_marginal_vector(self, data):
-        resid = data - self.mu_pi
-        maha = np.einsum("ti,ij,tj->t", resid, self._inv_pipi, resid)
+        white = (data - self.mu_pi) @ self._white_pipi.T
+        maha = (white ** 2).sum(axis=1)
         return -0.5 * (self.dim * LOG_2PI + self._logdet_pipi + maha)
 
     def log_conditional_matrix(self, data):
-        means = data @ self.sigma_c_given_pi.T + self.mu_c
-        resid = data[:, None, :] - means[None, :, :]
-        maha = np.einsum("uvi,ij,uvj->uv", resid, self._inv_cc, resid)
+        # whitening is linear, so whiten the rows and the conditional means
+        # once and sum D squared differences instead of T^2 quadratic forms
+        white = data @ self._white_cc.T
+        white_means = (data @ self.sigma_c_given_pi.T + self.mu_c) @ self._white_cc.T
+        maha = np.zeros((len(data), len(data)))
+        for i in range(self.dim):
+            maha += (white[:, i, None] - white_means[None, :, i]) ** 2
         out = -0.5 * (self.dim * LOG_2PI + self._logdet_cc + maha)
         np.fill_diagonal(out, -np.inf)
         return out
@@ -231,38 +235,27 @@ class GaussianModel(MutationModel):
         return GaussianModel(parts[0], parts[1], parts[2].reshape(d, d),
                              chol_cc @ chol_cc.T, chol_pipi @ chol_pipi.T)
 
-    def log_weight_gradients(self, data):
-        size, d = data.shape
-        tri = d * (d + 1) // 2
+    def grad_from_marginals(self, data, W, rho):
+        rows, cols = W.sum(axis=1), W.sum(axis=0)
         means = data @ self.sigma_c_given_pi.T + self.mu_c
-        resid = data[:, None, :] - means[None, :, :]
-        score = resid @ self._inv_cc
-        d_beta = np.empty((2 * d + d * d + 2 * tri, size, size))
-        pos = 0
-        d_beta[pos:pos + d] = score.transpose(2, 0, 1)                   # mu_c
-        pos += d
-        d_beta[pos:pos + d] = 0.0                                        # mu_pi
-        pos += d
-        d_beta[pos:pos + d * d] = np.einsum("uva,vb->abuv", score, data) \
-            .reshape(d * d, size, size)                                  # A
-        pos += d * d
-        sigma_grads = 0.5 * (np.einsum("uvi,uvj->uvij", score, score)
-                             - self._inv_cc)
-        d_beta[pos:pos + tri] = _chol_grad_block(sigma_grads, self._chol_cc) \
-            .transpose(2, 0, 1)                                          # chol(sigma_cc)
-        pos += tri
-        d_beta[pos:pos + tri] = 0.0                                      # chol(sigma_pipi)
-        for block in d_beta:
-            np.fill_diagonal(block, 0.0)
+        # W-weighted moments of the residuals r_uv = x_u - means_v
+        first = rows @ data - cols @ means                      # sum W r
+        weighted_means = means.T * cols
+        cross = data.T @ (W @ data) - weighted_means @ data     # sum W r x_v^T
+        mixed = data.T @ (W @ means)
+        second = ((data.T * rows) @ data - mixed - mixed.T
+                  + weighted_means @ means)                     # sum W r r^T
+        inv = self._inv_cc
+        sigma_cc = 0.5 * (inv @ second @ inv - rows.sum() * inv)
 
         resid0 = data - self.mu_pi
-        score0 = resid0 @ self._inv_pipi
-        d_roots = np.zeros((d_beta.shape[0], size))
-        d_roots[d:2 * d] = score0.T                                      # mu_pi
-        sigma0_grads = 0.5 * (np.einsum("ti,tj->tij", score0, score0)
-                              - self._inv_pipi)
-        d_roots[2 * d + d * d + tri:] = _chol_grad_block(sigma0_grads, self._chol_pipi).T
-        return d_beta, d_roots
+        inv0 = self._inv_pipi
+        sigma_pipi = 0.5 * (inv0 @ ((resid0.T * rho) @ resid0) @ inv0 - rho.sum() * inv0)
+        return np.concatenate([inv @ first,                                     # mu_c
+                               inv0 @ (rho @ resid0),                           # mu_pi
+                               (inv @ cross).ravel(),                           # A
+                               _chol_grad_block(sigma_cc, self._chol_cc),       # chol(sigma_cc)
+                               _chol_grad_block(sigma_pipi, self._chol_pipi)])  # chol(sigma_pipi)
 
     def sample_root(self, rng):
         return self.mu_pi + self._chol_pipi @ rng.standard_normal(self.dim)
@@ -277,14 +270,6 @@ class GaussianModel(MutationModel):
             raise ValueError("noise scale must be positive")
         return GaussianModel(self.mu_c, self.mu_pi, self.sigma_c_given_pi,
                              factor * self.sigma_cc, self.sigma_pipi)
-
-
-def gaussian_log_marginal(model: GaussianModel, x) -> float:
-    return model.log_marginal(x)
-
-
-def gaussian_log_conditional(model: GaussianModel, x_child, x_parent) -> float:
-    return model.log_conditional(x_child, x_parent)
 
 
 def gaussian_init_iid(data, ridge=1e-6) -> GaussianModel:
@@ -407,26 +392,17 @@ class TabularModel(MutationModel):
             cond_tables.append(cond)
         return TabularModel(root_tables, cond_tables)
 
-    def log_weight_gradients(self, data):
-        size = len(data)
-        total = sum((k - 1) * (k + 1) for k in self.alphabet_sizes)
-        d_beta = np.zeros((total, size, size))
-        d_roots = np.zeros((total, size))
-        pos = 0
+    def grad_from_marginals(self, data, W, rho):
+        parts = []
         for d, k in enumerate(self.alphabet_sizes):
-            column = data[:, d]
-            for j in range(k - 1):
-                d_roots[pos + j] = (column == j).astype(float) - self.root_tables[d][j]
-            pos += k - 1
-            for b in range(k):
-                parent_mask = column == b
-                for j in range(k - 1):
-                    gain = (column == j).astype(float) - self.cond_tables[d][j, b]
-                    d_beta[pos + j][:, parent_mask] = gain[:, None]
-                pos += k - 1
-        for block in d_beta:
-            np.fill_diagonal(block, 0.0)
-        return d_beta, d_roots
+            onehot = (data[:, d, None] == np.arange(k)).astype(float)
+            root_counts = rho @ onehot
+            parts.append(root_counts[:-1] - root_counts.sum() * self.root_tables[d][:-1])
+            # counts[a, b]: W mass of edges from a parent valued b to a child valued a
+            counts = onehot.T @ W @ onehot
+            gain = counts[:-1] - counts.sum(axis=0) * self.cond_tables[d][:-1]
+            parts.append(gain.T.ravel())
+        return np.concatenate(parts)
 
     def sample_root(self, rng):
         u = rng.random(self.dim)
@@ -470,9 +446,10 @@ class KernelModel(MutationModel):
 
     mean_d(x_parent) = sum_t alpha[t, d] * k(x_parent, anchor_t) + mu[d],
     with standard deviation sigma[d]. The marginal drops the kernel term.
-    The bandwidth gradient (RBF only) is taken by central finite
-    differences; everything else is analytic. Fitting penalizes alpha with
-    an L2 term of weight ``alpha_penalty``.
+    Every gradient is analytic, the RBF bandwidth's included: it enters
+    through the derivative of each feature, k * |x - anchor|^2 / gamma^2 in
+    log gamma. Fitting penalizes alpha with an L2 term of weight
+    ``alpha_penalty``.
     """
 
     def __init__(self, anchors, alpha, mu, sigma, kernel="rbf", gamma=None,
@@ -504,14 +481,22 @@ class KernelModel(MutationModel):
             raise DataError("attributes must be finite")
         return data
 
-    def _features(self, points, gamma=None):
+    def _sq_dists(self, points):
+        """Squared distances from each row of ``points`` to each anchor."""
+        sq = np.zeros((len(points), len(self.anchors)))
+        for j in range(self.dim):
+            sq += (points[:, j, None] - self.anchors[None, :, j]) ** 2
+        return sq
+
+    def _rbf(self, sq):
+        with np.errstate(under="ignore"):
+            return np.exp(-sq / (2.0 * self.gamma ** 2))
+
+    def _features(self, points):
         points = np.atleast_2d(points)
         if self.kernel == "linear":
             return points @ self.anchors.T
-        gamma = self.gamma if gamma is None else gamma
-        sq = ((points[:, None, :] - self.anchors[None, :, :]) ** 2).sum(axis=2)
-        with np.errstate(under="ignore"):
-            return np.exp(-sq / (2.0 * gamma ** 2))
+        return self._rbf(self._sq_dists(points))
 
     def _univariate_log_normal(self, resid):
         return (-0.5 * LOG_2PI - np.log(self.sigma) - 0.5 * (resid / self.sigma) ** 2).sum(axis=-1)
@@ -530,10 +515,12 @@ class KernelModel(MutationModel):
     def log_marginal_vector(self, data):
         return self._univariate_log_normal(data - self.mu)
 
-    def log_conditional_matrix(self, data, gamma=None):
-        means = self._features(data, gamma=gamma) @ self.alpha + self.mu
-        resid = data[:, None, :] - means[None, :, :]
-        out = self._univariate_log_normal(resid)
+    def log_conditional_matrix(self, data):
+        means = self._features(data) @ self.alpha + self.mu
+        size = len(data)
+        out = np.full((size, size), -0.5 * self.dim * LOG_2PI - np.log(self.sigma).sum())
+        for j in range(self.dim):
+            out -= 0.5 * ((data[:, j, None] - means[None, :, j]) / self.sigma[j]) ** 2
         np.fill_diagonal(out, -np.inf)
         return out
 
@@ -560,34 +547,27 @@ class KernelModel(MutationModel):
         grad[:n * d] = -2.0 * self.alpha_penalty * alpha_flat
         return float(-self.alpha_penalty * (alpha_flat ** 2).sum()), grad
 
-    def log_weight_gradients(self, data):
-        size, d = data.shape
-        n = self.anchors.shape[0]
-        feats = self._features(data)
-        means = feats @ self.alpha + self.mu
-        resid = data[:, None, :] - means[None, :, :]
-        score = resid / self.sigma ** 2
-        total = n * d + 2 * d + (1 if self.kernel == "rbf" else 0)
-        d_beta = np.zeros((total, size, size))
-        d_beta[:n * d] = np.einsum("uvd,vt->tduv", score, feats).reshape(n * d, size, size)
-        d_beta[n * d:n * d + d] = score.transpose(2, 0, 1)
-        d_beta[n * d + d:n * d + 2 * d] = (resid * score - 1.0).transpose(2, 0, 1)
+    def grad_from_marginals(self, data, W, rho):
+        var = self.sigma ** 2
+        rows, cols = W.sum(axis=1), W.sum(axis=0)
         if self.kernel == "rbf":
-            step = 1e-6
-            hi = self.log_conditional_matrix(data, gamma=self.gamma * np.exp(step))
-            lo = self.log_conditional_matrix(data, gamma=self.gamma * np.exp(-step))
-            np.fill_diagonal(hi, 0.0)
-            np.fill_diagonal(lo, 0.0)
-            diff = (hi - lo) / (2.0 * step)
-            d_beta[-1] = diff
-        for block in d_beta:
-            np.fill_diagonal(block, 0.0)
-
-        d_roots = np.zeros((total, size))
+            sq = self._sq_dists(data)
+            feats = self._rbf(sq)
+        else:
+            feats = self._features(data)
+        means = feats @ self.alpha + self.mu
+        children = W.T @ data                   # sum_u W_uv x_u, per parent v
+        # d(sum_uv W_uv log beta_uv) / d means_v, per dimension
+        score = (children - cols[:, None] * means) / var
+        second = rows @ data ** 2 - 2.0 * (means * children).sum(axis=0) + cols @ means ** 2
         resid0 = data - self.mu
-        d_roots[n * d:n * d + d] = (resid0 / self.sigma ** 2).T
-        d_roots[n * d + d:n * d + 2 * d] = ((resid0 / self.sigma) ** 2 - 1.0).T
-        return d_beta, d_roots
+        parts = [(feats.T @ score).ravel(),                                  # alpha
+                 score.sum(axis=0) + rho @ resid0 / var,                     # mu
+                 (second + rho @ resid0 ** 2) / var - rows.sum() - rho.sum()]  # log sigma
+        if self.kernel == "rbf":
+            d_feats = feats * sq / self.gamma ** 2                           # d/d log gamma
+            parts.append([np.sum((d_feats @ self.alpha) * score)])
+        return np.concatenate(parts)
 
     def sample_root(self, rng):
         return self.mu + self.sigma * rng.standard_normal(self.dim)
@@ -595,10 +575,6 @@ class KernelModel(MutationModel):
     def sample_child(self, x_parent, rng):
         mean = self._features(x_parent)[0] @ self.alpha + self.mu
         return mean + self.sigma * rng.standard_normal(self.dim)
-
-
-def kernel_log_conditional(model: KernelModel, x_child, x_parent) -> float:
-    return model.log_conditional(x_child, x_parent)
 
 
 def kernel_init_iid(data, kernel="rbf", gamma=None, alpha_penalty=1e-3) -> KernelModel:

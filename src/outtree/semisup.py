@@ -271,8 +271,7 @@ def _ascend_theta(X, y, model, label_model, steps):
     vector = model.param_vector()
     for _ in range(steps):
         beta, roots = build_joint_beta(X, y, model, label_model)
-        d_beta, d_roots = model.log_weight_gradients(model.validate_data(X))
-        grad = _partition_gradient(beta, roots, d_beta, d_roots)
+        grad = _partition_gradient(model.validate_data(X), model, beta, roots)
         value = treemath.log_partition(beta, roots).log_z
         step, improved = 1.0, False
         while step >= 1e-12:

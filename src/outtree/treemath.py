@@ -461,7 +461,21 @@ def edge_marginals(beta: WeightMatrix, roots: RootWeights, want_per_root=False) 
         stack = np.stack([per_root_marginal(beta, r) for r in range(beta.size)])
         w = np.einsum("r,ruv->uv", posterior, stack)
         return EdgeMarginals(W=_frozen(w), per_root=_frozen(stack))
-    q_hat, _, _ = _scaled_augmented_parts(beta, roots)
+    w, _ = posterior_weights(beta, roots)
+    return EdgeMarginals(W=_frozen(_clip_probabilities(w, "edge marginals")))
+
+
+def posterior_weights(beta: WeightMatrix, roots: RootWeights):
+    """(W, rho): edge marginals and root posterior from one bordered inverse.
+
+    W[u, v] = d ln Z / d ln beta_uv and rho[r] = d ln Z / d ln p(X_r), so
+    the gradient of ln Z in any parameter is sum W d ln beta + sum rho
+    d ln p. The normalized root vector p enters the bordered matrix at
+    (0, r) and (r, 0), which gives rho = p * (1 + b - p.b) with
+    b = inv[1:, 0] - inv[0, 1:]. Neither output is clipped: on
+    ill-conditioned weights roundoff can make entries negative.
+    """
+    q_hat, normalized, _ = _scaled_augmented_parts(beta, roots)
     try:
         inv = np.linalg.inv(q_hat)
     except np.linalg.LinAlgError as exc:
@@ -470,7 +484,9 @@ def edge_marginals(beta: WeightMatrix, roots: RootWeights, want_per_root=False) 
     gain = np.diag(core)[:, None] - core.T
     w = beta.scaled * gain
     np.fill_diagonal(w, 0.0)
-    return EdgeMarginals(W=_frozen(_clip_probabilities(w, "edge marginals")))
+    border = inv[1:, 0] - inv[0, 1:]
+    rho = normalized * (1.0 + border - normalized @ border)
+    return w, rho
 
 
 def tree_entropy(beta: WeightMatrix, r: int) -> float:

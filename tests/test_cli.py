@@ -368,6 +368,40 @@ class TestCommands:
                          "--config", config])
         assert code == 2
 
+    def test_fit_log_and_summary_parse_as_floats(self, tmp_path, capsys):
+        train = self.make_gaussian_csv(tmp_path, seed=11)
+        model_path = str(tmp_path / "m.model")
+        assert cli.main(["fit", "--input", train, "--output", model_path,
+                         "--max-iters", "3"]) == 0
+        lines = open(model_path + ".log").read().strip().split("\n")
+        rows = [line.split("\t") for line in lines[1:] if not line.startswith("#")]
+        assert len(rows) == 4
+        for row in rows:
+            for cell in row:
+                float(cell)
+        summary = capsys.readouterr().out.split()
+        float(summary[1]), float(summary[3])
+
+    def test_config_values_take_their_flag_types(self, tmp_path):
+        config = str(tmp_path / "run.cfg")
+        write(config, "seed = 3\nrows = 40\n")
+        out = str(tmp_path / "spiral.csv")
+        assert cli.main(["spiral", "--output", out, "--config", config]) == 0
+        flagged = str(tmp_path / "flagged.csv")
+        assert cli.main(["spiral", "--output", flagged, "--seed", "3",
+                         "--rows", "40"]) == 0
+        assert open(out).read() == open(flagged).read()
+
+    def test_unconvertible_config_value_is_config_error(self, tmp_path, capsys):
+        train = self.make_gaussian_csv(tmp_path, seed=12)
+        config = str(tmp_path / "bad.cfg")
+        write(config, "max_iters = ten\n")
+        code = cli.main(["fit", "--input", train,
+                         "--output", str(tmp_path / "m.model"), "--config", config])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError" and "max_iters" in record["message"]
+
     def test_data_error_exit_code(self, tmp_path, capsys):
         bad = str(tmp_path / "bad.csv")
         write(bad, "a,b\n1,2\n3\n")

@@ -1,6 +1,7 @@
 """Out-tree likelihood: degeneracy to iid, normalization, gradients, fitting."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,8 +211,55 @@ class TestGradient:
         unused_column = grad[2 + 2 * 2:2 + 3 * 2]
         assert np.array_equal(unused_column, np.zeros(2))
 
+    def test_gradient_memory_is_quadratic_in_rows(self):
+        # a T=200 RBF kernel model has 607 parameters; a P x T x T tensor
+        # of log-weight derivatives alone would take 607 * T^2 * 8 bytes
+        rng = np.random.default_rng(23)
+        size = 200
+        data = rng.normal(size=(size, 3))
+        model = models.kernel_init_iid(data)
+        model = model.with_params(model.param_vector()
+                                  + 0.01 * rng.normal(size=len(model.param_vector())))
+        assert len(model.param_vector()) > 600
+        lk.grad_tdid(data, model)
+        tracemalloc.start()
+        try:
+            lk.grad_tdid(data, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * size * size * 8
+
+    def test_prebuilt_weights_give_the_same_gradient(self):
+        rng = np.random.default_rng(24)
+        model = general_gaussian(rng)
+        data = rng.normal(size=(10, 2))
+        weights = models.build_beta(data, model)
+        assert np.array_equal(lk.grad_tdid(data, model, weights), lk.grad_tdid(data, model))
+        assert lk.tdid_log_likelihood(data, model, weights) \
+            == lk.tdid_log_likelihood(data, model)
+
 
 class TestFit:
+    def test_one_weight_build_per_objective_evaluation(self, monkeypatch):
+        # the gradient reuses the accepted trial's weights
+        calls = {"build_beta": 0, "objective": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(lk, "build_beta", counted("build_beta", lk.build_beta))
+        monkeypatch.setattr(lk, "_objective", counted("objective", lk._objective))
+        rng = np.random.default_rng(25)
+        data = rng.normal(size=(12, 2))
+        report = lk.fit_ml(data, models.gaussian_init_iid(data), max_iters=5,
+                           grad_tol=1e-12)
+        assert len(report.iterations) == 5
+        assert calls["build_beta"] == calls["objective"]
+
     def test_already_converged_input(self):
         rng = np.random.default_rng(30)
         data = rng.normal(size=(6, 2))

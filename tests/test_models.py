@@ -36,26 +36,54 @@ def random_kernel(rng, size=6, d=2, kernel="rbf"):
                               kernel=kernel, gamma=1.3 if kernel == "rbf" else None)
 
 
-def fd_gradient_check(model, data, rtol=1e-4, step=1e-5):
-    """Central finite differences of every log-weight against the analytic arrays."""
-    data = model.validate_data(data)
-    d_beta, d_roots = model.log_weight_gradients(data)
-    vec = model.param_vector()
+def edge_gradient(model, data, u, v):
+    """d log beta_uv / d theta: the VJP against a one-hot W at (u, v)."""
     size = len(data)
+    onehot = np.zeros((size, size))
+    onehot[u, v] = 1.0
+    return model.grad_from_marginals(data, onehot, np.zeros(size))
+
+
+def root_gradient(model, data, r):
+    """d log p(x_r) / d theta: the VJP against a one-hot rho at r."""
+    size = len(data)
+    onehot = np.zeros(size)
+    onehot[r] = 1.0
+    return model.grad_from_marginals(data, np.zeros((size, size)), onehot)
+
+
+def fd_gradient_check(model, data, rtol=1e-4, step=1e-5):
+    """Central finite differences of every log-weight against the VJP.
+
+    One-hot W and rho pick single entries out of the Jacobian, so every
+    entry of the (P, T, T) and (P, T) central-difference tensors is
+    compared, for T <= 6.
+    """
+    data = model.validate_data(data)
+    size = len(data)
+    assert size <= 6
+    vec = model.param_vector()
     off = ~np.eye(size, dtype=bool)
+    fd_beta = np.empty((len(vec), size, size))
+    fd_roots = np.empty((len(vec), size))
     for i in range(len(vec)):
         bump = np.zeros_like(vec)
         bump[i] = step
         hi = model.with_params(vec + bump)
         lo = model.with_params(vec - bump)
         with np.errstate(invalid="ignore"):
-            fd_beta = (hi.log_conditional_matrix(data)
-                       - lo.log_conditional_matrix(data)) / (2 * step)
-        fd_roots = (hi.log_marginal_vector(data) - lo.log_marginal_vector(data)) / (2 * step)
-        scale_beta = np.abs(fd_beta[off]).max() + 1.0
-        assert np.abs(d_beta[i][off] - fd_beta[off]).max() < rtol * scale_beta, f"coord {i}"
-        scale_roots = np.abs(fd_roots).max() + 1.0
-        assert np.abs(d_roots[i] - fd_roots).max() < rtol * scale_roots, f"coord {i}"
+            fd_beta[i] = (hi.log_conditional_matrix(data)
+                          - lo.log_conditional_matrix(data)) / (2 * step)
+        fd_roots[i] = (hi.log_marginal_vector(data) - lo.log_marginal_vector(data)) / (2 * step)
+    d_beta = np.zeros_like(fd_beta)
+    for u, v in zip(*np.nonzero(off)):
+        d_beta[:, u, v] = edge_gradient(model, data, u, v)
+    d_roots = np.stack([root_gradient(model, data, r) for r in range(size)], axis=1)
+    for i in range(len(vec)):
+        scale_beta = np.abs(fd_beta[i][off]).max() + 1.0
+        assert np.abs(d_beta[i][off] - fd_beta[i][off]).max() < rtol * scale_beta, f"coord {i}"
+        scale_roots = np.abs(fd_roots[i]).max() + 1.0
+        assert np.abs(d_roots[i] - fd_roots[i]).max() < rtol * scale_roots, f"coord {i}"
 
 
 class TestGaussianDensities:
@@ -301,18 +329,18 @@ class TestGradients:
         rng = np.random.default_rng(41)
         model = random_gaussian(rng)
         data = rng.normal(size=(3, 2))
-        d_beta, _ = model.log_weight_gradients(data)
         u, v = 0, 2
         resid = data[u] - model.sigma_c_given_pi @ data[v] - model.mu_c
         want = np.linalg.inv(model.sigma_cc) @ resid
-        assert np.allclose(d_beta[:2, u, v], want, atol=1e-10)
+        assert np.allclose(edge_gradient(model, data, u, v)[:2], want, atol=1e-10)
 
     def test_regression_gradient_nonzero_at_iid_seed(self):
         rng = np.random.default_rng(42)
         data = rng.normal(size=(6, 2))
         model = models.gaussian_init_iid(data)
-        d_beta, _ = model.log_weight_gradients(model.validate_data(data))
-        block = d_beta[4:8]  # the regression matrix block
+        data = model.validate_data(data)
+        block = np.stack([edge_gradient(model, data, u, v)[4:8]  # the regression matrix
+                          for u in range(6) for v in range(6) if u != v])
         assert np.abs(block).max() > 1e-3
 
     def test_gaussian_param_round_trip(self):

@@ -241,6 +241,22 @@ class TestEdgeMarginals:
         slow = tm.edge_marginals(beta, roots, want_per_root=True).W
         assert np.allclose(fast, slow, atol=1e-10)
 
+    def test_posterior_weights_match_enumeration(self):
+        # rho is the root posterior; each non-root row of W sums to 1 - rho
+        rng = np.random.default_rng(11)
+        beta, roots = random_instance(5, rng)
+        table = oracle_tree_table(beta, roots)
+        want_w, want_rho = np.zeros((5, 5)), np.zeros(5)
+        for (root, parent), prob in table.items():
+            want_rho[root] += prob
+            for child, par in enumerate(parent):
+                if par != -1:
+                    want_w[child, par] += prob
+        w, rho = tm.posterior_weights(beta, roots)
+        assert np.allclose(w, want_w, atol=1e-9)
+        assert np.allclose(rho, want_rho, atol=1e-9)
+        assert np.allclose(w.sum(axis=1), 1.0 - rho, atol=1e-9)
+
 
 class TestTreeEntropy:
     def test_uniform_support(self):
