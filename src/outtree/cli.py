@@ -732,7 +732,7 @@ def cmd_spiral_bench(args):
     for name in ("tdid", "parzen", "gmm_1", "gmm_best"):
         values = np.array([row[name] for row in rows])
         stderr = values.std(ddof=1) / np.sqrt(len(values)) if len(values) > 1 else 0.0
-        print(f"{name}: mean {values.mean()!r} stderr {stderr!r}")
+        print(f"{name}: mean {float(values.mean())!r} stderr {float(stderr)!r}")
     return 0
 
 

@@ -299,6 +299,13 @@ def gaussian_init_iid(data, ridge=1e-6) -> GaussianModel:
 # Tabular family
 
 
+def tabular_counts(column, k, W, rho):
+    """(counts, root_counts): W mass of edges from parent value b to child
+    value a at [a, b], and rho mass of the rows valued a at [a]."""
+    onehot = (column[:, None] == np.arange(k)).astype(float)
+    return onehot.T @ W @ onehot, rho @ onehot
+
+
 def _check_prob_vector(p, name):
     if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
         raise ValueError(f"{name} must be a probability vector (sum within 1e-12)")
@@ -395,11 +402,8 @@ class TabularModel(MutationModel):
     def grad_from_marginals(self, data, W, rho):
         parts = []
         for d, k in enumerate(self.alphabet_sizes):
-            onehot = (data[:, d, None] == np.arange(k)).astype(float)
-            root_counts = rho @ onehot
+            counts, root_counts = tabular_counts(data[:, d], k, W, rho)
             parts.append(root_counts[:-1] - root_counts.sum() * self.root_tables[d][:-1])
-            # counts[a, b]: W mass of edges from a parent valued b to a child valued a
-            counts = onehot.T @ W @ onehot
             gain = counts[:-1] - counts.sum(axis=0) * self.cond_tables[d][:-1]
             parts.append(gain.T.ravel())
         return np.concatenate(parts)

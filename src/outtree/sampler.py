@@ -87,44 +87,38 @@ def sample_uniform_out_tree(size: int, rng) -> OutTree:
     return _orient_from_root(_tree_from_pruefer(sequence, size), root, size)
 
 
+def _sample_along(model: MutationModel, tree: OutTree, streams) -> np.ndarray:
+    """Ancestral sampling in topological order; node t draws from streams[t]."""
+    rows = [None] * tree.size
+    for node in tree.topological_order():
+        if node == tree.root:
+            rows[node] = model.sample_root(streams[node])
+        else:
+            rows[node] = model.sample_child(rows[tree.parent[node]], streams[node])
+    return np.stack(rows)
+
+
 def sample_given_tree(model: MutationModel, tree: OutTree, rng) -> np.ndarray:
     """Ancestral sampling with the tree fixed: root from the marginal, then
     each child from the conditional given its already-sampled parent."""
     if isinstance(rng, np.random.Generator):
-        streams = None
-        shared = rng
+        streams = [rng] * tree.size
     else:
         streams = [np.random.default_rng(s)
                    for s in np.random.SeedSequence(rng).spawn(tree.size)]
-        shared = None
-    rows = [None] * tree.size
-    for node in tree.topological_order():
-        stream = shared if shared is not None else streams[node]
-        if node == tree.root:
-            rows[node] = model.sample_root(stream)
-        else:
-            rows[node] = model.sample_child(rows[tree.parent[node]], stream)
-    return np.stack(rows)
+    return _sample_along(model, tree, streams)
 
 
 def sample_dataset(model: MutationModel, size: int, rng) -> SampleDraw:
     """Draw a uniform out-tree, then attributes along it."""
     if isinstance(rng, np.random.Generator):
         tree = sample_uniform_out_tree(size, rng)
-        data = sample_given_tree(model, tree, rng)
-        return SampleDraw(tree=tree, data=data, seed=None)
+        return SampleDraw(tree=tree, data=sample_given_tree(model, tree, rng), seed=None)
     seed = int(rng)
-    root_sequence = np.random.SeedSequence(seed)
-    streams = root_sequence.spawn(size + 1)
-    tree = sample_uniform_out_tree(size, np.random.default_rng(streams[0]))
-    node_streams = [np.random.default_rng(s) for s in streams[1:]]
-    rows = [None] * size
-    for node in tree.topological_order():
-        if node == tree.root:
-            rows[node] = model.sample_root(node_streams[node])
-        else:
-            rows[node] = model.sample_child(rows[tree.parent[node]], node_streams[node])
-    return SampleDraw(tree=tree, data=np.stack(rows), seed=seed)
+    streams = [np.random.default_rng(s)
+               for s in np.random.SeedSequence(seed).spawn(size + 1)]
+    tree = sample_uniform_out_tree(size, streams[0])
+    return SampleDraw(tree=tree, data=_sample_along(model, tree, streams[1:]), seed=seed)
 
 
 def sample_datasets(model: MutationModel, size: int, count: int, rng):

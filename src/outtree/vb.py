@@ -5,8 +5,9 @@ choice, tree, conditional tables) is approximated by a factorized family:
 q(r) over roots, a Gibbs tree posterior q_r per root, and Dirichlet q_c
 over the conditional tables. Coordinate ascent alternates: update q_c from
 edge-marginal-weighted sufficient statistics, rebuild the expected-log
-weight matrix (digammas), recompute per-root tree marginals, then update
-q(r). Every step increases a closed-form evidence lower bound.
+weight matrix (digammas), then read the new q(r) and the q(r)-mixed edge
+marginals off one inverse of the bordered out-Laplacian. Every step
+increases a closed-form evidence lower bound.
 
 The root-table integral is kept exact against its prior (only one node is
 the root, so no variational distribution is introduced for the root
@@ -17,6 +18,7 @@ provided for small T as the test oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +26,7 @@ from scipy.special import digamma, gammaln, logsumexp
 
 from . import treemath
 from .errors import NumericalFaultError
+from .models import tabular_counts
 from .treemath import WeightMatrix
 
 
@@ -125,6 +128,7 @@ def root_log_evidence(data, prior: DirichletPrior) -> np.ndarray:
 
 
 def _per_root_quantities(beta_tilde):
+    """ln Z_r and the T x T x T stack of P_r: the O(T^4) test oracle."""
     log_z = treemath.log_partition_per_root(beta_tilde)
     stack = np.stack([treemath.per_root_marginal(beta_tilde, r)
                       for r in range(beta_tilde.size)])
@@ -133,7 +137,7 @@ def _per_root_quantities(beta_tilde):
 
 def update_q_root(beta_tilde, root_log_m, per_root_log_z=None, per_root=None,
                   check_tol=1e-9):
-    """New q(r), computed two ways that must agree.
+    """New q(r), computed two ways that must agree (a test oracle).
 
     Route (a) is the literal update: tree entropy plus the expected edge
     score plus the root evidence. Route (b) is the algebraic simplification
@@ -161,25 +165,18 @@ def update_q_root(beta_tilde, root_log_m, per_root_log_z=None, per_root=None,
         return np.exp(logits_b - logsumexp(logits_b))
 
 
-def update_q_c(data, prior: DirichletPrior, q_root, per_root):
+def update_q_c(data, prior: DirichletPrior, q_root, W):
     """Posterior pseudo-counts from edge-marginal-weighted statistics.
 
     W = sum_r q(r) P_r; the conditional counts absorb W-weighted child and
     parent indicators, the root counts absorb q(r)-weighted root values.
     """
     data = _check_data(data, prior)
-    w = np.einsum("r,ruv->uv", np.asarray(q_root, dtype=float), per_root)
     counts_root, counts_cond = [], []
     for d, (a0, big_a0) in enumerate(zip(prior.root, prior.cond)):
-        column = data[:, d]
-        big_a = big_a0.copy()
-        child_grid = np.broadcast_to(column[:, None], w.shape)
-        parent_grid = np.broadcast_to(column[None, :], w.shape)
-        np.add.at(big_a, (child_grid, parent_grid), w)
-        counts_cond.append(big_a)
-        a = a0.copy()
-        np.add.at(a, column, np.asarray(q_root, dtype=float))
-        counts_root.append(a)
+        counts, root_counts = tabular_counts(data[:, d], a0.shape[0], W, q_root)
+        counts_cond.append(big_a0 + counts)
+        counts_root.append(a0 + root_counts)
     return counts_root, counts_cond
 
 
@@ -193,49 +190,47 @@ def dirichlet_kl(a, b) -> float:
                  + ((a - b) * (digamma(a) - digamma(sa))).sum())
 
 
-def elbo(data, prior: DirichletPrior, counts_cond, q_root, beta_tilde,
-         per_root_log_z=None, per_root=None) -> float:
-    """Evidence lower bound, every term in closed form.
-
-    root-evidence term + expected edge score + H(q) + sum_r q(r) H(q_r)
-    - KL(q_c || prior) - (T - 1) ln T.
-    """
-    data = _check_data(data, prior)
-    size = data.shape[0]
-    if per_root_log_z is None:
-        per_root_log_z, per_root = _per_root_quantities(beta_tilde)
-    q_root = np.asarray(q_root, dtype=float)
-    root_term = float(q_root @ root_log_evidence(data, prior))
-    edge_term = 0.0
-    entropy_term = 0.0
-    for r in range(size):
-        if q_root[r] == 0.0:
-            continue
-        mask = per_root[r] > 0
-        edge_score = np.sum(per_root[r][mask] * beta_tilde.log_entries[mask])
-        entropy = per_root_log_z[r] - edge_score
-        edge_term += q_root[r] * edge_score
-        entropy_term += q_root[r] * entropy
-    positive = q_root[q_root > 0]
-    h_q = float(-(positive * np.log(positive)).sum())
+def _kl_and_tree_prior(prior: DirichletPrior, counts_cond, size) -> float:
+    """KL(q_c || prior) plus the uniform tree prior's (T - 1) ln T."""
     kl = sum(dirichlet_kl(big_a[:, b], big_a0[:, b])
              for big_a, big_a0 in zip(counts_cond, prior.cond)
              for b in range(big_a.shape[1]))
-    return root_term + edge_term + h_q + entropy_term - kl - (size - 1) * np.log(size)
+    return kl + (size - 1) * math.log(size)
+
+
+def elbo(data, prior: DirichletPrior, counts_cond, q_root, beta_tilde,
+         per_root_log_z=None) -> float:
+    """Evidence lower bound, every term in closed form.
+
+    The expected edge score and the entropy of each q_r add up to ln Z_r,
+    so the bound is q.(ln m + ln Z_r) + H(q) - KL(q_c || prior)
+    - (T - 1) ln T, with ln Z_r from ``log_partition_per_root`` unless given.
+    """
+    data = _check_data(data, prior)
+    if per_root_log_z is None:
+        per_root_log_z = treemath.log_partition_per_root(beta_tilde)
+    q_root = np.asarray(q_root, dtype=float)
+    held = q_root > 0.0
+    q = q_root[held]
+    logits = root_log_evidence(data, prior)[held] + per_root_log_z[held]
+    return float(q @ (logits - np.log(q))) \
+        - _kl_and_tree_prior(prior, counts_cond, data.shape[0])
 
 
 def vb_fit(data, prior: DirichletPrior, *, max_rounds=200, tol=1e-8,
            init_state: VariationalState | None = None) -> VariationalState:
     """Coordinate-ascent variational fit; the ELBO trace is nondecreasing.
 
-    Round order: q_c from the current marginals, then the expected-log
-    weights, then per-root marginals, then q(r). A decrease beyond 1e-10
-    raises, since exactly evaluated coordinate ascent cannot go down.
-    Passing a previous state resumes from its counts and q(r).
+    Round order: q_c from the current W, then the expected-log weights,
+    then q(r) proportional to m(X_r) Z_r and W = sum_r q(r) P_r as the root
+    posterior and edge marginals of one bordered inverse with root weights
+    m(X_r); with that q(r) the ELBO is ln Z_m - KL - (T - 1) ln T. A
+    decrease beyond roundoff raises, since exactly evaluated coordinate
+    ascent cannot go down. Passing a previous state resumes from its
+    counts, q(r) and ELBO trace.
     """
     data = _check_data(data, prior)
     size = data.shape[0]
-    root_log_m = root_log_evidence(data, prior)
     if init_state is None:
         counts_root = [a.copy() for a in prior.root]
         counts_cond = [big_a.copy() for big_a in prior.cond]
@@ -245,24 +240,31 @@ def vb_fit(data, prior: DirichletPrior, *, max_rounds=200, tol=1e-8,
         counts_root = [np.asarray(a, dtype=float).copy() for a in init_state.counts_root]
         counts_cond = [np.asarray(a, dtype=float).copy() for a in init_state.counts_cond]
         q_root = np.asarray(init_state.q_root, dtype=float).copy()
-        trace = list(init_state.elbo_trace)
+        trace = [float(v) for v in init_state.elbo_trace]
     beta_tilde, _ = expected_log_weights(data, counts_cond)
-    per_root_log_z, per_root = _per_root_quantities(beta_tilde)
-    current = elbo(data, prior, counts_cond, q_root, beta_tilde,
-                   per_root_log_z, per_root)
-    trace.append(current)
+    # the starting q(r) need not be a root posterior (a fresh fit starts
+    # uniform); root weights q(r) / Z_r make it one, which gives its W
+    per_root_log_z = treemath.log_partition_per_root(beta_tilde)
+    with np.errstate(divide="ignore"):
+        start = treemath.RootWeights(log_values=np.log(q_root) - per_root_log_z)
+    w = treemath.edge_marginals(beta_tilde, start).W
+    if not trace:
+        trace.append(elbo(data, prior, counts_cond, q_root, beta_tilde, per_root_log_z))
+    current = trace[-1]
+    roots = treemath.RootWeights(log_values=root_log_evidence(data, prior))
     # the KL terms cancel gammaln values of magnitude ~ count * log(count),
     # so huge pseudo-counts carry proportionate roundoff; the decrease guard
     # must not trip on that noise
     biggest = max(float(np.max(big_a)) for big_a in prior.cond)
     slack = 1e-10 + 4e-15 * biggest * np.log(biggest + 2.0) * data.shape[1]
     for _ in range(max_rounds):
-        counts_root, counts_cond = update_q_c(data, prior, q_root, per_root)
+        counts_root, counts_cond = update_q_c(data, prior, q_root, w)
         beta_tilde, _ = expected_log_weights(data, counts_cond)
-        per_root_log_z, per_root = _per_root_quantities(beta_tilde)
-        q_root = update_q_root(beta_tilde, root_log_m, per_root_log_z, per_root)
-        value = elbo(data, prior, counts_cond, q_root, beta_tilde,
-                     per_root_log_z, per_root)
+        w, q_root = treemath.posterior_weights(beta_tilde, roots)
+        w = treemath._clip_probabilities(w, "VB edge marginals")
+        q_root = treemath._clip_probabilities(q_root, "VB root posterior")
+        value = treemath.log_partition(beta_tilde, roots).log_z \
+            - _kl_and_tree_prior(prior, counts_cond, size)
         if value < current - slack:
             raise NumericalFaultError(
                 f"ELBO decreased from {current} to {value}; coordinate ascent "
@@ -272,11 +274,9 @@ def vb_fit(data, prior: DirichletPrior, *, max_rounds=200, tol=1e-8,
         trace.append(current)
         if improvement < tol:
             break
-    posterior = treemath.EdgeMarginals(
-        W=np.einsum("r,ruv->uv", q_root, per_root), per_root=per_root)
     return VariationalState(counts_root=counts_root, counts_cond=counts_cond,
                             beta_tilde=beta_tilde, q_root=q_root,
-                            edge_marginals=posterior, elbo=current,
+                            edge_marginals=treemath.EdgeMarginals(W=w), elbo=current,
                             elbo_trace=trace)
 
 

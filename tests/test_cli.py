@@ -382,6 +382,25 @@ class TestCommands:
         summary = capsys.readouterr().out.split()
         float(summary[1]), float(summary[3])
 
+    def test_vb_and_spiral_bench_summaries_parse_as_floats(self, tmp_path, capsys):
+        rng = np.random.default_rng(13)
+        data_path = str(tmp_path / "cats.csv")
+        otio.write_sample_csv(data_path, rng.integers(0, 2, size=(6, 1)))
+        assert cli.main(["vb", "--input", data_path, "--max-rounds", "3",
+                         "--output", str(tmp_path / "state.ckpt")]) == 0
+        vb_words = capsys.readouterr().out.split()
+        assert vb_words[:2] == ["vb:", "3"]
+        float(vb_words[-1])
+        assert cli.main(["spiral-bench", "--seed", "2", "--rows", "40", "--folds", "2",
+                         "--max-iters", "2", "--restarts", "1",
+                         "--output", str(tmp_path / "bench.tsv")]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 4
+        for line in lines:
+            _, mean_word, mean, stderr_word, stderr = line.split()
+            assert (mean_word, stderr_word) == ("mean", "stderr")
+            float(mean), float(stderr)
+
     def test_config_values_take_their_flag_types(self, tmp_path):
         config = str(tmp_path / "run.cfg")
         write(config, "seed = 3\nrows = 40\n")

@@ -94,8 +94,8 @@ class TestQcUpdate:
         rng = np.random.default_rng(3)
         data = random_data(rng, 4)
         prior = random_prior(rng)
-        per_root = np.zeros((4, 4, 4))
-        counts_root, counts_cond = vb.update_q_c(data, prior, np.full(4, 0.25), per_root)
+        counts_root, counts_cond = vb.update_q_c(data, prior, np.full(4, 0.25),
+                                                 np.zeros((4, 4)))
         assert np.allclose(counts_cond[0], prior.cond[0])
         assert np.allclose(counts_root[0], prior.root[0] + 0.25 * np.array(
             [np.sum(data[:, 0] == 0), np.sum(data[:, 0] == 1)]))
@@ -104,11 +104,11 @@ class TestQcUpdate:
         data = np.array([[0], [1], [1]])
         prior = vb.DirichletPrior.uniform([2], 1.0)
         tree = treemath.OutTree(root=0, parent=np.array([-1, 0, 1]))
-        per_root = np.zeros((3, 3, 3))
+        w = np.zeros((3, 3))
         for child, parent in tree.edges():
-            per_root[0, child, parent] = 1.0
+            w[child, parent] = 1.0
         q_root = np.array([1.0, 0.0, 0.0])
-        counts_root, counts_cond = vb.update_q_c(data, prior, q_root, per_root)
+        counts_root, counts_cond = vb.update_q_c(data, prior, q_root, w)
         want = prior.cond[0].copy()
         want[1, 0] += 1.0  # edge 0 -> 1: child value 1, parent value 0
         want[1, 1] += 1.0  # edge 1 -> 2: child value 1, parent value 1
@@ -123,7 +123,8 @@ class TestQcUpdate:
         beta, _ = vb.expected_log_weights(data, counts)
         log_z, per_root = vb._per_root_quantities(beta)
         q_root = vb.update_q_root(beta, np.zeros(4), log_z, per_root)
-        _, counts_cond = vb.update_q_c(data, prior, q_root, per_root)
+        w = np.einsum("r,ruv->uv", q_root, per_root)
+        _, counts_cond = vb.update_q_c(data, prior, q_root, w)
         # brute force: posterior over (root, tree) from the same weights
         want = prior.cond[0].copy()
         log_post, stats = [], []
@@ -226,6 +227,9 @@ class TestVbFit:
                             init_state=two_rounds)
         four_rounds = vb.vb_fit(data, prior, max_rounds=4, tol=0.0)
         assert abs(resumed.elbo - four_rounds.elbo) < 1e-9
+        assert len(resumed.elbo_trace) == len(four_rounds.elbo_trace) == 5
+        assert np.abs(np.array(resumed.elbo_trace)
+                      - np.array(four_rounds.elbo_trace)).max() < 1e-9
 
     def test_degenerate_prior_matches_plugin_posteriors(self):
         rng = np.random.default_rng(51)
@@ -257,3 +261,135 @@ class TestVbFit:
         for d in range(2):
             assert np.all(state.counts_cond[d] >= prior.cond[d] - 1e-12)
             assert np.all(state.counts_root[d] >= prior.root[d] - 1e-12)
+
+
+def literal_elbo(data, prior, counts_cond, q_root, beta, stack):
+    """Root evidence + expected edge score + H(q) + sum_r q(r) H(q_r)
+    - KL(q_c || prior) - (T - 1) ln T, term by term with tree_entropy."""
+    size = len(data)
+    total = q_root @ vb.root_log_evidence(data, prior)
+    for r in range(size):
+        mask = stack[r] > 0
+        edge_score = np.sum(stack[r][mask] * beta.log_entries[mask])
+        total += q_root[r] * (edge_score + treemath.tree_entropy(beta, r))
+    held = q_root[q_root > 0]
+    total -= held @ np.log(held)
+    total -= sum(vb.dirichlet_kl(big_a[:, b], big_a0[:, b])
+                 for big_a, big_a0 in zip(counts_cond, prior.cond)
+                 for b in range(big_a.shape[1]))
+    return total - (size - 1) * np.log(size)
+
+
+def oracle_fit(data, prior, rounds):
+    """vb_fit's rounds on the per-root stack: W as the q(r) mixture of the
+    per-root marginals, q(r) through both routes of update_q_root."""
+    size = len(data)
+    log_m = vb.root_log_evidence(data, prior)
+    counts_root = [a.copy() for a in prior.root]
+    counts_cond = [big_a.copy() for big_a in prior.cond]
+    q_root = np.full(size, 1.0 / size)
+    beta, _ = vb.expected_log_weights(data, counts_cond)
+    log_z, stack = vb._per_root_quantities(beta)
+    trace = [literal_elbo(data, prior, counts_cond, q_root, beta, stack)]
+    for _ in range(rounds):
+        w = np.einsum("r,ruv->uv", q_root, stack)
+        counts_root, counts_cond = vb.update_q_c(data, prior, q_root, w)
+        beta, _ = vb.expected_log_weights(data, counts_cond)
+        log_z, stack = vb._per_root_quantities(beta)
+        q_root = vb.update_q_root(beta, log_m, log_z, stack)
+        trace.append(literal_elbo(data, prior, counts_cond, q_root, beta, stack))
+    w = np.einsum("r,ruv->uv", q_root, stack)
+    return trace, q_root, w, counts_root, counts_cond
+
+
+# (rows, dims, alphabet size, pseudo-count scale)
+ORACLE_CASES = [(2, 1, 2, 1.0), (5, 1, 2, 1.0), (8, 1, 2, 1.0), (6, 2, 3, 1.0),
+                (7, 2, 3, 1e6), (8, 2, 3, 1e6)]
+
+
+class TestBorderedRounds:
+    @pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+    def test_matches_per_root_oracle(self, case):
+        rows, dims, k, scale = ORACLE_CASES[case]
+        rng = np.random.default_rng(60 + case)
+        data = random_data(rng, rows, dims=dims, k=k)
+        prior = random_prior(rng, dims=dims, k=k)
+        prior = vb.DirichletPrior(root=tuple(scale * a for a in prior.root),
+                                  cond=tuple(scale * a for a in prior.cond))
+        rounds = 6
+        trace, q_root, w, counts_root, counts_cond = oracle_fit(data, prior, rounds)
+        state = vb.vb_fit(data, prior, max_rounds=rounds, tol=-np.inf)
+        assert len(state.elbo_trace) == rounds + 1
+        assert np.abs(np.array(state.elbo_trace) - trace).max() < 1e-9
+        assert np.abs(state.q_root - q_root).max() < 1e-10
+        assert np.abs(state.edge_marginals.W - w).max() < 1e-10
+        assert state.edge_marginals.per_root is None
+        for got, want in zip(state.counts_cond + state.counts_root,
+                             counts_cond + counts_root):
+            assert np.abs(got - want).max() <= 1e-12 * scale * rows
+        assert state.q_root.min() >= 0.0 and state.edge_marginals.W.min() >= 0.0
+        rows_sum = state.edge_marginals.W.sum(axis=1)
+        assert np.abs(rows_sum - (1.0 - state.q_root)).max() < 1e-9
+
+    def test_elbo_is_the_literal_bound(self):
+        rng = np.random.default_rng(70)
+        data = random_data(rng, 6, dims=2, k=3)
+        prior = random_prior(rng, dims=2, k=3)
+        counts = [rng.uniform(0.5, 4.0, (3, 3)) for _ in range(2)]
+        beta, _ = vb.expected_log_weights(data, counts)
+        q_root = rng.dirichlet(np.ones(6))
+        _, stack = vb._per_root_quantities(beta)
+        want = literal_elbo(data, prior, counts, q_root, beta, stack)
+        assert abs(vb.elbo(data, prior, counts, q_root, beta) - want) < 1e-10
+
+    def test_no_per_root_path_inside_the_fit(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-root oracle called inside vb_fit")
+
+        calls = []
+        per_root_log_z = treemath.log_partition_per_root
+
+        def counted(beta):
+            calls.append(beta.size)
+            return per_root_log_z(beta)
+
+        monkeypatch.setattr(treemath, "per_root_marginal", forbidden)
+        monkeypatch.setattr(treemath, "tree_entropy", forbidden)
+        monkeypatch.setattr(vb, "update_q_root", forbidden)
+        monkeypatch.setattr(treemath, "log_partition_per_root", counted)
+        rng = np.random.default_rng(71)
+        data = random_data(rng, 9, dims=2, k=3)
+        prior = random_prior(rng, dims=2, k=3)
+        state = vb.vb_fit(data, prior, max_rounds=5, tol=0.0)
+        resumed = vb.vb_fit(data, prior, max_rounds=2, tol=0.0, init_state=state)
+        assert calls == [9, 9]
+        assert len(resumed.elbo_trace) == len(state.elbo_trace) + 2
+
+    def test_negative_marginal_roundoff_raises(self, monkeypatch):
+        posterior_weights = treemath.posterior_weights
+
+        def tilted(beta, roots):
+            w, rho = posterior_weights(beta, roots)
+            w = w.copy()
+            w[1, 0] = -1e-6
+            return w, rho
+
+        monkeypatch.setattr(treemath, "posterior_weights", tilted)
+        rng = np.random.default_rng(72)
+        data = random_data(rng, 5)
+        with pytest.raises(NumericalFaultError):
+            vb.vb_fit(data, random_prior(rng), max_rounds=3)
+
+    def test_memory_is_quadratic_in_rows(self):
+        import tracemalloc
+        rng = np.random.default_rng(73)
+        size = 150
+        data = random_data(rng, size, dims=2, k=3)
+        prior = random_prior(rng, dims=2, k=3)
+        tracemalloc.start()
+        try:
+            vb.vb_fit(data, prior, max_rounds=2, tol=0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * size * size * 8
