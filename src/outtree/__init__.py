@@ -8,7 +8,7 @@ and parameters for tabular models.
 """
 
 from .errors import (ConfigError, DataError, NumericalFaultError, OutTreeError,
-                     SingularUpdateError, ZeroPartitionError)
+                     ZeroPartitionError)
 from .likelihood import (FitReport, TestScore, fit_ml, grad_tdid,
                          iid_log_likelihood, tdid_log_likelihood,
                          test_log_likelihood)

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import io as otio
 from . import likelihood, sampler, semisup, vb
-from .errors import (ConfigError, DataError, NumericalFaultError,
-                     OutTreeError, SingularUpdateError, ZeroPartitionError)
+from .errors import ConfigError, DataError, OutTreeError
 from .models import (GaussianModel, gaussian_init_iid, kernel_init_iid,
                      tabular_init_iid)
 
@@ -884,9 +883,6 @@ def main(argv=None) -> int:
     except DataError as exc:
         _emit_error(exc, 3)
         return 3
-    except (NumericalFaultError, ZeroPartitionError, SingularUpdateError) as exc:
-        _emit_error(exc, 4)
-        return 4
     except OutTreeError as exc:
         _emit_error(exc, 4)
         return 4

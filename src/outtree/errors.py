@@ -20,8 +20,3 @@ class NumericalFaultError(OutTreeError):
 
 class ZeroPartitionError(OutTreeError):
     """No out-tree has positive weight (the partition function is zero)."""
-
-
-class SingularUpdateError(OutTreeError):
-    """A rank-one determinant update crossed a singularity; the caller
-    should recompute the factorization from scratch."""

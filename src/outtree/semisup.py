@@ -6,8 +6,9 @@ term (probability alpha of keeping the parent's label, the remainder split
 evenly over the other classes). Unknown labels are filled by greedy hill
 climbing on the joint log-partition: sweeps visit unlabeled nodes in random
 order, rank the alternative labels by a first-order estimate from the
-maintained inverse, evaluate the best candidate exactly through incremental
-rank-one determinant edits, and commit strictly improving flips.
+inverse of the current factorization, score the best candidate exactly
+with a fresh factorization of the flipped weights, and commit strictly
+improving flips.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import treemath
-from .errors import (DataError, NumericalFaultError, SingularUpdateError,
-                     ZeroPartitionError)
+from .errors import DataError, NumericalFaultError, ZeroPartitionError
 from .likelihood import _partition_gradient
 from .models import MutationModel
 from .treemath import IncrementalLogdet, RootWeights, WeightMatrix
@@ -84,8 +84,8 @@ def build_joint_beta(X, y, model: MutationModel, label_model: LabelModel):
 
 
 class LabelInference:
-    """Mutable hill-climbing state: current labels plus the incrementally
-    factored joint determinant. Single-writer, like the session it wraps."""
+    """Mutable hill-climbing state: current labels plus the factored joint
+    determinant. Single-writer, like the session it wraps."""
 
     def __init__(self, X, y, model, label_model, observed=None):
         self.X = model.validate_data(X)
@@ -99,15 +99,8 @@ class LabelInference:
         self._log_cond = model.log_conditional_matrix(self.X)
         self.size = len(self.labels)
         self.sweeps = 0
-        self._rebuild()
-
-    def _rebuild(self):
-        beta, roots = build_joint_beta(self.X, self.labels, self.model, self.label_model)
-        # one flip edits a full row and column (about 2T entries), so this
-        # cadence refactorizes after every committed flip, keeping previews
-        # anchored to a fresh inverse
-        self.session = IncrementalLogdet(beta, roots,
-                                         refactor_every=2 * (self.size - 1))
+        self.session = IncrementalLogdet(
+            *build_joint_beta(self.X, self.labels, model, label_model))
 
     @property
     def log_partition(self) -> float:
@@ -118,19 +111,19 @@ class LabelInference:
         beta, roots = build_joint_beta(self.X, self.labels, self.model, self.label_model)
         return treemath.log_partition(beta, roots).log_z
 
-    def _label_term(self, a, b):
-        return self.label_model.log_same if a == b else self.label_model.log_diff
+    def _flipped_logs(self, node, new_label):
+        """The node's row and column of joint log-weights after the flip."""
+        term = np.where(self.labels == new_label, self.label_model.log_same,
+                        self.label_model.log_diff)
+        return self._log_cond[node] + term, self._log_cond[:, node] + term
 
     def flip_edits(self, node, new_label):
         """The row and column weight edits a label flip induces."""
+        row, column = self._flipped_logs(node, new_label)
         edits = []
         for v in range(self.size):
-            if v == node:
-                continue
-            edits.append((node, v, float(self._log_cond[node, v]
-                                         + self._label_term(new_label, self.labels[v]))))
-            edits.append((v, node, float(self._log_cond[v, node]
-                                         + self._label_term(self.labels[v], new_label))))
+            if v != node:
+                edits += [(node, v, float(row[v])), (v, node, float(column[v]))]
         return edits
 
     def _check_flip(self, node, new_label):
@@ -144,49 +137,40 @@ class LabelInference:
     def flip_delta(self, node, new_label) -> float:
         """Exact change in log-partition if node took new_label (no commit).
 
-        Evaluated through rank-one edits on a scratch copy; falls back to a
-        full recomputation when the update path crosses a singularity.
+        Factors the flipped joint weights afresh; -inf when the flip
+        numerically extinguishes the partition function.
         """
         self._check_flip(node, new_label)
         edits = self.flip_edits(node, new_label)
         try:
             return self.session.preview_edits(edits)
-        except SingularUpdateError:
-            saved = self.labels[node]
-            self.labels[node] = new_label
-            try:
-                return self.recomputed_log_partition() - self.log_partition
-            except (ZeroPartitionError, NumericalFaultError):
-                # the flip numerically extinguishes the partition function
-                return -np.inf
-            finally:
-                self.labels[node] = saved
+        except (ZeroPartitionError, NumericalFaultError):
+            return -np.inf
 
     def screen_delta(self, node, new_label) -> float:
-        """First-order estimate of the flip gain from the maintained inverse."""
+        """First-order estimate of the flip gain from the current inverse.
+
+        An edit of the scaled weight of v -> u by delta moves the
+        log-determinant by delta * (inv[u, u] - inv[v, u]) to first order
+        (indices shifted by the border); the row edits have u = node and the
+        column edits v = node.
+        """
         self._check_flip(node, new_label)
-        inverse = self.session.inverse
-        row_scales = self.session.row_scales
-        log_beta = self.session.log_beta
-        total = 0.0
-        for u, v, new_log in self.flip_edits(node, new_label):
-            old = log_beta[u, v]
-            delta = (np.exp(new_log - row_scales[u]) if new_log != -np.inf else 0.0) \
-                - (np.exp(old - row_scales[u]) if old != -np.inf else 0.0)
-            if delta != 0.0:
-                total += delta * (inverse[u + 1, u + 1] - inverse[v + 1, u + 1])
-        return float(total)
+        beta = self.session.beta
+        core = self.session.inverse[1:, 1:]
+        row, column = self._flipped_logs(node, new_label)
+        with np.errstate(under="ignore"):
+            row_delta = np.exp(row - beta.row_scales[node]) - beta.scaled[node]
+            column_delta = np.exp(column - beta.row_scales) - beta.scaled[:, node]
+        return float(row_delta @ (core[node, node] - core[:, node])
+                     + column_delta @ (np.diag(core) - core[node]))
 
     def commit(self, node, new_label) -> float:
         """Apply the flip, returning the new log-partition."""
         self._check_flip(node, new_label)
-        edits = self.flip_edits(node, new_label)
+        log_z = self.session.apply_edits(self.flip_edits(node, new_label))
         self.labels[node] = new_label
-        try:
-            return self.session.apply_edits(edits)
-        except SingularUpdateError:
-            self._rebuild()
-            return self.log_partition
+        return log_z
 
 
 @dataclass

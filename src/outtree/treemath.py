@@ -5,24 +5,23 @@ from the root. Given a nonnegative weight matrix beta with beta[u, v] the
 weight of edge v -> u, the cofactor of the out-Laplacian at a root r equals
 the total weight of all out-trees rooted at r. This module computes those
 partition functions (exactly, in log domain), root posteriors, edge
-marginals and tree entropies, and maintains an incrementally editable
-determinant for greedy search. A brute-force enumeration oracle is provided
-for small T.
+marginals and tree entropies, and keeps one factorization of the bordered
+Laplacian that greedy search edits and refactors. A brute-force enumeration
+oracle is provided for small T.
 
 All values are immutable after construction and safe to share across
-threads; the incremental determinant session is single-writer.
+threads; the factorization session is single-writer.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import NumericalFaultError, SingularUpdateError, ZeroPartitionError
+from .errors import NumericalFaultError, ZeroPartitionError
 
 # Enumeration is capped here: T=7 already means 7^6 = 117649 out-trees.
 MAX_ENUMERATION_NODES = 7
@@ -504,44 +503,30 @@ def tree_entropy(beta: WeightMatrix, r: int) -> float:
 
 
 class IncrementalLogdet:
-    """Editable determinant of the augmented Laplacian for one weight matrix.
+    """One factorization of the augmented Laplacian for the current weights.
 
-    Holds the factored matrix (log-determinant plus explicit inverse) and
-    applies (child, parent, new_log_weight) edits as sequential rank-one
-    Sherman-Morrison updates. A capacitance factor <= 0 means the update
-    crosses a singularity: the state is left untouched and the caller must
-    recompute from scratch. After ``refactor_every`` cumulative edits
-    (default 2T) or any near-singular capacitance the session refactorizes
-    itself to bound drift. Single-writer: one mutable session at a time.
+    Holds ln Z, the log-determinant and the explicit inverse of the
+    row-rescaled bordered matrix. ``apply_edits`` replaces (child, parent,
+    new_log_weight) entries and factors the edited weights afresh;
+    ``preview_edits`` scores edits by a fresh ``log_partition`` of the
+    edited weights. Edits that leave no out-tree with positive weight raise
+    ``ZeroPartitionError``; an edit that raises leaves the session
+    unchanged. Single-writer: one mutable session at a time.
     """
 
-    def __init__(self, beta: WeightMatrix, roots: RootWeights, refactor_every=None):
-        _check_sizes(beta, roots)
-        self.size = beta.size
-        self._log_beta = np.array(beta.log_entries)
-        self._log_roots = np.array(roots.log_values)
-        self.refactor_every = refactor_every if refactor_every is not None else 2 * beta.size
-        self._factorize()
+    def __init__(self, beta: WeightMatrix, roots: RootWeights):
+        self._roots = roots
+        self._factorize(beta)
 
-    def _factorize(self):
-        # re-anchor the row rescaling to the current weights, so drift in
-        # the edited entries never degrades the conditioning
-        beta = WeightMatrix(log_entries=self._log_beta)
-        roots = RootWeights(log_values=self._log_roots)
-        self.row_scales = np.array(beta.row_scales)
-        self._scale_total = beta.scale_total
-        adjusted_log = roots.log_values - self.row_scales
-        self._adjusted_total = float(logsumexp(adjusted_log))
-        with np.errstate(under="ignore"):
-            normalized = np.exp(adjusted_log - self._adjusted_total)
-        self._scaled = np.array(beta.scaled)
-        q_hat = _augmented(self._scaled, normalized)
-        logdet = _augmented_logdet(q_hat, beta, normalized, "augmented Laplacian")
+    def _factorize(self, beta):
+        q_hat, adjusted_norm, adjusted_total = _scaled_augmented_parts(beta, self._roots)
+        logdet = _augmented_logdet(q_hat, beta, adjusted_norm, "augmented Laplacian")
         if logdet == -np.inf:
             raise ZeroPartitionError("no out-tree has positive weight")
-        self._logdet = logdet
         self._inverse = np.linalg.inv(q_hat)
-        self._edits_since_refactor = 0
+        self.beta = beta
+        self._logdet = logdet
+        self._log_partition = beta.scale_total + adjusted_total + logdet
 
     @property
     def logdet(self) -> float:
@@ -550,74 +535,19 @@ class IncrementalLogdet:
 
     @property
     def log_partition(self) -> float:
-        return self._scale_total + self._adjusted_total + self._logdet
+        return self._log_partition
 
     @property
     def inverse(self) -> np.ndarray:
-        """Current inverse of the augmented Laplacian (do not mutate)."""
+        """Inverse of the rescaled augmented Laplacian (do not mutate)."""
         return self._inverse
 
-    @property
-    def log_beta(self) -> np.ndarray:
-        return self._log_beta
-
-    def _run_edits(self, edits, inverse, log_beta, scaled):
-        logdet = self._logdet
-        tiny_capacitance = False
-        for u, v, new_log in edits:
-            if u == v:
-                raise ValueError("edits must touch off-diagonal entries only")
-            if math.isnan(new_log) or new_log == math.inf:
-                raise ValueError("new log-weight must be < +inf and not NaN")
-            new_scaled = math.exp(new_log - self.row_scales[u]) \
-                if new_log != -math.inf else 0.0
-            delta = new_scaled - scaled[u, v]
-            log_beta[u, v] = new_log
-            scaled[u, v] = new_scaled
-            if delta == 0.0:
-                continue
-            column = inverse[:, u + 1]
-            capacitance = 1.0 + delta * (column[u + 1] - column[v + 1])
-            if not capacitance > 0.0:
-                raise SingularUpdateError(
-                    "rank-one update crossed a singularity; recompute from scratch")
-            if capacitance < 1e-8:
-                tiny_capacitance = True
-            logdet += math.log(capacitance)
-            row = inverse[u + 1, :] - inverse[v + 1, :]
-            inverse -= np.outer(column * delta, row) / capacitance
-        return logdet, tiny_capacitance
-
     def apply_edits(self, edits) -> float:
-        """Apply edits, returning the updated log-partition.
-
-        On SingularUpdateError the session state is unchanged.
-        """
-        edits = list(edits)
-        if not edits:
-            return self.log_partition
-        inverse = self._inverse.copy()
-        log_beta = self._log_beta.copy()
-        scaled = self._scaled.copy()
-        logdet, tiny = self._run_edits(edits, inverse, log_beta, scaled)
-        self._inverse = inverse
-        self._log_beta = log_beta
-        self._scaled = scaled
-        self._logdet = logdet
-        self._edits_since_refactor += len(edits)
-        if tiny or self._edits_since_refactor >= self.refactor_every:
-            self._factorize()
-        return self.log_partition
+        """Apply edits, returning the new log-partition."""
+        self._factorize(self.beta.with_edits(edits))
+        return self._log_partition
 
     def preview_edits(self, edits) -> float:
         """Change in log-partition the edits would cause, without committing."""
-        edits = list(edits)
-        if not edits:
-            return 0.0
-        logdet, _ = self._run_edits(edits, self._inverse.copy(),
-                                    self._log_beta.copy(), self._scaled.copy())
-        return logdet - self._logdet
-
-    def refresh(self):
-        """Refactorize from scratch (clears accumulated rank-one drift)."""
-        self._factorize()
+        return log_partition(self.beta.with_edits(edits), self._roots).log_z \
+            - self._log_partition

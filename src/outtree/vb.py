@@ -88,12 +88,11 @@ def _check_data(data, prior):
     return data
 
 
-def expected_log_weights(data, counts_cond, counts_root=None):
+def expected_log_weights(data, counts_cond):
     """Weight matrix of exponentiated expected log-conditionals.
 
     E[ln theta_{a|b}] = digamma(A[a, b]) - digamma(sum_a A[a, b]), summed
-    over dimensions. Returns the WeightMatrix plus (when root counts are
-    given) the expected root log-weights under the same digamma rule.
+    over dimensions.
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.int64))
     size = data.shape[0]
@@ -105,16 +104,7 @@ def expected_log_weights(data, counts_cond, counts_root=None):
         elog = digamma(big_a) - digamma(big_a.sum(axis=0, keepdims=True))
         log_beta += elog[np.ix_(data[:, d], data[:, d])]
     np.fill_diagonal(log_beta, -np.inf)
-    beta_tilde = WeightMatrix(log_entries=log_beta)
-    if counts_root is None:
-        return beta_tilde, None
-    root_expected = np.zeros(size)
-    for d, a in enumerate(counts_root):
-        a = np.asarray(a, dtype=float)
-        if np.any(a <= 0):
-            raise ValueError("pseudo-counts must be strictly positive")
-        root_expected += (digamma(a) - digamma(a.sum()))[data[:, d]]
-    return beta_tilde, root_expected
+    return WeightMatrix(log_entries=log_beta)
 
 
 def root_log_evidence(data, prior: DirichletPrior) -> np.ndarray:
@@ -241,7 +231,7 @@ def vb_fit(data, prior: DirichletPrior, *, max_rounds=200, tol=1e-8,
         counts_cond = [np.asarray(a, dtype=float).copy() for a in init_state.counts_cond]
         q_root = np.asarray(init_state.q_root, dtype=float).copy()
         trace = [float(v) for v in init_state.elbo_trace]
-    beta_tilde, _ = expected_log_weights(data, counts_cond)
+    beta_tilde = expected_log_weights(data, counts_cond)
     # the starting q(r) need not be a root posterior (a fresh fit starts
     # uniform); root weights q(r) / Z_r make it one, which gives its W
     per_root_log_z = treemath.log_partition_per_root(beta_tilde)
@@ -259,7 +249,7 @@ def vb_fit(data, prior: DirichletPrior, *, max_rounds=200, tol=1e-8,
     slack = 1e-10 + 4e-15 * biggest * np.log(biggest + 2.0) * data.shape[1]
     for _ in range(max_rounds):
         counts_root, counts_cond = update_q_c(data, prior, q_root, w)
-        beta_tilde, _ = expected_log_weights(data, counts_cond)
+        beta_tilde = expected_log_weights(data, counts_cond)
         w, q_root = treemath.posterior_weights(beta_tilde, roots)
         w = treemath._clip_probabilities(w, "VB edge marginals")
         q_root = treemath._clip_probabilities(q_root, "VB root posterior")

@@ -237,7 +237,7 @@ def test_criterion_09_vb_soundness():
         rng = np.random.default_rng(300 + seed)
         data = rng.integers(0, 3, size=(4, 2))
         counts = [rng.uniform(0.3, 5.0, (3, 3)) for _ in range(2)]
-        beta, _ = vb.expected_log_weights(data, counts)
+        beta = vb.expected_log_weights(data, counts)
         vb.update_q_root(beta, rng.normal(size=4), *vb._per_root_quantities(beta))
     ok = worst_drop <= 1e-10 and worst_gap <= 1e-9
     report(9, "vb soundness", ok,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from outtree import models, sampler, semisup, treemath
+from outtree import cli, models, sampler, semisup, treemath
 from outtree.errors import DataError
 
 
@@ -100,6 +100,16 @@ class TestJointBeta:
                                      semisup.LabelModel(alpha=0.7, n_classes=2))
 
 
+def per_edit_screen(state, node, new_label):
+    """First-order gain summed edit by edit: delta * (inv[u, u] - inv[v, u])."""
+    beta, inverse = state.session.beta, state.session.inverse
+    total = 0.0
+    for u, v, new_log in state.flip_edits(node, new_label):
+        delta = np.exp(new_log - beta.row_scales[u]) - beta.scaled[u, v]
+        total += delta * (inverse[u + 1, u + 1] - inverse[v + 1, u + 1])
+    return total
+
+
 class TestFlipDelta:
     def make_state(self, seed, size=15, n_classes=3):
         # compact geometry keeps the augmented matrix well conditioned, so
@@ -155,9 +165,37 @@ class TestFlipDelta:
         deltas = []
         for node in range(10):
             new = 1 - state.labels[node]
-            deltas.append((state.screen_delta(node, new), state.flip_delta(node, new)))
+            screen = state.screen_delta(node, new)
+            assert abs(screen - per_edit_screen(state, node, new)) < 1e-12
+            deltas.append((screen, state.flip_delta(node, new)))
         screens, exacts = zip(*deltas)
         assert np.corrcoef(screens, exacts)[0, 1] > 0.8
+
+    def test_screen_matches_per_edit_formula_with_three_classes(self):
+        state, rng = self.make_state(6)
+        for node in np.flatnonzero(~state.observed):
+            for new in range(3):
+                if new != state.labels[node]:
+                    assert abs(state.screen_delta(node, new)
+                               - per_edit_screen(state, node, new)) < 1e-12
+            # later nodes are screened against the refactored inverse
+            state.commit(node, (state.labels[node] + 1) % 3)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_equals_fresh_factorization_difference(self, seed):
+        rng = np.random.default_rng(seed)
+        draw = sampler.sample_dataset(cli.semisup_generator(), 90, int(rng.integers(1 << 30)))
+        state = semisup.LabelInference(
+            draw.data, rng.integers(0, 3, 90), cli.semisup_generator(),
+            semisup.LabelModel(alpha=0.9, n_classes=3), observed=np.zeros(90, dtype=bool))
+        for node in rng.choice(90, size=12, replace=False):
+            new = int((state.labels[node] + 1 + rng.integers(2)) % 3)
+            before = state.recomputed_log_partition()
+            delta = state.flip_delta(node, new)
+            state.commit(node, new)
+            after = state.recomputed_log_partition()
+            assert delta == after - before
+            assert state.log_partition == after
 
 
 class TestGreedyInference:

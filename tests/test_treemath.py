@@ -5,7 +5,7 @@ import pytest
 from scipy.special import logsumexp
 
 from outtree import treemath as tm
-from outtree.errors import NumericalFaultError, SingularUpdateError, ZeroPartitionError
+from outtree.errors import NumericalFaultError, ZeroPartitionError
 
 
 def random_instance(size, rng, low=0.05):
@@ -302,7 +302,7 @@ class TestIncrementalLogdet:
     def test_edit_then_reverse(self):
         rng = np.random.default_rng(15)
         beta, roots = random_instance(6, rng)
-        session = tm.IncrementalLogdet(beta, roots, refactor_every=1000)
+        session = tm.IncrementalLogdet(beta, roots)
         original = session.log_partition
         old_log = beta.log_entries[2, 3]
         session.apply_edits([(2, 3, old_log + 0.8)])
@@ -337,7 +337,7 @@ class TestIncrementalLogdet:
     def test_structural_zero_edits_round_trip(self):
         rng = np.random.default_rng(17)
         beta, roots = random_instance(5, rng)
-        session = tm.IncrementalLogdet(beta, roots, refactor_every=1000)
+        session = tm.IncrementalLogdet(beta, roots)
         start = session.log_partition
         session.apply_edits([(1, 2, -np.inf)])
         fresh = tm.log_partition(beta.with_edits([(1, 2, -np.inf)]), roots)
@@ -346,20 +346,22 @@ class TestIncrementalLogdet:
         assert abs(session.log_partition - start) < 1e-8
 
     def test_singular_update_is_signalled_and_state_kept(self):
-        # removing the only edge into node 0 kills every tree not rooted at 0,
-        # and zeroing the root weight of 0 then makes Z hit zero
+        # removing both edges of a two-node graph leaves no out-tree at all
         beta = tm.WeightMatrix(entries=[[0.0, 0.5], [0.5, 0.0]])
         roots = tm.RootWeights(values=[1.0, 1e-300])
         session = tm.IncrementalLogdet(beta, roots)
         before = session.log_partition
-        with pytest.raises(SingularUpdateError):
-            session.apply_edits([(0, 1, -np.inf), (1, 0, -np.inf)])
+        edits = [(0, 1, -np.inf), (1, 0, -np.inf)]
+        with pytest.raises(ZeroPartitionError):
+            session.preview_edits(edits)
+        with pytest.raises(ZeroPartitionError):
+            session.apply_edits(edits)
         assert session.log_partition == before
 
     def test_automatic_refactor_keeps_accuracy(self):
         rng = np.random.default_rng(18)
         beta, roots = random_instance(8, rng)
-        session = tm.IncrementalLogdet(beta, roots, refactor_every=5)
+        session = tm.IncrementalLogdet(beta, roots)
         log_beta = np.array(beta.log_entries)
         for step in range(60):
             u, v = rng.integers(0, 8, 2)

@@ -22,7 +22,7 @@ class TestExpectedLogWeights:
     def test_symmetric_counts_give_equal_entries(self):
         data = np.array([[0], [1], [0], [1]])
         counts = [np.full((2, 2), 3.0)]
-        beta, _ = vb.expected_log_weights(data, counts)
+        beta = vb.expected_log_weights(data, counts)
         off = ~np.eye(4, dtype=bool)
         want = digamma(3.0) - digamma(6.0)
         assert np.allclose(beta.log_entries[off], want, atol=1e-12)
@@ -33,7 +33,7 @@ class TestExpectedLogWeights:
         table /= table.sum(axis=0)
         data = rng.integers(0, 3, size=(5, 1))
         scale = 1e7
-        beta, _ = vb.expected_log_weights(data, [scale * table])
+        beta = vb.expected_log_weights(data, [scale * table])
         off = ~np.eye(5, dtype=bool)
         plugin = np.log(table)[np.ix_(data[:, 0], data[:, 0])]
         assert np.abs(beta.log_entries[off] - plugin[off]).max() < 1e-6
@@ -59,7 +59,7 @@ class TestQRootUpdate:
     def test_symmetric_state_gives_uniform(self):
         data = np.array([[0], [1], [0], [1]])
         prior = vb.DirichletPrior.uniform([2], 2.0)
-        beta, _ = vb.expected_log_weights(data, [np.full((2, 2), 2.0)])
+        beta = vb.expected_log_weights(data, [np.full((2, 2), 2.0)])
         # constant root evidence (symmetric prior, any data values)
         q = vb.update_q_root(beta, np.zeros(4))
         assert np.allclose(q, 0.25, atol=1e-12)
@@ -69,7 +69,7 @@ class TestQRootUpdate:
         data = np.array([[0], [1]])
         prior = random_prior(rng)
         counts = [rng.uniform(0.5, 3.0, (2, 2))]
-        beta, _ = vb.expected_log_weights(data, counts)
+        beta = vb.expected_log_weights(data, counts)
         log_m = vb.root_log_evidence(data, prior)
         q = vb.update_q_root(beta, log_m)
         # 1x1 cofactors: Z_r is just the single other node's weight
@@ -82,7 +82,7 @@ class TestQRootUpdate:
         rng = np.random.default_rng(10 + seed)
         data = random_data(rng, 4, dims=2, k=3)
         counts = [rng.uniform(0.3, 5.0, (3, 3)) for _ in range(2)]
-        beta, _ = vb.expected_log_weights(data, counts)
+        beta = vb.expected_log_weights(data, counts)
         log_m = rng.normal(size=4)
         # raises internally if the two routes differ beyond 1e-9
         q = vb.update_q_root(beta, log_m, *vb._per_root_quantities(beta))
@@ -120,7 +120,7 @@ class TestQcUpdate:
         data = random_data(rng, 4, k=2)
         prior = random_prior(rng)
         counts = [rng.uniform(0.4, 3.0, (2, 2))]
-        beta, _ = vb.expected_log_weights(data, counts)
+        beta = vb.expected_log_weights(data, counts)
         log_z, per_root = vb._per_root_quantities(beta)
         q_root = vb.update_q_root(beta, np.zeros(4), log_z, per_root)
         w = np.einsum("r,ruv->uv", q_root, per_root)
@@ -146,7 +146,7 @@ class TestElbo:
         rng = np.random.default_rng(5)
         data = random_data(rng, 4)
         prior = random_prior(rng)
-        beta, _ = vb.expected_log_weights(data, prior.cond)
+        beta = vb.expected_log_weights(data, prior.cond)
         value = vb.elbo(data, prior, [c.copy() for c in prior.cond],
                         np.full(4, 0.25), beta)
         kl = sum(vb.dirichlet_kl(prior.cond[0][:, b], prior.cond[0][:, b])
@@ -288,13 +288,13 @@ def oracle_fit(data, prior, rounds):
     counts_root = [a.copy() for a in prior.root]
     counts_cond = [big_a.copy() for big_a in prior.cond]
     q_root = np.full(size, 1.0 / size)
-    beta, _ = vb.expected_log_weights(data, counts_cond)
+    beta = vb.expected_log_weights(data, counts_cond)
     log_z, stack = vb._per_root_quantities(beta)
     trace = [literal_elbo(data, prior, counts_cond, q_root, beta, stack)]
     for _ in range(rounds):
         w = np.einsum("r,ruv->uv", q_root, stack)
         counts_root, counts_cond = vb.update_q_c(data, prior, q_root, w)
-        beta, _ = vb.expected_log_weights(data, counts_cond)
+        beta = vb.expected_log_weights(data, counts_cond)
         log_z, stack = vb._per_root_quantities(beta)
         q_root = vb.update_q_root(beta, log_m, log_z, stack)
         trace.append(literal_elbo(data, prior, counts_cond, q_root, beta, stack))
@@ -336,7 +336,7 @@ class TestBorderedRounds:
         data = random_data(rng, 6, dims=2, k=3)
         prior = random_prior(rng, dims=2, k=3)
         counts = [rng.uniform(0.5, 4.0, (3, 3)) for _ in range(2)]
-        beta, _ = vb.expected_log_weights(data, counts)
+        beta = vb.expected_log_weights(data, counts)
         q_root = rng.dirichlet(np.ones(6))
         _, stack = vb._per_root_quantities(beta)
         want = literal_elbo(data, prior, counts, q_root, beta, stack)
