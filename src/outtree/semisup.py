@@ -118,13 +118,19 @@ class LabelInference:
         return self._log_cond[node] + term, self._log_cond[:, node] + term
 
     def flip_edits(self, node, new_label):
-        """The row and column weight edits a label flip induces."""
+        """The row and column weight edits a label flip induces: a
+        (2(T-1), 3) array of (child, parent, log_weight) rows, alternating
+        the edge from each other node v into the node and the edge back."""
         row, column = self._flipped_logs(node, new_label)
-        edits = []
-        for v in range(self.size):
-            if v != node:
-                edits += [(node, v, float(row[v])), (v, node, float(column[v]))]
-        return edits
+        others = np.flatnonzero(np.arange(self.size) != node)
+        edits = np.empty((others.size, 2, 3))
+        edits[:, 0, 0] = node
+        edits[:, 0, 1] = others
+        edits[:, 0, 2] = row[others]
+        edits[:, 1, 0] = others
+        edits[:, 1, 1] = node
+        edits[:, 1, 2] = column[others]
+        return edits.reshape(-1, 3)
 
     def _check_flip(self, node, new_label):
         if self.observed[node]:

@@ -9,6 +9,13 @@ marginals and tree entropies, and keeps one factorization of the bordered
 Laplacian that greedy search edits and refactors. A brute-force enumeration
 oracle is provided for small T.
 
+Greedy search scores every candidate edit with a fresh factorization, so
+the work around that one LU is a few vectorized O(T^2) passes: edits are
+validated and written as one array; the rescaled weights need no finite
+mask, because validation leaves -inf as the only non-finite log-weight and
+exp maps it to exactly 0; and the session computes its explicit inverse on
+first read.
+
 All values are immutable after construction and safe to share across
 threads; the factorization session is single-writer.
 """
@@ -47,6 +54,11 @@ class WeightMatrix:
     matter how many thousands of nats the raw rows span. ln Z_r picks up
     the correction scale_total - row_scales[r], and the root weights absorb
     exp(-row_scales[r]) inside the augmented determinant.
+
+    Validation admits no NaN and no +inf, so -inf is the only non-finite
+    log-weight: the row maximum is the largest finite entry (or -inf for a
+    row of structural zeros, whose scale is 0), and exp maps -inf to exactly
+    0, so the derivation needs no finite mask.
     """
 
     __slots__ = ("log_entries", "size", "row_scales", "scale_total", "scaled")
@@ -66,24 +78,27 @@ class WeightMatrix:
         else:
             log_entries = np.array(log_entries, dtype=float)
             _check_square(log_entries)
-            if np.any(np.isnan(log_entries)) or np.any(log_entries == np.inf):
-                raise ValueError("log-weights must be < +inf and not NaN")
+            _check_log_weights(log_entries)
             if np.any(np.diag(log_entries) != -np.inf):
                 raise ValueError("diagonal log-weights must be -inf")
         if log_entries.shape[0] < 2:
             raise ValueError("need at least 2 nodes")
-        self.log_entries = _frozen(log_entries)
-        self.size = log_entries.shape[0]
-        finite = np.isfinite(self.log_entries)
-        has_entry = finite.any(axis=1)
-        row_max = np.max(np.where(finite, self.log_entries, -np.inf), axis=1)
-        row_scales = np.where(has_entry, row_max, 0.0)
-        self.row_scales = _frozen(row_scales)
-        self.scale_total = float(row_scales.sum())
+        self._derive(log_entries)
+
+    def _derive(self, log_entries):
+        """Set every field from validated log-weights, taking ownership of them."""
+        row_scales = log_entries.max(axis=1)
+        row_scales[row_scales == -np.inf] = 0.0
+        scaled = np.subtract(log_entries, row_scales[:, None])
         with np.errstate(under="ignore"):
-            scaled = np.exp(self.log_entries - row_scales[:, None])
-        scaled[~finite] = 0.0
-        self.scaled = _frozen(scaled)
+            np.exp(scaled, out=scaled)
+        for array in (log_entries, row_scales, scaled):
+            array.setflags(write=False)
+        self.log_entries = log_entries
+        self.size = log_entries.shape[0]
+        self.row_scales = row_scales
+        self.scale_total = float(row_scales.sum())
+        self.scaled = scaled
 
     @property
     def entries(self):
@@ -93,13 +108,32 @@ class WeightMatrix:
         return out
 
     def with_edits(self, edits):
-        """New matrix with (child, parent, new_log_weight) entries replaced."""
-        log_entries = np.array(self.log_entries)
-        for u, v, new_log in edits:
-            if u == v:
-                raise ValueError("cannot edit the diagonal")
-            log_entries[u, v] = new_log
-        return WeightMatrix(log_entries=log_entries)
+        """New matrix with (child, parent, new_log_weight) entries replaced.
+
+        ``edits`` is any (E, 3) array-like; indices may be negative, as in
+        numpy, and a later edit of the same entry wins. Only what an edit
+        can break is validated: NaN or +inf weights, indices that are not
+        integers or out of range (``IndexError``), and diagonal entries.
+        """
+        edits = np.asarray(edits, dtype=float)
+        if edits.size == 0:
+            edits = edits.reshape(0, 3)
+        if edits.ndim != 2 or edits.shape[1] != 3:
+            raise ValueError("edits must be (child, parent, log_weight) rows")
+        index, values = edits[:, :2], edits[:, 2]
+        _check_log_weights(values)
+        if (np.trunc(index) != index).any():
+            raise ValueError("edit indices must be integers")
+        if ((index < -self.size) | (index >= self.size)).any():
+            raise IndexError("edit index out of range")
+        child, parent = (index.astype(np.intp) % self.size).T
+        if (child == parent).any():
+            raise ValueError("cannot edit the diagonal")
+        log_entries = self.log_entries.copy()
+        log_entries[child, parent] = values
+        edited = WeightMatrix.__new__(WeightMatrix)
+        edited._derive(log_entries)
+        return edited
 
 
 class RootWeights:
@@ -124,7 +158,7 @@ class RootWeights:
             raise ValueError("root weights must be a vector")
         self.log_values = _frozen(log_values)
         self.size = log_values.shape[0]
-        self.log_total = float(logsumexp(self.log_values))
+        self.log_total = float(_logsumexp(self.log_values))
         if not np.isfinite(self.log_total):
             raise ValueError("at least one root weight must be positive")
         with np.errstate(under="ignore"):
@@ -204,6 +238,29 @@ def _check_square(a):
         raise ValueError("weight matrix must be square")
 
 
+def _check_log_weights(a):
+    if np.isnan(a).any() or (a == np.inf).any():
+        raise ValueError("log-weights must be < +inf and not NaN")
+
+
+def _logsumexp(a):
+    """ln sum exp(a) of a vector, by scipy.special.logsumexp's formula.
+
+    The maximum is separated out and its ties counted, so the result is
+    log1p(rest / ties) + log(ties) + max, bit for bit what scipy returns,
+    without its array-API dispatch.
+    """
+    a_max = a.max()
+    if not np.isfinite(a_max):
+        return a_max
+    ties = a == a_max
+    count = np.count_nonzero(ties)
+    # the ties stay in place as -inf (exp 0), so the sum pairs terms as scipy's does
+    with np.errstate(under="ignore"):
+        rest = np.exp(np.where(ties, -np.inf, a) - a_max).sum()
+    return np.log1p(rest / count) + np.log(count) + a_max
+
+
 def _check_sizes(beta, roots):
     if beta.size != roots.size:
         raise ValueError("weight matrix and root weights disagree on T")
@@ -236,7 +293,9 @@ def _augmented(weights, normalized):
     q_hat[0, 0] = 1.0
     q_hat[0, 1:] = normalized
     q_hat[1:, 0] = -normalized
-    q_hat[1:, 1:] = np.diag(weights.sum(axis=1)) - weights
+    # Q = diag(row sums) - weights, filled in place (the diagonal weights are 0)
+    np.subtract(0.0, weights, out=q_hat[1:, 1:])
+    q_hat.reshape(-1)[size + 2::size + 2] += weights.sum(axis=1)
     return q_hat
 
 
@@ -249,7 +308,7 @@ def _scaled_augmented_parts(beta, roots):
     """
     _check_sizes(beta, roots)
     adjusted_log = roots.log_values - beta.row_scales
-    adjusted_total = float(logsumexp(adjusted_log))
+    adjusted_total = float(_logsumexp(adjusted_log))
     with np.errstate(under="ignore"):
         adjusted_norm = np.exp(adjusted_log - adjusted_total)
     return _augmented(beta.scaled, adjusted_norm), adjusted_norm, adjusted_total
@@ -505,13 +564,16 @@ def tree_entropy(beta: WeightMatrix, r: int) -> float:
 class IncrementalLogdet:
     """One factorization of the augmented Laplacian for the current weights.
 
-    Holds ln Z, the log-determinant and the explicit inverse of the
-    row-rescaled bordered matrix. ``apply_edits`` replaces (child, parent,
-    new_log_weight) entries and factors the edited weights afresh;
-    ``preview_edits`` scores edits by a fresh ``log_partition`` of the
-    edited weights. Edits that leave no out-tree with positive weight raise
-    ``ZeroPartitionError``; an edit that raises leaves the session
-    unchanged. Single-writer: one mutable session at a time.
+    Holds ln Z, the log-determinant and the row-rescaled bordered matrix.
+    ``apply_edits`` replaces (child, parent, new_log_weight) entries and
+    factors the edited weights afresh; ``preview_edits`` scores edits by a
+    fresh ``log_partition`` of the edited weights. Edits are validated by
+    ``WeightMatrix.with_edits``. The explicit ``inverse`` is computed on its
+    first read after each factorization, so a search that never screens
+    candidates (two classes) never inverts. Edits that leave no out-tree
+    with positive weight raise ``ZeroPartitionError``; an edit that raises
+    leaves the session unchanged. Single-writer: one mutable session at a
+    time.
     """
 
     def __init__(self, beta: WeightMatrix, roots: RootWeights):
@@ -523,8 +585,9 @@ class IncrementalLogdet:
         logdet = _augmented_logdet(q_hat, beta, adjusted_norm, "augmented Laplacian")
         if logdet == -np.inf:
             raise ZeroPartitionError("no out-tree has positive weight")
-        self._inverse = np.linalg.inv(q_hat)
         self.beta = beta
+        self._q_hat = q_hat
+        self._inverse = None
         self._logdet = logdet
         self._log_partition = beta.scale_total + adjusted_total + logdet
 
@@ -539,7 +602,10 @@ class IncrementalLogdet:
 
     @property
     def inverse(self) -> np.ndarray:
-        """Inverse of the rescaled augmented Laplacian (do not mutate)."""
+        """Inverse of the rescaled augmented Laplacian (do not mutate),
+        computed on the first read after each factorization."""
+        if self._inverse is None:
+            self._inverse = np.linalg.inv(self._q_hat)
         return self._inverse
 
     def apply_edits(self, edits) -> float:

@@ -105,6 +105,7 @@ def per_edit_screen(state, node, new_label):
     beta, inverse = state.session.beta, state.session.inverse
     total = 0.0
     for u, v, new_log in state.flip_edits(node, new_label):
+        u, v = int(u), int(v)
         delta = np.exp(new_log - beta.row_scales[u]) - beta.scaled[u, v]
         total += delta * (inverse[u + 1, u + 1] - inverse[v + 1, u + 1])
     return total
@@ -235,6 +236,24 @@ class TestGreedyInference:
         result = semisup.greedy_label_inference(X, y, model, lm, restarts=1, rng=2)
         assert result.flips == 0
         assert result.sweeps == 1
+
+    @pytest.mark.parametrize("n_classes, screens", [(2, False), (3, True)])
+    def test_inverse_is_computed_only_for_the_screen(self, monkeypatch, n_classes,
+                                                     screens):
+        # two classes leave one candidate per node, so nothing reads the inverse
+        X, y, _, model = synthetic_problem(8, size=16, n_classes=n_classes,
+                                           min_minority=0.2)
+        inverted, inverse = [], np.linalg.inv
+
+        def counting_inverse(a, *args, **kwargs):
+            inverted.append(np.shape(a)[-1])
+            return inverse(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inverse)
+        lm = semisup.LabelModel(alpha=0.9, n_classes=n_classes)
+        result = semisup.greedy_label_inference(X, y, model, lm, rng=3)
+        assert result.sweeps >= 1
+        assert (X.shape[0] + 1 in inverted) == screens
 
     def test_beats_majority_on_synthetic_trees(self):
         wins = 0

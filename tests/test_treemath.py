@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from outtree import treemath as tm
@@ -372,6 +374,117 @@ class TestIncrementalLogdet:
             log_beta[u, v] = new
         fresh = tm.log_partition(tm.WeightMatrix(log_entries=log_beta), roots)
         assert abs(session.log_partition - fresh.log_z) < 1e-9
+
+
+    def test_inverse_is_the_fresh_inverse_of_the_bordered_matrix(self):
+        rng = np.random.default_rng(19)
+        beta, roots = random_instance(7, rng)
+        session = tm.IncrementalLogdet(beta, roots)
+        want = np.linalg.inv(tm._scaled_augmented_parts(beta, roots)[0])
+        assert session.inverse.tobytes() == want.tobytes()
+        edits = [(1, 4, -0.7), (-1, 2, 0.3), (3, 0, -np.inf)]
+        session.apply_edits(edits)
+        edited = beta.with_edits(edits)
+        want = np.linalg.inv(tm._scaled_augmented_parts(edited, roots)[0])
+        assert session.inverse.tobytes() == want.tobytes()
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def masked_derivation(log):
+    """Row scales and scaled weights with explicit finite masks."""
+    finite = np.isfinite(log)
+    row_max = np.max(np.where(finite, log, -np.inf), axis=1)
+    row_scales = np.where(finite.any(axis=1), row_max, 0.0)
+    with np.errstate(under="ignore"):
+        scaled = np.exp(log - row_scales[:, None])
+    scaled[~finite] = 0.0
+    return row_scales, scaled
+
+
+@st.composite
+def edit_cases(draw, size):
+    """A weight matrix, edits of it, and the edited log-weights by a loop.
+
+    Regimes: structural zeros with one all -inf row, rows spanning 1.5e3
+    nats, duplicate (child, parent) edits and negative indices.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    log = rng.normal(size=(size, size))
+    if draw(st.booleans()):
+        log[np.arange(size), (np.arange(size) + 1) % size] = -1.5e3
+    if draw(st.booleans()):
+        log[rng.random((size, size)) < 0.3] = -np.inf
+        log[rng.integers(size)] = -np.inf
+    np.fill_diagonal(log, -np.inf)
+    count = draw(st.integers(0, 3 * size))
+    child = rng.integers(size, size=count)
+    parent = (child + rng.integers(1, size, size=count)) % size
+    weights = np.where(rng.random(count) < 0.2, -np.inf, rng.normal(scale=5.0, size=count))
+    edits = [(int(u), int(v), float(w)) for u, v, w in zip(child, parent, weights)]
+    if edits and draw(st.booleans()):
+        edits += [(u, v, w + 1.0) for u, v, w in edits[:3]]
+    if draw(st.booleans()):
+        edits = [(u - size * int(rng.integers(2)), v - size * int(rng.integers(2)), w)
+                 for u, v, w in edits]
+    edited = log.copy()
+    for u, v, w in edits:
+        edited[u, v] = w
+    return tm.WeightMatrix(log_entries=log), edits, edited
+
+
+class TestLeanEdits:
+    """``with_edits`` and ``_logsumexp`` against their plain references."""
+
+    @pytest.mark.parametrize("size", [2, 3, 7])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_with_edits_equals_a_fresh_matrix(self, size, data):
+        beta, edits, edited = data.draw(edit_cases(size))
+        got = beta.with_edits(edits)
+        want = tm.WeightMatrix(log_entries=edited)
+        assert same_bits(got.log_entries, want.log_entries)
+        assert same_bits(got.row_scales, want.row_scales)
+        assert same_bits(got.scaled, want.scaled)
+        assert same_bits(got.scale_total, want.scale_total)
+        assert got.size == want.size
+        assert not got.log_entries.flags.writeable and not got.scaled.flags.writeable
+        row_scales, scaled = masked_derivation(edited)
+        assert same_bits(got.row_scales, row_scales)
+        assert same_bits(got.scaled, scaled)
+
+    @pytest.mark.parametrize("edits, error", [
+        ([(0, 1, 0.5), (1, 1, 0.0)], ValueError),  # diagonal
+        ([(-1, 3, 0.0)], ValueError),  # diagonal through a negative index
+        ([(0, -4, 0.0)], ValueError),
+        ([(0, 1, np.nan)], ValueError),
+        ([(0, 1, np.inf)], ValueError),
+        ([(0.5, 1, 0.0)], ValueError),
+        ([(0, np.nan, 0.0)], ValueError),
+        ([(0, 1), (1, 0)], ValueError),
+        ([(4, 1, 0.0)], IndexError),
+        ([(0, -5, 0.0)], IndexError),
+        ([(0, np.inf, 0.0)], IndexError),
+    ])
+    def test_with_edits_rejects_bad_edits(self, edits, error):
+        beta, _ = random_instance(4, np.random.default_rng(40))
+        with pytest.raises(error):
+            beta.with_edits(edits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.one_of(st.floats(-800.0, 800.0), st.just(-np.inf)),
+                           min_size=1, max_size=40),
+           ties=st.integers(0, 3))
+    def test_logsumexp_matches_scipy(self, values, ties):
+        a = np.array(values + [max(values)] * ties)
+        got, want = tm._logsumexp(a), logsumexp(a)
+        if want == -np.inf:
+            assert got == -np.inf
+        else:
+            assert abs(got - want) <= 4 * abs(np.spacing(want))
 
 
 class TestInvariants:
