@@ -21,7 +21,6 @@ from .semisup import (LabelModel, build_joint_beta, cross_validate_alpha,
                       greedy_label_inference)
 from .treemath import (EdgeMarginals, IncrementalLogdet, LogPartition, OutTree,
                        RootWeights, WeightMatrix, brute_force_log_partition,
-                       build_augmented_laplacian, build_out_laplacian,
                        edge_marginals, enumerate_out_trees, log_partition,
                        log_partition_per_root, per_root_marginal,
                        posterior_weights, root_posterior, tree_entropy)

@@ -109,8 +109,7 @@ def split_indices(count, fractions, rng):
     if fractions.shape != (3,) or np.any(fractions <= 0) \
             or abs(fractions.sum() - 1.0) > 1e-9:
         raise ConfigError("splits must be three positive fractions summing to 1")
-    perm = np.random.default_rng(rng).permutation(count) \
-        if not isinstance(rng, np.random.Generator) else rng.permutation(count)
+    perm = np.random.default_rng(rng).permutation(count)
     n_train = int(np.floor(fractions[0] * count))
     n_val = int(np.floor(fractions[1] * count))
     return perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:]
@@ -144,7 +143,7 @@ class SpiralSpec:
 
 
 def gen_spiral(spec: SpiralSpec, rng) -> np.ndarray:
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     s = rng.uniform(0.0, 2.0 * np.pi * spec.turns, spec.count)
     points = np.stack([s * np.cos(s), s * np.sin(s), s], axis=1)
     return points + spec.noise * rng.standard_normal((spec.count, 3))
@@ -298,7 +297,7 @@ def baseline_gmm(train, test, k_values, restarts, validation, rng) -> GmmSelecti
     validation split, test log-likelihoods reported for every k."""
     if min(k_values) < 1:
         raise ConfigError("component counts must be >= 1")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     test_by_k, val_by_k = {}, {}
     for k in k_values:
         best_params, best_train = None, -np.inf
@@ -547,11 +546,15 @@ def _config_value(action, text, where):
     return value
 
 
-def _option_actions(parser, command):
-    """dest -> argparse action for every option of one subcommand."""
+def _subparser(parser, command):
     subparsers = next(a for a in parser._actions
                       if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in subparsers.choices[command]._actions
+    return subparsers.choices[command]
+
+
+def _option_actions(subparser):
+    """dest -> argparse action for every option of one subcommand."""
+    return {a.dest: a for a in subparser._actions
             if a.option_strings and a.default is not argparse.SUPPRESS}
 
 
@@ -859,22 +862,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
+        subparser = _subparser(parser, args.command)
         try:
-            overrides = _load_config_file(args.config,
-                                          _option_actions(parser, args.command))
+            overrides = _load_config_file(args.config, _option_actions(subparser))
         except ConfigError as exc:
             _emit_error(exc, 2)
             return 2
-        # config-file values fill in anything the command line left at its
-        # default; explicit flags win because they were parsed already
-        explicit = set()
-        raw = argv if argv is not None else sys.argv[1:]
-        for token in raw:
-            if token.startswith("--"):
-                explicit.add(token[2:].split("=")[0].replace("-", "_"))
-        for dest, value in overrides.items():
-            if dest not in explicit:
-                setattr(args, dest, value)
+        # config-file values become the subcommand's defaults, and parsing the
+        # same command line again lets every flag given there win, however
+        # argparse matched it (abbreviated, or as --flag=value)
+        subparser.set_defaults(**overrides)
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

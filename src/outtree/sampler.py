@@ -75,7 +75,7 @@ def sample_uniform_out_tree(size: int, rng) -> OutTree:
     """One out-tree, uniform over all size**(size-1) of them."""
     if size < 1:
         raise ValueError("need at least one node")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     if size == 1:
         return OutTree(root=0, parent=np.array([-1]))
     sequence = rng.integers(0, size, size=max(size - 2, 0))
@@ -127,7 +127,6 @@ def sample_datasets(model: MutationModel, size: int, count: int, rng):
     Lighter than per-draw stream splitting; meant for frequency tests and
     batch fixtures.
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     for _ in range(count):
-        tree = sample_uniform_out_tree(size, rng)
-        yield SampleDraw(tree=tree, data=sample_given_tree(model, tree, rng), seed=None)
+        yield sample_dataset(model, size, rng)

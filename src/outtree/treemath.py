@@ -58,10 +58,14 @@ class WeightMatrix:
     Validation admits no NaN and no +inf, so -inf is the only non-finite
     log-weight: the row maximum is the largest finite entry (or -inf for a
     row of structural zeros, whose scale is 0), and exp maps -inf to exactly
-    0, so the derivation needs no finite mask.
+    0, so the derivation needs no finite mask. ``structural_zeros`` says
+    whether an off-diagonal log-weight may be -inf: validation sets it from
+    the same count of finite entries, and an edited matrix ORs its edits
+    into its parent's flag, so True may be stale but False is exact.
     """
 
-    __slots__ = ("log_entries", "size", "row_scales", "scale_total", "scaled")
+    __slots__ = ("log_entries", "size", "row_scales", "scale_total", "scaled",
+                 "structural_zeros")
 
     def __init__(self, entries=None, *, log_entries=None):
         if (entries is None) == (log_entries is None):
@@ -78,14 +82,14 @@ class WeightMatrix:
         else:
             log_entries = np.array(log_entries, dtype=float)
             _check_square(log_entries)
-            _check_log_weights(log_entries)
             if np.any(np.diag(log_entries) != -np.inf):
                 raise ValueError("diagonal log-weights must be -inf")
         if log_entries.shape[0] < 2:
             raise ValueError("need at least 2 nodes")
-        self._derive(log_entries)
+        # the diagonal was checked to hold ``size`` -inf entries
+        self._derive(log_entries, _has_log_zeros(log_entries, log_entries.shape[0]))
 
-    def _derive(self, log_entries):
+    def _derive(self, log_entries, structural_zeros):
         """Set every field from validated log-weights, taking ownership of them."""
         row_scales = log_entries.max(axis=1)
         row_scales[row_scales == -np.inf] = 0.0
@@ -99,6 +103,7 @@ class WeightMatrix:
         self.row_scales = row_scales
         self.scale_total = float(row_scales.sum())
         self.scaled = scaled
+        self.structural_zeros = structural_zeros
 
     @property
     def entries(self):
@@ -121,7 +126,7 @@ class WeightMatrix:
         if edits.ndim != 2 or edits.shape[1] != 3:
             raise ValueError("edits must be (child, parent, log_weight) rows")
         index, values = edits[:, :2], edits[:, 2]
-        _check_log_weights(values)
+        zeros = _has_log_zeros(values)
         if (np.trunc(index) != index).any():
             raise ValueError("edit indices must be integers")
         if ((index < -self.size) | (index >= self.size)).any():
@@ -132,7 +137,7 @@ class WeightMatrix:
         log_entries = self.log_entries.copy()
         log_entries[child, parent] = values
         edited = WeightMatrix.__new__(WeightMatrix)
-        edited._derive(log_entries)
+        edited._derive(log_entries, self.structural_zeros or zeros)
         return edited
 
 
@@ -218,10 +223,9 @@ class OutTree:
 
 @dataclass(frozen=True)
 class LogPartition:
-    """ln Z plus the log-domain rescaling that was applied internally."""
+    """ln Z, optionally with the per-root vector ln Z_r."""
 
     log_z: float
-    log_scale_shift: float
     per_root_log_z: np.ndarray | None = None
 
 
@@ -230,7 +234,6 @@ class EdgeMarginals:
     """Posterior edge probabilities W[u, v] = P(edge v -> u in the tree)."""
 
     W: np.ndarray
-    per_root: np.ndarray | None = None
 
 
 def _check_square(a):
@@ -238,9 +241,17 @@ def _check_square(a):
         raise ValueError("weight matrix must be square")
 
 
-def _check_log_weights(a):
-    if np.isnan(a).any() or (a == np.inf).any():
+def _has_log_zeros(a, known=0):
+    """Whether ``a`` holds a -inf beyond the ``known`` -inf entries already
+    checked; NaN and +inf raise ``ValueError``.
+
+    One finite count settles the common case: only an array with more
+    non-finite entries than the known ones is searched for NaN and +inf.
+    """
+    zeros = a.size - np.count_nonzero(np.isfinite(a)) - known
+    if zeros and (np.isnan(a).any() or (a == np.inf).any()):
         raise ValueError("log-weights must be < +inf and not NaN")
+    return zeros > 0
 
 
 def _logsumexp(a):
@@ -266,28 +277,10 @@ def _check_sizes(beta, roots):
         raise ValueError("weight matrix and root weights disagree on T")
 
 
-def build_out_laplacian(beta: WeightMatrix) -> np.ndarray:
-    """Out-Laplacian Q = diag(row sums of beta) - beta.
-
-    Rows of Q sum to zero; the cofactor of Q at r (delete row r and column
-    r, take the determinant) is the total weight of out-trees rooted at r.
-    """
-    entries = beta.entries
-    return np.diag(entries.sum(axis=1)) - entries
-
-
-def build_augmented_laplacian(beta: WeightMatrix, roots: RootWeights) -> np.ndarray:
-    """Bordered (T+1) x (T+1) matrix [[1, p^T], [-p, Q]] in the raw domain.
-
-    p is the normalized root vector and Q the out-Laplacian of the raw
-    weights; the determinant equals sum_r p(r) Z_r. Internal computations
-    use a row-rescaled variant of the same layout for conditioning.
-    """
-    _check_sizes(beta, roots)
-    return _augmented(beta.entries, roots.normalized)
-
-
 def _augmented(weights, normalized):
+    """Bordered (T+1) x (T+1) matrix [[1, p^T], [-p, Q]], Q the out-Laplacian
+    diag(row sums) - weights; its determinant is sum_r p(r) Z_r, and the
+    cofactor of Q at r is Z_r, the total weight of out-trees rooted at r."""
     size = weights.shape[0]
     q_hat = np.empty((size + 1, size + 1))
     q_hat[0, 0] = 1.0
@@ -305,8 +298,18 @@ def _scaled_augmented_parts(beta, roots):
     Returns (q_hat, adjusted_normalized, adjusted_log_total) where the
     adjusted root weights are p(X_r) * exp(-row_scales[r]); the identity
     ln Z = scale_total + adjusted_log_total + logdet(q_hat) is exact.
+
+    Weights with structural zeros are first checked for an out-tree over
+    their structural support (finite log-weights, roots of finite weight):
+    where none exists Z = 0 exactly, but the LU of the bordered matrix can
+    still return a small positive determinant made of roundoff, so this
+    raises ``ZeroPartitionError`` before anything is factored.
     """
     _check_sizes(beta, roots)
+    if beta.structural_zeros:
+        candidates = np.flatnonzero(roots.log_values > -np.inf)
+        if not _has_positive_arborescence(beta.log_entries > -np.inf, candidates):
+            raise ZeroPartitionError("no out-tree has positive weight")
     adjusted_log = roots.log_values - beta.row_scales
     adjusted_total = float(_logsumexp(adjusted_log))
     with np.errstate(under="ignore"):
@@ -340,7 +343,11 @@ def _has_positive_arborescence(support, root_order):
     off_diag = ~np.eye(size, dtype=bool)
     if np.all(support[off_diag]):
         return True
+    # a node reached from a failed root reaches no more than that root did
+    ruled_out = np.zeros(size, dtype=bool)
     for root in root_order:
+        if ruled_out[root]:
+            continue
         reached = np.zeros(size, dtype=bool)
         reached[root] = True
         while True:
@@ -350,6 +357,7 @@ def _has_positive_arborescence(support, root_order):
             reached |= frontier
         if reached.all():
             return True
+        ruled_out |= reached
     return False
 
 
@@ -411,7 +419,6 @@ def log_partition(beta: WeightMatrix, roots: RootWeights, *, per_root=False) -> 
         raise ZeroPartitionError("no out-tree has positive weight")
     per = log_partition_per_root(beta) if per_root else None
     return LogPartition(log_z=beta.scale_total + adjusted_total + logdet,
-                        log_scale_shift=beta.scale_total,
                         per_root_log_z=per)
 
 
@@ -460,7 +467,7 @@ def brute_force_log_partition(beta: WeightMatrix, roots: RootWeights) -> LogPart
     log_z = float(logsumexp(roots.log_values + per_root))
     if not np.isfinite(log_z):
         raise ZeroPartitionError("no out-tree has positive weight")
-    return LogPartition(log_z=log_z, log_scale_shift=0.0, per_root_log_z=per_root)
+    return LogPartition(log_z=log_z, per_root_log_z=per_root)
 
 
 def root_posterior(beta: WeightMatrix, roots: RootWeights) -> np.ndarray:
@@ -506,19 +513,9 @@ def per_root_marginal(beta: WeightMatrix, r: int) -> np.ndarray:
     return _clip_probabilities(p, f"per-root marginal at {r}")
 
 
-def edge_marginals(beta: WeightMatrix, roots: RootWeights, want_per_root=False) -> EdgeMarginals:
-    """Posterior edge probabilities W, optionally with the per-root stack.
-
-    Without per-root output, W comes in one O(T^3) pass from the inverse of
-    the augmented Laplacian; with it, W is the root-posterior mixture of the
-    per-root marginals.
-    """
-    _check_sizes(beta, roots)
-    if want_per_root:
-        posterior = root_posterior(beta, roots)
-        stack = np.stack([per_root_marginal(beta, r) for r in range(beta.size)])
-        w = np.einsum("r,ruv->uv", posterior, stack)
-        return EdgeMarginals(W=_frozen(w), per_root=_frozen(stack))
+def edge_marginals(beta: WeightMatrix, roots: RootWeights) -> EdgeMarginals:
+    """Posterior edge probabilities W in one O(T^3) pass from the inverse of
+    the augmented Laplacian, clipped at zero."""
     w, _ = posterior_weights(beta, roots)
     return EdgeMarginals(W=_frozen(_clip_probabilities(w, "edge marginals")))
 

@@ -4,10 +4,13 @@ For the tabular model with Dirichlet priors, the posterior over (root
 choice, tree, conditional tables) is approximated by a factorized family:
 q(r) over roots, a Gibbs tree posterior q_r per root, and Dirichlet q_c
 over the conditional tables. Coordinate ascent alternates: update q_c from
-edge-marginal-weighted sufficient statistics, rebuild the expected-log
-weight matrix (digammas), then read the new q(r) and the q(r)-mixed edge
-marginals off one inverse of the bordered out-Laplacian. Every step
-increases a closed-form evidence lower bound.
+edge-marginal-weighted sufficient statistics, then the structure step:
+rebuild the expected-log weight matrix (digammas), read the new q(r) and
+the q(r)-mixed edge marginals off one inverse of the bordered
+out-Laplacian, and the bound off one determinant. A fit starts with the
+structure step on its starting counts (the prior's, or a checkpoint's),
+so no per-root quantity is ever computed. Every step increases a
+closed-form evidence lower bound.
 
 The root-table integral is kept exact against its prior (only one node is
 the root, so no variational distribution is introduced for the root
@@ -188,17 +191,16 @@ def _kl_and_tree_prior(prior: DirichletPrior, counts_cond, size) -> float:
     return kl + (size - 1) * math.log(size)
 
 
-def elbo(data, prior: DirichletPrior, counts_cond, q_root, beta_tilde,
-         per_root_log_z=None) -> float:
-    """Evidence lower bound, every term in closed form.
+def elbo(data, prior: DirichletPrior, counts_cond, q_root, beta_tilde) -> float:
+    """Evidence lower bound at any q(r), every term in closed form (a test
+    oracle: it runs the O(T^4) per-root path).
 
     The expected edge score and the entropy of each q_r add up to ln Z_r,
     so the bound is q.(ln m + ln Z_r) + H(q) - KL(q_c || prior)
-    - (T - 1) ln T, with ln Z_r from ``log_partition_per_root`` unless given.
+    - (T - 1) ln T, with ln Z_r from ``log_partition_per_root``.
     """
     data = _check_data(data, prior)
-    if per_root_log_z is None:
-        per_root_log_z = treemath.log_partition_per_root(beta_tilde)
+    per_root_log_z = treemath.log_partition_per_root(beta_tilde)
     q_root = np.asarray(q_root, dtype=float)
     held = q_root > 0.0
     q = q_root[held]
@@ -207,41 +209,48 @@ def elbo(data, prior: DirichletPrior, counts_cond, q_root, beta_tilde,
         - _kl_and_tree_prior(prior, counts_cond, data.shape[0])
 
 
+def _structure_step(data, prior: DirichletPrior, counts_cond, roots):
+    """The structure half of a round, a pure function of ``counts_cond``.
+
+    Returns (beta_tilde, W, q(r), ELBO): the expected-log weights, then
+    q(r) proportional to m(X_r) Z_r and W = sum_r q(r) P_r as the root
+    posterior and edge marginals of one bordered inverse with root weights
+    m(X_r); with that q(r) the ELBO is ln Z_m - KL - (T - 1) ln T.
+    """
+    beta_tilde = expected_log_weights(data, counts_cond)
+    w, q_root = treemath.posterior_weights(beta_tilde, roots)
+    w = treemath._clip_probabilities(w, "VB edge marginals")
+    q_root = treemath._clip_probabilities(q_root, "VB root posterior")
+    value = treemath.log_partition(beta_tilde, roots).log_z \
+        - _kl_and_tree_prior(prior, counts_cond, data.shape[0])
+    return beta_tilde, w, q_root, value
+
+
 def vb_fit(data, prior: DirichletPrior, *, max_rounds=200, tol=1e-8,
            init_state: VariationalState | None = None) -> VariationalState:
     """Coordinate-ascent variational fit; the ELBO trace is nondecreasing.
 
-    Round order: q_c from the current W, then the expected-log weights,
-    then q(r) proportional to m(X_r) Z_r and W = sum_r q(r) P_r as the root
-    posterior and edge marginals of one bordered inverse with root weights
-    m(X_r); with that q(r) the ELBO is ln Z_m - KL - (T - 1) ln T. A
-    decrease beyond roundoff raises, since exactly evaluated coordinate
-    ascent cannot go down. Passing a previous state resumes from its
-    counts, q(r) and ELBO trace.
+    A round updates q_c from the current W, then runs the structure step
+    (``_structure_step``). The fit starts with the structure step on the
+    prior's counts; a resumed fit starts with it on ``init_state``'s
+    counts and keeps its ELBO trace, and reads nothing else from the state:
+    a round's q(r) and W are a pure function of its counts, so a resumed
+    fit repeats the straight run bit for bit. A decrease beyond roundoff
+    raises, since exactly evaluated coordinate ascent cannot go down.
     """
     data = _check_data(data, prior)
-    size = data.shape[0]
     if init_state is None:
         counts_root = [a.copy() for a in prior.root]
         counts_cond = [big_a.copy() for big_a in prior.cond]
-        q_root = np.full(size, 1.0 / size)
         trace = []
     else:
         counts_root = [np.asarray(a, dtype=float).copy() for a in init_state.counts_root]
         counts_cond = [np.asarray(a, dtype=float).copy() for a in init_state.counts_cond]
-        q_root = np.asarray(init_state.q_root, dtype=float).copy()
         trace = [float(v) for v in init_state.elbo_trace]
-    beta_tilde = expected_log_weights(data, counts_cond)
-    # the starting q(r) need not be a root posterior (a fresh fit starts
-    # uniform); root weights q(r) / Z_r make it one, which gives its W
-    per_root_log_z = treemath.log_partition_per_root(beta_tilde)
-    with np.errstate(divide="ignore"):
-        start = treemath.RootWeights(log_values=np.log(q_root) - per_root_log_z)
-    w = treemath.edge_marginals(beta_tilde, start).W
-    if not trace:
-        trace.append(elbo(data, prior, counts_cond, q_root, beta_tilde, per_root_log_z))
-    current = trace[-1]
     roots = treemath.RootWeights(log_values=root_log_evidence(data, prior))
+    beta_tilde, w, q_root, start = _structure_step(data, prior, counts_cond, roots)
+    trace = trace or [start]
+    current = trace[-1]
     # the KL terms cancel gammaln values of magnitude ~ count * log(count),
     # so huge pseudo-counts carry proportionate roundoff; the decrease guard
     # must not trip on that noise
@@ -249,12 +258,7 @@ def vb_fit(data, prior: DirichletPrior, *, max_rounds=200, tol=1e-8,
     slack = 1e-10 + 4e-15 * biggest * np.log(biggest + 2.0) * data.shape[1]
     for _ in range(max_rounds):
         counts_root, counts_cond = update_q_c(data, prior, q_root, w)
-        beta_tilde = expected_log_weights(data, counts_cond)
-        w, q_root = treemath.posterior_weights(beta_tilde, roots)
-        w = treemath._clip_probabilities(w, "VB edge marginals")
-        q_root = treemath._clip_probabilities(q_root, "VB root posterior")
-        value = treemath.log_partition(beta_tilde, roots).log_z \
-            - _kl_and_tree_prior(prior, counts_cond, size)
+        beta_tilde, w, q_root, value = _structure_step(data, prior, counts_cond, roots)
         if value < current - slack:
             raise NumericalFaultError(
                 f"ELBO decreased from {current} to {value}; coordinate ascent "

@@ -411,6 +411,15 @@ class TestCommands:
                          "--rows", "40"]) == 0
         assert open(out).read() == open(flagged).read()
 
+    def test_abbreviated_and_joined_flags_beat_config(self, tmp_path):
+        config = str(tmp_path / "c.cfg")
+        write(config, "rows = 20\n")
+        for flag, rows in ((["--row", "50"], 50), (["--rows=60"], 60), ([], 20)):
+            out = str(tmp_path / "a.csv")
+            assert cli.main(["spiral", "--config", config, *flag, "--seed", "1",
+                             "--output", out]) == 0
+            assert len(cli.ingest_csv(out).X) == rows
+
     def test_unconvertible_config_value_is_config_error(self, tmp_path, capsys):
         train = self.make_gaussian_csv(tmp_path, seed=12)
         config = str(tmp_path / "bad.cfg")

@@ -66,34 +66,6 @@ class TestConstruction:
             tm.OutTree(root=0, parent=np.array([-1, 2, 1]))
 
 
-class TestOutLaplacian:
-    def test_unit_two_nodes(self):
-        beta, _ = unit_instance(2)
-        q = tm.build_out_laplacian(beta)
-        assert np.array_equal(q, np.array([[1.0, -1.0], [-1.0, 1.0]]))
-
-    def test_unit_three_nodes(self):
-        beta, _ = unit_instance(3)
-        q = tm.build_out_laplacian(beta)
-        assert np.array_equal(np.diag(q), np.full(3, 2.0))
-        off = q[~np.eye(3, dtype=bool)]
-        assert np.array_equal(off, np.full(6, -1.0))
-
-    def test_random_rows_sum_to_zero(self):
-        rng = np.random.default_rng(7)
-        beta, _ = random_instance(4, rng)
-        q = tm.build_out_laplacian(beta)
-        assert np.abs(q.sum(axis=1)).max() < 1e-15
-
-    def test_augmented_layout(self):
-        rng = np.random.default_rng(8)
-        beta, roots = random_instance(3, rng)
-        q_hat = tm.build_augmented_laplacian(beta, roots)
-        assert q_hat[0, 0] == 1.0
-        assert np.allclose(q_hat[0, 1:], roots.normalized)
-        assert np.allclose(q_hat[1:, 0], -roots.normalized)
-
-
 class TestLogPartition:
     def test_unit_beta_counts_trees_per_root(self):
         # T^(T-2) out-trees per root under unit weights
@@ -141,6 +113,40 @@ class TestLogPartition:
         roots = tm.RootWeights(values=np.ones(3))
         with pytest.raises(ZeroPartitionError):
             tm.log_partition(beta, roots)
+
+    def test_two_blocks_without_a_bridge_have_zero_partition(self):
+        # no edge joins the two blocks, so Z = 0 exactly; the LU of the
+        # bordered matrix used to return a finite ln Z on many of these
+        rng = np.random.default_rng(0)
+        for case in range(400):
+            size = 4 + case % 36
+            split = int(rng.integers(1, size))
+            log = rng.normal(scale=3.0, size=(size, size))
+            block = np.arange(size) < split
+            log[block[:, None] != block[None, :]] = -np.inf
+            np.fill_diagonal(log, -np.inf)
+            perm = rng.permutation(size)
+            beta = tm.WeightMatrix(log_entries=log[np.ix_(perm, perm)])
+            roots = tm.RootWeights(log_values=rng.normal(size=size))
+            assert beta.structural_zeros
+            with pytest.raises(ZeroPartitionError):
+                tm.log_partition(beta, roots)
+            if case % 40 == 0:
+                with pytest.raises(ZeroPartitionError):
+                    tm.posterior_weights(beta, roots)
+                with pytest.raises(ZeroPartitionError):
+                    tm.IncrementalLogdet(beta, roots)
+
+    def test_structural_zeros_flag(self):
+        rng = np.random.default_rng(4)
+        beta, _ = random_instance(5, rng)
+        assert not beta.structural_zeros
+        assert not tm.WeightMatrix(log_entries=beta.log_entries).structural_zeros
+        assert beta.with_edits([(1, 2, -np.inf)]).structural_zeros
+        assert not beta.with_edits([(1, 2, 0.5)]).structural_zeros
+        entries = beta.entries
+        entries[3, 0] = 0.0
+        assert tm.WeightMatrix(entries=entries).structural_zeros
 
     def test_negative_cofactor_is_a_fault(self):
         with pytest.raises(NumericalFaultError):
@@ -231,16 +237,16 @@ class TestEdgeMarginals:
     def test_per_root_rows_are_stochastic(self):
         rng = np.random.default_rng(9)
         beta, roots = random_instance(5, rng)
-        marg = tm.edge_marginals(beta, roots, want_per_root=True)
         for r in range(5):
-            rows = np.delete(marg.per_root[r].sum(axis=1), r)
+            rows = np.delete(tm.per_root_marginal(beta, r).sum(axis=1), r)
             assert np.allclose(rows, 1.0, atol=1e-8)
 
     def test_per_root_mixture_matches_fast_path(self):
         rng = np.random.default_rng(10)
         beta, roots = random_instance(6, rng)
         fast = tm.edge_marginals(beta, roots).W
-        slow = tm.edge_marginals(beta, roots, want_per_root=True).W
+        stack = np.stack([tm.per_root_marginal(beta, r) for r in range(6)])
+        slow = np.einsum("r,ruv->uv", tm.root_posterior(beta, roots), stack)
         assert np.allclose(fast, slow, atol=1e-10)
 
     def test_posterior_weights_match_enumeration(self):
@@ -451,6 +457,8 @@ class TestLeanEdits:
         assert same_bits(got.scaled, want.scaled)
         assert same_bits(got.scale_total, want.scale_total)
         assert got.size == want.size
+        # an edited matrix may keep a stale True, never a wrong False
+        assert got.structural_zeros >= want.structural_zeros
         assert not got.log_entries.flags.writeable and not got.scaled.flags.writeable
         row_scales, scaled = masked_derivation(edited)
         assert same_bits(got.row_scales, row_scales)
