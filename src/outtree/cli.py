@@ -210,8 +210,9 @@ class GmmParams:
     covariances: np.ndarray
 
 
-def gmm_log_density(points, params: GmmParams):
-    points = np.atleast_2d(points)
+def _gmm_parts(points, params: GmmParams):
+    """Per point and component, log weight plus log density; and the log
+    of their sum over components, the mixture's log density."""
     k, d = params.means.shape
     parts = np.empty((len(points), k))
     for j in range(k):
@@ -221,7 +222,11 @@ def gmm_log_density(points, params: GmmParams):
         parts[:, j] = (np.log(params.weights[j]) - 0.5 * d * LOG_2PI
                        - np.log(np.diag(chol)).sum() - 0.5 * (solve ** 2).sum(axis=0))
     peak = parts.max(axis=1, keepdims=True)
-    return peak[:, 0] + np.log(np.exp(parts - peak).sum(axis=1))
+    return parts, peak[:, 0] + np.log(np.exp(parts - peak).sum(axis=1))
+
+
+def gmm_log_density(points, params: GmmParams):
+    return _gmm_parts(np.atleast_2d(points), params)[1]
 
 
 def _kmeans_pp_seeds(data, k, rng):
@@ -251,16 +256,7 @@ def fit_gmm(data, k, rng, max_iters=200, ridge=1e-6, tol=1e-8):
                        covariances=np.tile(base_cov, (k, 1, 1)))
     trace = []
     for _ in range(max_iters):
-        parts = np.empty((count, k))
-        for j in range(k):
-            diff = data - params.means[j]
-            chol = np.linalg.cholesky(params.covariances[j])
-            solve = np.linalg.solve(chol, diff.T)
-            parts[:, j] = (np.log(params.weights[j]) - 0.5 * d * LOG_2PI
-                           - np.log(np.diag(chol)).sum()
-                           - 0.5 * (solve ** 2).sum(axis=0))
-        peak = parts.max(axis=1, keepdims=True)
-        log_norm = peak[:, 0] + np.log(np.exp(parts - peak).sum(axis=1))
+        parts, log_norm = _gmm_parts(data, params)
         trace.append(float(log_norm.sum()))
         resp = np.exp(parts - log_norm[:, None])
         mass = resp.sum(axis=0)
@@ -369,7 +365,7 @@ def run_spiral_benchmark(*, count=600, noise=0.5, turns=3.0, folds=10, seed=0,
         train, val, test = standardize(data[train_idx], data[val_idx], data[test_idx])
         seed_model = nn_regression_seed(train)
         report = likelihood.fit_ml(train, seed_model, max_iters=max_iters,
-                                   holdout=val, early_stop=True, patience=patience)
+                                   holdout=val, patience=patience)
         tdid_score = likelihood.test_log_likelihood(train, test, report.model).score
         parzen = baseline_parzen(train, test, bandwidths, val)
         gmm = baseline_gmm(train, test, list(range(1, gmm_max_k + 1)), restarts,
@@ -580,18 +576,6 @@ def _load_config_file(path, actions):
     return values
 
 
-def _require_seed(args):
-    if args.seed is None:
-        raise ConfigError("--seed is required for stochastic runs")
-    return args.seed
-
-
-def _require_input(args):
-    if args.input is None:
-        raise ConfigError("--input is required")
-    return args.input
-
-
 def _init_model(family, data):
     if family == "gaussian":
         return gaussian_init_iid(data.X)
@@ -604,15 +588,14 @@ def _init_model(family, data):
 
 
 def cmd_fit(args):
-    data = ingest_csv(_require_input(args), categorical=args.model_family == "tabular")
+    data = ingest_csv(args.input, categorical=args.model_family == "tabular")
     model = _init_model(args.model_family, data)
     holdout = None
     if args.holdout is not None:
         holdout = ingest_csv(args.holdout,
                              categorical=args.model_family == "tabular").X
     report = likelihood.fit_ml(data.X, model, max_iters=args.max_iters,
-                               grad_tol=args.grad_tol, holdout=holdout,
-                               early_stop=holdout is not None)
+                               grad_tol=args.grad_tol, holdout=holdout)
     otio.write_model(args.output, report.model)
     otio.write_fit_log(args.output + ".log", report)
     print(f"fit: {float(report.initial_objective)!r} -> {float(report.final_objective)!r} "
@@ -622,35 +605,27 @@ def cmd_fit(args):
 
 def cmd_eval(args):
     categorical = args.model_family == "tabular"
-    train = ingest_csv(_require_input(args), categorical=categorical)
+    train = ingest_csv(args.input, categorical=categorical)
     test = ingest_csv(args.test, categorical=categorical)
     model = otio.read_model(args.model)
     score = likelihood.test_log_likelihood(train.X, test.X, model)
     row = {"score": score.score, "log_z_union": score.log_z_union,
            "log_z_train": score.log_z_train, "correction": score.correction,
            "train_rows": len(train.X), "test_rows": len(test.X)}
-    columns = list(row)
-    if args.output:
-        write_tsv(args.output, [row], columns)
-    else:
-        write_tsv(sys.stdout, [row], columns)
+    write_tsv(args.output or sys.stdout, [row], list(row))
     return 0
 
 
 def cmd_sample(args):
-    seed = _require_seed(args)
     model = otio.read_model(args.model)
-    draw = sampler.sample_dataset(model, args.rows, seed)
+    draw = sampler.sample_dataset(model, args.rows, args.seed)
     otio.write_sample_csv(args.output, draw.data)
     otio.write_edge_list(args.edges or args.output + ".edges", draw.tree)
     return 0
 
 
 def cmd_semisup(args):
-    seed = _require_seed(args)
-    if args.label_column is None:
-        raise ConfigError("--label-column is required")
-    data = ingest_csv(_require_input(args), label_column=args.label_column)
+    data = ingest_csv(args.input, label_column=args.label_column)
     if data.y is None or not np.any(data.y >= 0):
         raise DataError("need at least one observed label")
     n_classes = args.classes or max(2, int(data.y.max()) + 1)
@@ -662,7 +637,7 @@ def cmd_semisup(args):
         model = report.model
     if isinstance(model, GaussianModel) and args.sigma_scale != 1.0:
         model = model.scaled_noise(args.sigma_scale)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     if args.alpha_grid:
         alpha = semisup.cross_validate_alpha(
             data.X, data.y, model, _parse_floats(args.alpha_grid),
@@ -692,7 +667,7 @@ def cmd_semisup(args):
 
 
 def cmd_vb(args):
-    data = ingest_csv(_require_input(args), categorical=True)
+    data = ingest_csv(args.input, categorical=True)
     if args.resume:
         prior, counts_root, counts_cond, q_root, trace = \
             otio.read_checkpoint(args.resume)
@@ -714,17 +689,15 @@ def cmd_vb(args):
 
 
 def cmd_spiral(args):
-    seed = _require_seed(args)
     spec = SpiralSpec(count=args.rows, noise=args.noise, turns=args.turns)
-    otio.write_sample_csv(args.output, gen_spiral(spec, seed))
+    otio.write_sample_csv(args.output, gen_spiral(spec, args.seed))
     return 0
 
 
 def cmd_spiral_bench(args):
-    seed = _require_seed(args)
     bandwidths = _parse_floats(args.bandwidth_grid) if args.bandwidth_grid else None
     rows = run_spiral_benchmark(count=args.rows, noise=args.noise, turns=args.turns,
-                                folds=args.folds, seed=seed,
+                                folds=args.folds, seed=args.seed,
                                 splits=_parse_floats(args.splits),
                                 max_iters=args.max_iters, restarts=args.restarts,
                                 bandwidths=bandwidths)
@@ -739,10 +712,9 @@ def cmd_spiral_bench(args):
 
 
 def cmd_semisup_bench(args):
-    seed = _require_seed(args)
     fracs = _parse_floats(args.labeled_fracs)
     rows = run_semisup_benchmark(count=args.rows, alpha_true=args.alpha_true,
-                                 labeled_fracs=fracs, seeds=args.runs, seed=seed,
+                                 labeled_fracs=fracs, seeds=args.runs, seed=args.seed,
                                  restarts=args.restarts)
     columns = ["labeled_frac", "labeled_count", "seed", "config",
                "tree_accuracy", "majority_accuracy"]
@@ -753,24 +725,34 @@ def cmd_semisup_bench(args):
 
 
 def cmd_plotdata(args):
-    emit_plotdata(args.kind, _require_input(args), args.output, edges_path=args.edges)
+    emit_plotdata(args.kind, args.input, args.output, edges_path=args.edges)
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``ConfigError`` on a usage error instead of printing the usage
+    and exiting, so the error ends as one JSON record with exit code 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="outtree",
-                                     description="Latent out-tree density toolkit")
+    """The command surface. A config file may supply any option, so each
+    subcommand lists the ones it needs in ``required`` for ``_parse_args``."""
+    parser = _Parser(prog="outtree", description="Latent out-tree density toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output_required=True):
-        p.add_argument("--input", required=False)
-        p.add_argument("--output", required=output_required)
+    def common(p, *required):
+        p.add_argument("--input", default=None)
+        p.add_argument("--output", default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--config", default=None,
                        help="flat key = value file; flags override it")
+        p.set_defaults(required=required)
 
     p = sub.add_parser("fit", help="maximum-likelihood fit of a mutation model")
-    common(p)
+    common(p, "input", "output")
     p.add_argument("--model-family", choices=["gaussian", "tabular", "kernel"],
                    default="gaussian")
     p.add_argument("--max-iters", type=int, default=500)
@@ -780,22 +762,22 @@ def build_parser():
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("eval", help="train-conditioned test log-likelihood")
-    common(p, output_required=False)
-    p.add_argument("--test", required=True)
-    p.add_argument("--model", required=True)
+    common(p, "input", "test", "model")
+    p.add_argument("--test", default=None)
+    p.add_argument("--model", default=None)
     p.add_argument("--model-family", choices=["gaussian", "tabular", "kernel"],
                    default="gaussian")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sample", help="draw a dataset from a stored model")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--rows", type=int, required=True)
+    common(p, "output", "seed", "model", "rows")
+    p.add_argument("--model", default=None)
+    p.add_argument("--rows", type=int, default=None)
     p.add_argument("--edges", default=None)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("semisup", help="greedy label inference")
-    common(p)
+    common(p, "input", "output", "seed", "label_column")
     p.add_argument("--label-column", default=None)
     p.add_argument("--model", default=None)
     p.add_argument("--classes", type=int, default=None)
@@ -808,7 +790,7 @@ def build_parser():
     p.set_defaults(func=cmd_semisup)
 
     p = sub.add_parser("vb", help="variational Bayes for tabular data")
-    common(p)
+    common(p, "input", "output")
     p.add_argument("--prior-count", type=float, default=1.0)
     p.add_argument("--max-rounds", type=int, default=200)
     p.add_argument("--resume", default=None,
@@ -816,14 +798,14 @@ def build_parser():
     p.set_defaults(func=cmd_vb)
 
     p = sub.add_parser("spiral", help="generate 3D spiral data")
-    common(p)
+    common(p, "output", "seed")
     p.add_argument("--rows", type=int, default=600)
     p.add_argument("--noise", type=float, default=0.5)
     p.add_argument("--turns", type=float, default=3.0)
     p.set_defaults(func=cmd_spiral)
 
     p = sub.add_parser("spiral-bench", help="spiral density-estimation harness")
-    common(p)
+    common(p, "output", "seed")
     p.add_argument("--rows", type=int, default=600)
     p.add_argument("--noise", type=float, default=0.5)
     p.add_argument("--turns", type=float, default=3.0)
@@ -835,7 +817,7 @@ def build_parser():
     p.set_defaults(func=cmd_spiral_bench)
 
     p = sub.add_parser("semisup-bench", help="synthetic semi-supervised harness")
-    common(p)
+    common(p, "output", "seed")
     p.add_argument("--rows", type=int, default=60)
     p.add_argument("--alpha-true", type=float, default=0.9)
     p.add_argument("--labeled-fracs", default="0.3")
@@ -844,8 +826,8 @@ def build_parser():
     p.set_defaults(func=cmd_semisup_bench)
 
     p = sub.add_parser("plotdata", help="emit TSV plot data from artifacts")
-    common(p)
-    p.add_argument("--kind", required=True,
+    common(p, "input", "output", "kind")
+    p.add_argument("--kind", default=None,
                    choices=["scatter3d", "error-vs-labels", "elbo-trace"])
     p.add_argument("--edges", default=None)
     p.set_defaults(func=cmd_plotdata)
@@ -853,37 +835,36 @@ def build_parser():
     return parser
 
 
-def _emit_error(exc, code):
-    record = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
-    print(json.dumps(record), file=sys.stderr)
-
-
-def main(argv=None) -> int:
+def _parse_args(argv):
+    """Flags over ``--config`` values over defaults; then every option the
+    subcommand requires must have a value from one of them."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
+    if args.config:
         subparser = _subparser(parser, args.command)
-        try:
-            overrides = _load_config_file(args.config, _option_actions(subparser))
-        except ConfigError as exc:
-            _emit_error(exc, 2)
-            return 2
         # config-file values become the subcommand's defaults, and parsing the
         # same command line again lets every flag given there win, however
         # argparse matched it (abbreviated, or as --flag=value)
-        subparser.set_defaults(**overrides)
+        subparser.set_defaults(**_load_config_file(args.config,
+                                                   _option_actions(subparser)))
         args = parser.parse_args(argv)
+    missing = [f"--{name.replace('_', '-')}" for name in args.required
+               if getattr(args, name) is None]
+    if missing:
+        raise ConfigError(f"outtree {args.command}: required, as a flag or a "
+                          f"--config key: {', '.join(missing)}")
+    return args
+
+
+def main(argv=None) -> int:
     try:
+        args = _parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        _emit_error(exc, 2)
-        return 2
-    except DataError as exc:
-        _emit_error(exc, 3)
-        return 3
     except OutTreeError as exc:
-        _emit_error(exc, 4)
-        return 4
+        code = 2 if isinstance(exc, ConfigError) else 3 if isinstance(exc, DataError) else 4
+        record = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
+        print(json.dumps(record), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ decimal that round-trips. All writers go through an atomic temp+rename.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 
@@ -63,30 +64,37 @@ def _write_document(path, records):
     atomic_write(path, "\n".join([MODEL_SCHEMA] + _record_lines(records)) + "\n")
 
 
+def _read_lines(path):
+    """The file's non-blank lines; an unreadable file is a ``DataError``."""
+    try:
+        with open(path) as handle:
+            return [line.strip() for line in handle if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+
+
 def _parse_document(path):
-    with open(path) as handle:
-        lines = [line.rstrip("\n") for line in handle if line.strip()]
+    lines = _read_lines(path)
     if not lines or lines[0] != MODEL_SCHEMA:
         raise DataError(f"{path}: not a {MODEL_SCHEMA} document")
     records = {}
     for line in lines[1:]:
-        parts = line.split()
-        key, kind = parts[0], parts[1]
+        key, *parts = line.split()
         try:
+            kind = parts.pop(0)
             if kind == "str":
-                records[key] = parts[2]
-            elif kind == "ints":
-                n = int(parts[2])
-                records[key] = [int(v) for v in parts[3:3 + n]]
+                records[key] = parts[0]
             elif kind == "scalar":
-                records[key] = float.fromhex(parts[2])
-            elif kind == "vector":
-                n = int(parts[2])
-                records[key] = np.array([float.fromhex(v) for v in parts[3:3 + n]])
-            elif kind == "matrix":
-                rows, cols = int(parts[2]), int(parts[3])
-                flat = [float.fromhex(v) for v in parts[4:4 + rows * cols]]
-                records[key] = np.array(flat).reshape(rows, cols)
+                records[key] = float.fromhex(parts[0])
+            elif kind in ("ints", "vector", "matrix"):
+                # a count (rows and columns for a matrix), then that many values
+                shape = [int(v) for v in parts[:2 if kind == "matrix" else 1]]
+                values = parts[len(shape):]
+                if len(values) != math.prod(shape):
+                    raise ValueError(f"expected {math.prod(shape)} values, "
+                                     f"found {len(values)}")
+                records[key] = [int(v) for v in values] if kind == "ints" \
+                    else np.array([float.fromhex(v) for v in values]).reshape(shape)
             else:
                 raise DataError(f"{path}: unknown record kind {kind!r}")
         except (IndexError, ValueError) as exc:
@@ -125,23 +133,29 @@ def write_model(path, model):
 
 
 def read_model(path):
+    """The model a document describes; a missing or rejected record is a DataError."""
     records = _parse_document(path)
     family = records.get("family")
-    if family == "gaussian":
-        return GaussianModel(mu_c=records["mu_c"], mu_pi=records["mu_pi"],
-                             sigma_c_given_pi=records["sigma_c_given_pi"],
-                             sigma_cc=records["sigma_cc"],
-                             sigma_pipi=records["sigma_pipi"])
-    if family == "tabular":
-        sizes = records["alphabet"]
-        return TabularModel([records[f"root_{d}"] for d in range(len(sizes))],
-                            [records[f"cond_{d}"] for d in range(len(sizes))])
-    if family == "kernel":
-        return KernelModel(anchors=records["anchors"], alpha=records["alpha"],
-                           mu=records["mu"], sigma=records["sigma"],
-                           kernel=records["kernel_type"],
-                           gamma=records.get("gamma"),
-                           alpha_penalty=records.get("alpha_penalty", 1e-3))
+    try:
+        if family == "gaussian":
+            return GaussianModel(mu_c=records["mu_c"], mu_pi=records["mu_pi"],
+                                 sigma_c_given_pi=records["sigma_c_given_pi"],
+                                 sigma_cc=records["sigma_cc"],
+                                 sigma_pipi=records["sigma_pipi"])
+        if family == "tabular":
+            sizes = records["alphabet"]
+            return TabularModel([records[f"root_{d}"] for d in range(len(sizes))],
+                                [records[f"cond_{d}"] for d in range(len(sizes))])
+        if family == "kernel":
+            return KernelModel(anchors=records["anchors"], alpha=records["alpha"],
+                               mu=records["mu"], sigma=records["sigma"],
+                               kernel=records["kernel_type"],
+                               gamma=records.get("gamma"),
+                               alpha_penalty=records.get("alpha_penalty", 1e-3))
+    except KeyError as exc:
+        raise DataError(f"{path}: missing record {exc}") from None
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
     raise DataError(f"{path}: unknown model family {family!r}")
 
 
@@ -160,19 +174,24 @@ def write_checkpoint(path, prior, state):
 
 
 def read_checkpoint(path):
-    """Returns (DirichletPrior, counts_root, counts_cond, q_root, elbo_trace)."""
+    """Returns (DirichletPrior, counts_root, counts_cond, q_root, elbo_trace);
+    a missing record is a ``DataError``."""
     from .vb import DirichletPrior
 
     records = _parse_document(path)
     if records.get("family") != "vb_state":
         raise DataError(f"{path}: not a vb_state document")
-    dims = len(records["alphabet"])
-    prior = DirichletPrior(
-        root=tuple(records[f"prior_root_{d}"] for d in range(dims)),
-        cond=tuple(records[f"prior_cond_{d}"] for d in range(dims)))
-    counts_root = [records[f"root_counts_{d}"] for d in range(dims)]
-    counts_cond = [records[f"cond_counts_{d}"] for d in range(dims)]
-    return prior, counts_root, counts_cond, records["q_root"], records["elbo_trace"]
+    try:
+        dims = range(len(records["alphabet"]))
+        prior = DirichletPrior(root=tuple(records[f"prior_root_{d}"] for d in dims),
+                               cond=tuple(records[f"prior_cond_{d}"] for d in dims))
+        return (prior, [records[f"root_counts_{d}"] for d in dims],
+                [records[f"cond_counts_{d}"] for d in dims], records["q_root"],
+                records["elbo_trace"])
+    except KeyError as exc:
+        raise DataError(f"{path}: missing record {exc}") from None
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def write_matrix_tsv(path, matrix):
@@ -184,8 +203,7 @@ def write_matrix_tsv(path, matrix):
 
 
 def read_matrix_tsv(path):
-    with open(path) as handle:
-        lines = [line.rstrip("\n") for line in handle if line.strip()]
+    lines = _read_lines(path)
     if not lines or not lines[0].startswith(MATRIX_HEADER):
         raise DataError(f"{path}: missing {MATRIX_HEADER} header")
     return np.array([[float(v) for v in line.split("\t")] for line in lines[1:]])
@@ -223,17 +241,25 @@ def write_edge_list(path, tree):
 
 
 def read_edge_list(path):
-    """Returns (root, parent array) from an edge-list file."""
+    """The ``OutTree`` an edge-list file describes (see ``write_edge_list``)."""
     from .treemath import OutTree
 
-    with open(path) as handle:
-        lines = [line.strip() for line in handle if line.strip()]
+    lines = _read_lines(path)
     if not lines or lines[0] != "child,parent":
         raise DataError(f"{path}: missing child,parent header")
-    entries = {}
+    pairs = []
     for line in lines[1:]:
-        child, parent = line.split(",")
-        entries[int(child)] = -1 if parent == "root" else int(parent)
-    parent = np.array([entries[c] for c in sorted(entries)], dtype=np.int64)
-    root = int(np.flatnonzero(parent == -1)[0])
-    return OutTree(root=root, parent=parent)
+        try:
+            child, parent = line.split(",")
+            pairs.append((int(child), -1 if parent == "root" else int(parent)))
+        except ValueError:
+            raise DataError(f"{path}: expected child,parent, got {line!r}") from None
+    pairs.sort()
+    if [child for child, _ in pairs] != list(range(len(pairs))):
+        raise DataError(f"{path}: the children must be the nodes 0..T-1, each once")
+    parent = np.array([parent for _, parent in pairs], dtype=np.int64)
+    try:
+        # the root is the node marked -1; OutTree rejects none or several
+        return OutTree(root=int(np.argmin(parent)), parent=parent)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -48,13 +48,9 @@ class FitReport:
     model: MutationModel | None = None
 
 
-def tdid_log_likelihood(data, model: MutationModel, weights=None) -> float:
-    """ln Z - (T - 1) ln T for the dataset under the model.
-
-    ``weights`` is the (beta, roots) pair of this data and model when the
-    caller has already built it.
-    """
-    beta, roots = build_beta(data, model) if weights is None else weights
+def tdid_log_likelihood(data, model: MutationModel) -> float:
+    """ln Z - (T - 1) ln T for the dataset under the model."""
+    beta, roots = build_beta(data, model)
     lp = treemath.log_partition(beta, roots)
     size = beta.size
     return float(lp.log_z - (size - 1) * np.log(size))
@@ -66,69 +62,65 @@ def iid_log_likelihood(data, model: MutationModel) -> float:
     return float(model.log_marginal_vector(data).sum())
 
 
-def _partition_gradient(data, model, beta, roots):
-    """d ln Z / d theta for weights (beta, roots) built from validated data.
+def _partition_gradient(data, model, record):
+    """d ln Z / d theta from the bordered-Laplacian ``record`` of validated data.
 
     ln Z is the log of a sum over trees, so its gradient is the posterior
     expectation of the tree's log-likelihood gradient: the model contracts
     its log-weight derivatives against the edge marginals and the root
-    posterior, both from one inverse of the bordered Laplacian.
+    posterior, both from the record's one inverse.
     """
-    W, rho = treemath.posterior_weights(beta, roots)
+    W, rho = record.posterior_weights()
     return model.grad_from_marginals(data, W, rho)
 
 
-def grad_tdid(data, model: MutationModel, weights=None) -> np.ndarray:
-    """Gradient of the out-tree log-likelihood in the flat parameter vector.
-
-    ``weights`` is the (beta, roots) pair of this data and model when the
-    caller has already built it.
-    """
+def grad_tdid(data, model: MutationModel) -> np.ndarray:
+    """Gradient of the out-tree log-likelihood in the flat parameter vector."""
     data = model.validate_data(data)
-    beta, roots = build_beta(data, model) if weights is None else weights
-    return _partition_gradient(data, model, beta, roots)
+    return _partition_gradient(data, model, treemath._Bordered(*build_beta(data, model)))
 
 
 def _objective(data, model, vector):
-    """Penalized log-likelihood, and the weights it was computed from."""
-    weights = build_beta(data, model)
-    value = tdid_log_likelihood(data, model, weights)
-    penalty, _ = model.penalty(vector)
-    return value + penalty, weights
+    """Penalized log-likelihood, and the bordered-Laplacian record it was
+    read from."""
+    record = treemath._Bordered(*build_beta(data, model))
+    size = record.beta.size
+    value = record.log_z - (size - 1) * np.log(size)
+    return float(value) + model.penalty(vector)[0], record
 
 
 def fit_ml(data, model0: MutationModel, *, max_iters=500, grad_tol=1e-5,
-           armijo_c=1e-4, step_floor=1e-12, holdout=None, early_stop=False,
-           patience=10) -> FitReport:
+           holdout=None, patience=10) -> FitReport:
     """Maximize the out-tree log-likelihood by backtracking gradient ascent.
 
-    Steps halve until the Armijo condition holds; only ascent steps are
-    accepted, so the reported trace is nondecreasing. Each line search
-    starts at min(1, 4 * previous accepted step), which keeps trial counts
-    low on badly scaled problems while never exceeding the unit step.
-    Stops on a small gradient sup-norm, the iteration cap, or a failed line
-    search at the step floor (recorded as the convergence reason, not an
-    error). With ``early_stop=True`` and a holdout set, fitting stops once
-    the held-out score has not improved for ``patience`` accepted steps and
-    the best-scoring model is returned.
+    Steps halve until the Armijo condition (constant 1e-4) holds; only
+    ascent steps are accepted, so the reported trace is nondecreasing. Each
+    line search starts at min(1, 4 * previous accepted step), which keeps
+    trial counts low on badly scaled problems while never exceeding the
+    unit step. Stops on a small gradient sup-norm, the iteration cap, or a
+    failed line search at the step floor 1e-12 (recorded as the convergence
+    reason, not an error). Whenever a holdout set is given, fitting stops
+    once the held-out score has not improved for ``patience`` accepted
+    steps and the best-scoring model is returned. The gradient is read off
+    the accepted trial's bordered Laplacian, so each evaluation sets that
+    matrix up once.
     """
     if max_iters < 0 or grad_tol <= 0:
         raise ValueError("max_iters must be >= 0 and grad_tol positive")
     data = model0.validate_data(data)
     model = model0
     vector = model.param_vector()
-    objective, weights = _objective(data, model, vector)
+    objective, record = _objective(data, model, vector)
     report = FitReport(initial_objective=objective, final_objective=objective,
                        model=model)
-    use_holdout = early_stop and holdout is not None
-    if use_holdout:
+    if holdout is not None:
         best_holdout = test_log_likelihood(data, holdout, model).score
         best_model, best_objective, since_best = model, objective, 0
 
     last_step = 1.0
     for index in range(1, max_iters + 1):
         penalty_grad = model.penalty(vector)[1]
-        grad = grad_tdid(data, model, weights) + penalty_grad
+        grad = _partition_gradient(data, model, record) + penalty_grad
         grad_norm = float(np.abs(grad).max())
         if grad_norm < grad_tol:
             report.reason = "gradient_tolerance"
@@ -136,20 +128,19 @@ def fit_ml(data, model0: MutationModel, *, max_iters=500, grad_tol=1e-5,
         step = min(1.0, 4.0 * last_step)
         grad_sq = float(grad @ grad)
         accepted = False
-        while step >= step_floor:
+        while step >= 1e-12:
             candidate_vec = vector + step * grad
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     candidate = model.with_params(candidate_vec)
-                    value, candidate_weights = _objective(data, candidate,
-                                                          candidate_vec)
+                    value, record = _objective(data, candidate, candidate_vec)
             except (ZeroPartitionError, NumericalFaultError, DataError,
                     ValueError, np.linalg.LinAlgError):
                 # the trial step left the numerically representable region
                 # (overflowed parameters or a vanished partition function);
                 # reject it and shorten the step
                 value = -np.inf
-            if np.isfinite(value) and value >= objective + armijo_c * step * grad_sq:
+            if np.isfinite(value) and value >= objective + 1e-4 * step * grad_sq:
                 accepted = True
                 break
             step *= 0.5
@@ -158,9 +149,8 @@ def fit_ml(data, model0: MutationModel, *, max_iters=500, grad_tol=1e-5,
             break
         last_step = step
         vector, model, objective = candidate_vec, candidate, value
-        weights = candidate_weights
         report.iterations.append(FitIteration(index, objective, step, grad_norm))
-        if use_holdout:
+        if holdout is not None:
             holdout_score = test_log_likelihood(data, holdout, model).score
             if holdout_score > best_holdout:
                 best_holdout, best_model, best_objective = holdout_score, model, objective

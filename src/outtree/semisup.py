@@ -108,8 +108,7 @@ class LabelInference:
 
     def recomputed_log_partition(self) -> float:
         """Fresh full factorization of the current assignment (oracle path)."""
-        beta, roots = build_joint_beta(self.X, self.labels, self.model, self.label_model)
-        return treemath.log_partition(beta, roots).log_z
+        return _full_log_partition(self.X, self.labels, self.model, self.label_model)
 
     def _flipped_logs(self, node, new_label):
         """The node's row and column of joint log-weights after the flip."""
@@ -260,9 +259,9 @@ def _ascend_theta(X, y, model, label_model, steps):
     """A few Armijo gradient steps on theta through the joint partition."""
     vector = model.param_vector()
     for _ in range(steps):
-        beta, roots = build_joint_beta(X, y, model, label_model)
-        grad = _partition_gradient(model.validate_data(X), model, beta, roots)
-        value = treemath.log_partition(beta, roots).log_z
+        record = treemath._Bordered(*build_joint_beta(X, y, model, label_model))
+        grad = _partition_gradient(model.validate_data(X), model, record)
+        value = record.log_z
         step, improved = 1.0, False
         while step >= 1e-12:
             candidate = model.with_params(vector + step * grad)

@@ -5,16 +5,18 @@ from the root. Given a nonnegative weight matrix beta with beta[u, v] the
 weight of edge v -> u, the cofactor of the out-Laplacian at a root r equals
 the total weight of all out-trees rooted at r. This module computes those
 partition functions (exactly, in log domain), root posteriors, edge
-marginals and tree entropies, and keeps one factorization of the bordered
-Laplacian that greedy search edits and refactors. A brute-force enumeration
-oracle is provided for small T.
+marginals and tree entropies. A brute-force enumeration oracle is provided
+for small T.
 
-Greedy search scores every candidate edit with a fresh factorization, so
-the work around that one LU is a few vectorized O(T^2) passes: edits are
-validated and written as one array; the rescaled weights need no finite
-mask, because validation leaves -inf as the only non-finite log-weight and
-exp maps it to exactly 0; and the session computes its explicit inverse on
-first read.
+One private record per (weights, roots) pair, ``_Bordered``, sets up the
+row-rescaled bordered Laplacian once: ln Z is read off its determinant,
+the edge marginals and root posterior off its inverse, each computed only
+when read. ``log_partition``, ``posterior_weights`` and the greedy-search
+session read such records, so a value and its gradient share one set-up.
+Greedy search scores every candidate edit with a fresh record; edits are
+validated and written as one array, and the rescaled weights need no
+finite mask, because validation leaves -inf as the only non-finite
+log-weight and exp maps it to exactly 0.
 
 All values are immutable after construction and safe to share across
 threads; the factorization session is single-writer.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import logsumexp
@@ -277,44 +280,69 @@ def _check_sizes(beta, roots):
         raise ValueError("weight matrix and root weights disagree on T")
 
 
-def _augmented(weights, normalized):
-    """Bordered (T+1) x (T+1) matrix [[1, p^T], [-p, Q]], Q the out-Laplacian
-    diag(row sums) - weights; its determinant is sum_r p(r) Z_r, and the
-    cofactor of Q at r is Z_r, the total weight of out-trees rooted at r."""
-    size = weights.shape[0]
-    q_hat = np.empty((size + 1, size + 1))
-    q_hat[0, 0] = 1.0
-    q_hat[0, 1:] = normalized
-    q_hat[1:, 0] = -normalized
-    # Q = diag(row sums) - weights, filled in place (the diagonal weights are 0)
-    np.subtract(0.0, weights, out=q_hat[1:, 1:])
-    q_hat.reshape(-1)[size + 2::size + 2] += weights.sum(axis=1)
-    return q_hat
+class _Bordered:
+    """The row-rescaled bordered Laplacian of one (weights, roots) pair.
 
-
-def _scaled_augmented_parts(beta, roots):
-    """Row-rescaled augmented matrix plus the root adjustment it implies.
-
-    Returns (q_hat, adjusted_normalized, adjusted_log_total) where the
-    adjusted root weights are p(X_r) * exp(-row_scales[r]); the identity
-    ln Z = scale_total + adjusted_log_total + logdet(q_hat) is exact.
-
-    Weights with structural zeros are first checked for an out-tree over
-    their structural support (finite log-weights, roots of finite weight):
-    where none exists Z = 0 exactly, but the LU of the bordered matrix can
-    still return a small positive determinant made of roundoff, so this
-    raises ``ZeroPartitionError`` before anything is factored.
+    ``matrix`` is [[1, p^T], [-p, Q]], Q = diag(row sums) - beta.scaled and
+    p the root weights p(X_r) exp(-row_scales[r]), normalized: its
+    determinant is sum_r p(r) Z_r of the scaled weights, and ln Z =
+    ``offset`` + ``logdet`` exactly. ``logdet`` and ``inverse`` are computed
+    on first read and kept. Weights with structural zeros are first
+    checked for an out-tree over their support: where none exists Z = 0
+    exactly, but the LU can still return a small positive determinant made
+    of roundoff, so this raises ``ZeroPartitionError`` before any factoring.
     """
-    _check_sizes(beta, roots)
-    if beta.structural_zeros:
-        candidates = np.flatnonzero(roots.log_values > -np.inf)
-        if not _has_positive_arborescence(beta.log_entries > -np.inf, candidates):
-            raise ZeroPartitionError("no out-tree has positive weight")
-    adjusted_log = roots.log_values - beta.row_scales
-    adjusted_total = float(_logsumexp(adjusted_log))
-    with np.errstate(under="ignore"):
-        adjusted_norm = np.exp(adjusted_log - adjusted_total)
-    return _augmented(beta.scaled, adjusted_norm), adjusted_norm, adjusted_total
+
+    def __init__(self, beta: WeightMatrix, roots: RootWeights):
+        _check_sizes(beta, roots)
+        if beta.structural_zeros:
+            candidates = np.flatnonzero(roots.log_values > -np.inf)
+            if not _has_positive_arborescence(beta.log_entries > -np.inf, candidates):
+                raise ZeroPartitionError("no out-tree has positive weight")
+        adjusted_log = roots.log_values - beta.row_scales
+        adjusted_total = float(_logsumexp(adjusted_log))
+        with np.errstate(under="ignore"):
+            self.normalized = np.exp(adjusted_log - adjusted_total)
+        size = beta.size
+        self.matrix = np.empty((size + 1, size + 1))
+        self.matrix[0, 0] = 1.0
+        self.matrix[0, 1:] = self.normalized
+        self.matrix[1:, 0] = -self.normalized
+        # Q = diag(row sums) - weights, filled in place (the diagonal weights are 0)
+        np.subtract(0.0, beta.scaled, out=self.matrix[1:, 1:])
+        self.matrix.reshape(-1)[size + 2::size + 2] += beta.scaled.sum(axis=1)
+        self.beta = beta
+        self.offset = beta.scale_total + adjusted_total
+
+    @cached_property
+    def logdet(self) -> float:
+        return _augmented_logdet(self.matrix, self.beta, self.normalized)
+
+    @property
+    def log_z(self) -> float:
+        return self.offset + self.logdet
+
+    def _invert(self) -> np.ndarray:
+        """Explicit inverse of ``matrix`` (do not mutate)."""
+        try:
+            return np.linalg.inv(self.matrix)
+        except np.linalg.LinAlgError as exc:
+            raise ZeroPartitionError("no out-tree has positive weight") from exc
+
+    inverse = cached_property(_invert)  # kept for repeated reads
+
+    def posterior_weights(self):
+        """(W, rho) read off an inverse that is not kept, so a record held
+        on after its one gradient does not hold a (T+1)^2 inverse too; see
+        ``posterior_weights``."""
+        inv = self._invert()
+        core = inv[1:, 1:]
+        gain = np.diag(core)[:, None] - core.T
+        w = self.beta.scaled * gain
+        np.fill_diagonal(w, 0.0)
+        border = inv[1:, 0] - inv[0, 1:]
+        p = self.normalized
+        return w, p * (1.0 + border - p @ border)
 
 
 def _logdet_nonneg(matrix, what):
@@ -361,7 +389,7 @@ def _has_positive_arborescence(support, root_order):
     return False
 
 
-def _augmented_logdet(q_hat, beta, adjusted_norm, what):
+def _augmented_logdet(q_hat, beta, adjusted_norm):
     """Log |det| of the bordered matrix, robust to indeterminate LU signs.
 
     The true determinant is a nonnegative sum of tree weights, but chain-
@@ -369,10 +397,10 @@ def _augmented_logdet(q_hat, beta, adjusted_norm, what):
     value shrinks exponentially in T while the determinant stays a healthy
     positive number, so LU may report a zero or negative pivot that is pure
     roundoff. When that happens, reachability over the positive-weight
-    support decides whether the partition function is structurally zero;
-    if not, the log-magnitude is taken as the sum of log singular values.
-    A clearly negative determinant (smallest singular value well above the
-    roundoff floor) is still a numerical fault.
+    support decides whether the partition function is structurally zero
+    (``ZeroPartitionError``); if not, the log-magnitude is taken as the sum
+    of log singular values. A clearly negative determinant (smallest
+    singular value well above the roundoff floor) is a numerical fault.
     """
     sign, logdet = np.linalg.slogdet(q_hat)
     if sign > 0.0 and logdet != -np.inf:
@@ -380,11 +408,11 @@ def _augmented_logdet(q_hat, beta, adjusted_norm, what):
     root_order = np.argsort(adjusted_norm)[::-1]
     root_order = [int(r) for r in root_order if adjusted_norm[r] > 0.0]
     if not _has_positive_arborescence(beta.scaled > 0.0, root_order):
-        return -np.inf
+        raise ZeroPartitionError("no out-tree has positive weight")
     singular = np.linalg.svd(q_hat, compute_uv=False)
     floor = singular[0] * np.finfo(float).eps * q_hat.shape[0]
     if sign < 0.0 and singular[-1] > floor:
-        raise NumericalFaultError(f"negative determinant for {what}")
+        raise NumericalFaultError("negative determinant for augmented Laplacian")
     with np.errstate(divide="ignore"):
         return float(np.log(np.maximum(singular, floor)).sum())
 
@@ -412,14 +440,9 @@ def log_partition(beta: WeightMatrix, roots: RootWeights, *, per_root=False) -> 
     One O(T^3) determinant covers all roots at once. ``per_root=True`` also
     fills the slower per-root vector ln Z_r.
     """
-    _check_sizes(beta, roots)
-    q_hat, adjusted_norm, adjusted_total = _scaled_augmented_parts(beta, roots)
-    logdet = _augmented_logdet(q_hat, beta, adjusted_norm, "augmented Laplacian")
-    if logdet == -np.inf:
-        raise ZeroPartitionError("no out-tree has positive weight")
+    log_z = _Bordered(beta, roots).log_z
     per = log_partition_per_root(beta) if per_root else None
-    return LogPartition(log_z=beta.scale_total + adjusted_total + logdet,
-                        per_root_log_z=per)
+    return LogPartition(log_z=log_z, per_root_log_z=per)
 
 
 def enumerate_out_trees(size: int) -> list[OutTree]:
@@ -530,18 +553,7 @@ def posterior_weights(beta: WeightMatrix, roots: RootWeights):
     b = inv[1:, 0] - inv[0, 1:]. Neither output is clipped: on
     ill-conditioned weights roundoff can make entries negative.
     """
-    q_hat, normalized, _ = _scaled_augmented_parts(beta, roots)
-    try:
-        inv = np.linalg.inv(q_hat)
-    except np.linalg.LinAlgError as exc:
-        raise ZeroPartitionError("no out-tree has positive weight") from exc
-    core = inv[1:, 1:]
-    gain = np.diag(core)[:, None] - core.T
-    w = beta.scaled * gain
-    np.fill_diagonal(w, 0.0)
-    border = inv[1:, 0] - inv[0, 1:]
-    rho = normalized * (1.0 + border - normalized @ border)
-    return w, rho
+    return _Bordered(beta, roots).posterior_weights()
 
 
 def tree_entropy(beta: WeightMatrix, r: int) -> float:
@@ -559,58 +571,47 @@ def tree_entropy(beta: WeightMatrix, r: int) -> float:
 
 
 class IncrementalLogdet:
-    """One factorization of the augmented Laplacian for the current weights.
+    """The ``_Bordered`` record of the current weights, factored.
 
-    Holds ln Z, the log-determinant and the row-rescaled bordered matrix.
     ``apply_edits`` replaces (child, parent, new_log_weight) entries and
-    factors the edited weights afresh; ``preview_edits`` scores edits by a
-    fresh ``log_partition`` of the edited weights. Edits are validated by
-    ``WeightMatrix.with_edits``. The explicit ``inverse`` is computed on its
-    first read after each factorization, so a search that never screens
-    candidates (two classes) never inverts. Edits that leave no out-tree
-    with positive weight raise ``ZeroPartitionError``; an edit that raises
-    leaves the session unchanged. Single-writer: one mutable session at a
-    time.
+    swaps in the record of the edited weights; ``preview_edits`` scores
+    edits by the ln Z of a fresh record. Edits are validated by
+    ``WeightMatrix.with_edits``. The ``inverse`` is computed on its first
+    read, so a search that never screens candidates (two classes) never
+    inverts. Weights with no out-tree of positive weight raise
+    ``ZeroPartitionError``, at construction too; an edit that raises leaves
+    the session unchanged. Single-writer: one mutable session at a time.
     """
 
     def __init__(self, beta: WeightMatrix, roots: RootWeights):
         self._roots = roots
-        self._factorize(beta)
+        self._record = _Bordered(beta, roots)
+        self._record.logdet  # factor now, so weights with Z = 0 raise here
 
-    def _factorize(self, beta):
-        q_hat, adjusted_norm, adjusted_total = _scaled_augmented_parts(beta, self._roots)
-        logdet = _augmented_logdet(q_hat, beta, adjusted_norm, "augmented Laplacian")
-        if logdet == -np.inf:
-            raise ZeroPartitionError("no out-tree has positive weight")
-        self.beta = beta
-        self._q_hat = q_hat
-        self._inverse = None
-        self._logdet = logdet
-        self._log_partition = beta.scale_total + adjusted_total + logdet
+    @property
+    def beta(self) -> WeightMatrix:
+        return self._record.beta
 
     @property
     def logdet(self) -> float:
-        """Log-determinant of the (rescaled) augmented Laplacian."""
-        return self._logdet
+        return self._record.logdet
 
     @property
     def log_partition(self) -> float:
-        return self._log_partition
+        return self._record.log_z
 
     @property
     def inverse(self) -> np.ndarray:
-        """Inverse of the rescaled augmented Laplacian (do not mutate),
-        computed on the first read after each factorization."""
-        if self._inverse is None:
-            self._inverse = np.linalg.inv(self._q_hat)
-        return self._inverse
+        return self._record.inverse
 
     def apply_edits(self, edits) -> float:
         """Apply edits, returning the new log-partition."""
-        self._factorize(self.beta.with_edits(edits))
-        return self._log_partition
+        record = _Bordered(self.beta.with_edits(edits), self._roots)
+        log_z = record.log_z
+        self._record = record
+        return log_z
 
     def preview_edits(self, edits) -> float:
         """Change in log-partition the edits would cause, without committing."""
-        return log_partition(self.beta.with_edits(edits), self._roots).log_z \
-            - self._log_partition
+        return _Bordered(self.beta.with_edits(edits), self._roots).log_z \
+            - self.log_partition

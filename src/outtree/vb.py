@@ -218,11 +218,11 @@ def _structure_step(data, prior: DirichletPrior, counts_cond, roots):
     m(X_r); with that q(r) the ELBO is ln Z_m - KL - (T - 1) ln T.
     """
     beta_tilde = expected_log_weights(data, counts_cond)
-    w, q_root = treemath.posterior_weights(beta_tilde, roots)
+    record = treemath._Bordered(beta_tilde, roots)
+    w, q_root = record.posterior_weights()
     w = treemath._clip_probabilities(w, "VB edge marginals")
     q_root = treemath._clip_probabilities(q_root, "VB root posterior")
-    value = treemath.log_partition(beta_tilde, roots).log_z \
-        - _kl_and_tree_prior(prior, counts_cond, data.shape[0])
+    value = record.log_z - _kl_and_tree_prior(prior, counts_cond, data.shape[0])
     return beta_tilde, w, q_root, value
 
 

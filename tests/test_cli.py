@@ -449,3 +449,126 @@ class TestSemisupBenchmark:
             assert row["config"] == rows[0]["config"]
             assert 0.0 <= row["tree_accuracy"] <= 1.0
             assert row["labeled_count"] == 9
+
+
+def error_record(capsys, code):
+    """The one JSON record a failed command wrote to stderr."""
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["exit_code"] == code
+    return record
+
+
+class TestUsage:
+    def test_config_supplies_required_options(self, tmp_path):
+        out = str(tmp_path / "s.csv")
+        config = str(tmp_path / "c.cfg")
+        write(config, f"output = {out}\nseed = 1\nrows = 12\n")
+        assert cli.main(["spiral", "--config", config]) == 0
+        assert len(cli.ingest_csv(out).X) == 12
+        model_path = str(tmp_path / "m.model")
+        otio.write_model(model_path, models.gaussian_init_iid(cli.ingest_csv(out).X))
+        drawn = str(tmp_path / "d.csv")
+        write(config, f"output = {drawn}\nseed = 2\nrows = 7\n")
+        assert cli.main(["sample", "--config", config, "--model", model_path]) == 0
+        assert len(cli.ingest_csv(drawn).X) == 7
+
+    def test_missing_required_option_names_it(self, tmp_path, capsys):
+        config = str(tmp_path / "c.cfg")
+        write(config, "rows = 12\n")
+        assert cli.main(["spiral", "--config", config, "--seed", "1"]) == 2
+        record = error_record(capsys, 2)
+        assert record["error"] == "ConfigError" and "--output" in record["message"]
+        assert cli.main(["sample", "--seed", "1"]) == 2
+        message = error_record(capsys, 2)["message"]
+        assert all(flag in message for flag in ("--output", "--model", "--rows"))
+
+    @pytest.mark.parametrize("argv", [
+        ["spiral", "--noise", "abc", "--seed", "1", "--output", "x.csv"],
+        ["spiral", "--no-such-flag"],
+        ["plotdata", "--kind", "pie"],
+        ["no-such-command"],
+        [],
+    ])
+    def test_usage_error_is_one_json_record(self, argv, capsys):
+        assert cli.main(argv) == 2
+        assert error_record(capsys, 2)["error"] == "ConfigError"
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["spiral", "-h"])
+        assert exit_info.value.code == 0
+        assert "--noise" in capsys.readouterr().out
+
+
+class TestMalformedArtifacts:
+    def write_model(self, tmp_path):
+        rng = np.random.default_rng(20)
+        data = rng.normal(size=(6, 3))
+        data_path = str(tmp_path / "d.csv")
+        otio.write_sample_csv(data_path, data)
+        model_path = str(tmp_path / "m.model")
+        otio.write_model(model_path, models.gaussian_init_iid(data))
+        return data_path, model_path
+
+    def test_one_token_line_in_model(self, tmp_path, capsys):
+        data_path, model_path = self.write_model(tmp_path)
+        with open(model_path, "a") as handle:
+            handle.write("orphan\n")
+        assert cli.main(["eval", "--input", data_path, "--test", data_path,
+                         "--model", model_path]) == 3
+        assert "orphan" in error_record(capsys, 3)["message"]
+
+    def test_model_with_a_missing_record(self, tmp_path, capsys):
+        data_path, model_path = self.write_model(tmp_path)
+        lines = open(model_path).read().split("\n")
+        write(model_path, "\n".join(l for l in lines if not l.startswith("sigma_cc")))
+        assert cli.main(["sample", "--model", model_path, "--rows", "3", "--seed", "1",
+                         "--output", str(tmp_path / "x.csv")]) == 3
+        assert "sigma_cc" in error_record(capsys, 3)["message"]
+
+    def test_model_with_a_short_vector(self, tmp_path, capsys):
+        data_path, model_path = self.write_model(tmp_path)
+        text = open(model_path).read()
+        write(model_path, text.replace("mu_c vector 3", "mu_c vector 4"))
+        assert cli.main(["eval", "--input", data_path, "--test", data_path,
+                         "--model", model_path]) == 3
+        assert "mu_c" in error_record(capsys, 3)["message"]
+
+    @pytest.mark.parametrize("drop", ["prior_root_0", "elbo_trace"])
+    def test_checkpoint_with_a_missing_record(self, tmp_path, capsys, drop):
+        rng = np.random.default_rng(21)
+        data_path = str(tmp_path / "cats.csv")
+        otio.write_sample_csv(data_path, rng.integers(0, 2, size=(6, 1)))
+        ckpt = str(tmp_path / "state.ckpt")
+        assert cli.main(["vb", "--input", data_path, "--max-rounds", "2",
+                         "--output", ckpt]) == 0
+        lines = open(ckpt).read().split("\n")
+        write(ckpt, "\n".join(l for l in lines if not l.startswith(drop)))
+        assert cli.main(["vb", "--input", data_path, "--resume", ckpt,
+                         "--output", str(tmp_path / "resumed.ckpt")]) == 3
+        assert drop in error_record(capsys, 3)["message"]
+
+    @pytest.mark.parametrize("edges", [
+        "child,parent\n0,root\n1,x\n2,0\n",
+        "child,parent\n0,root\n1,0,2\n2,0\n",
+        "child,parent\n0,root\n2,0\n3,0\n",  # node 1 missing
+        "child,parent\n0,root\n1,0\n1,0\n",  # node 1 twice, node 2 missing
+        "child,parent\n0,1\n1,2\n2,0\n",  # no root
+        "child,parent\n0,root\n1,2\n2,1\n",  # a cycle
+    ])
+    def test_malformed_edge_list(self, tmp_path, capsys, edges):
+        data_path = str(tmp_path / "d.csv")
+        otio.write_sample_csv(data_path, np.random.default_rng(22).normal(size=(3, 3)))
+        edges_path = str(tmp_path / "t.edges")
+        write(edges_path, edges)
+        assert cli.main(["plotdata", "--kind", "scatter3d", "--input", data_path,
+                         "--edges", edges_path, "--output", str(tmp_path / "p.tsv")]) == 3
+        assert error_record(capsys, 3)["error"] == "DataError"
+
+    def test_unreadable_model_path(self, tmp_path, capsys):
+        assert cli.main(["sample", "--model", str(tmp_path / "none.model"),
+                         "--rows", "3", "--seed", "1",
+                         "--output", str(tmp_path / "x.csv")]) == 3
+        assert error_record(capsys, 3)["error"] == "DataError"

@@ -230,15 +230,6 @@ class TestGradient:
             tracemalloc.stop()
         assert peak < 16 * size * size * 8
 
-    def test_prebuilt_weights_give_the_same_gradient(self):
-        rng = np.random.default_rng(24)
-        model = general_gaussian(rng)
-        data = rng.normal(size=(10, 2))
-        weights = models.build_beta(data, model)
-        assert np.array_equal(lk.grad_tdid(data, model, weights), lk.grad_tdid(data, model))
-        assert lk.tdid_log_likelihood(data, model, weights) \
-            == lk.tdid_log_likelihood(data, model)
-
 
 class TestFit:
     def test_one_weight_build_per_objective_evaluation(self, monkeypatch):
@@ -259,6 +250,28 @@ class TestFit:
                            grad_tol=1e-12)
         assert len(report.iterations) == 5
         assert calls["build_beta"] == calls["objective"]
+
+    def test_one_bordered_matrix_per_objective_evaluation(self, monkeypatch,
+                                                          bordered_counts):
+        # the gradient reads the accepted trial's record instead of building
+        # the matrix again: one set-up and one determinant per evaluation,
+        # one (T+1)-sized inverse per gradient
+        evaluations = []
+        objective = lk._objective
+
+        def counted(*args):
+            evaluations.append(1)
+            return objective(*args)
+
+        monkeypatch.setattr(lk, "_objective", counted)
+        rng = np.random.default_rng(26)
+        data = rng.normal(size=(12, 2))
+        report = lk.fit_ml(data, models.gaussian_init_iid(data), max_iters=5,
+                           grad_tol=1e-12)
+        assert len(report.iterations) == 5
+        assert bordered_counts["set-up"] == len(evaluations)
+        assert bordered_counts["slogdet", 13] == len(evaluations)
+        assert bordered_counts["inv", 13] == 5
 
     def test_already_converged_input(self):
         rng = np.random.default_rng(30)
@@ -303,7 +316,7 @@ class TestFit:
         train = sampler.sample_dataset(truth, 30, 5).data
         holdout = sampler.sample_dataset(truth, 10, 6).data
         report = lk.fit_ml(train, models.gaussian_init_iid(train), max_iters=30,
-                           holdout=holdout, early_stop=True, patience=3)
+                           holdout=holdout, patience=3)
         assert report.reason in ("early_stop", "gradient_tolerance", "max_iterations",
                                  "line_search_failure")
         assert report.final_objective >= report.initial_objective

@@ -296,6 +296,18 @@ class TestGreedyInference:
                                                theta_steps_per_sweep=2)
         assert joint.log_partition >= plain.log_partition - 1e-8
 
+    def test_one_bordered_matrix_per_theta_step(self, bordered_counts):
+        X, y, _, model = synthetic_problem(8, size=12)
+        labels = np.where(y >= 0, y, 0)
+        lm = semisup.LabelModel(alpha=0.85, n_classes=2)
+        semisup._ascend_theta(X, labels, model, lm, 1)
+        # the step's gradient and value share one record; every line-search
+        # trial sets up one more and only factors it
+        trials = bordered_counts["set-up"] - 1
+        assert trials >= 1
+        assert bordered_counts["inv", 13] == 1
+        assert bordered_counts["slogdet", 13] == 1 + trials
+
 
 class TestCrossValidateAlpha:
     def test_single_value_grid(self):

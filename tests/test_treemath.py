@@ -386,12 +386,12 @@ class TestIncrementalLogdet:
         rng = np.random.default_rng(19)
         beta, roots = random_instance(7, rng)
         session = tm.IncrementalLogdet(beta, roots)
-        want = np.linalg.inv(tm._scaled_augmented_parts(beta, roots)[0])
+        want = np.linalg.inv(tm._Bordered(beta, roots).matrix)
         assert session.inverse.tobytes() == want.tobytes()
         edits = [(1, 4, -0.7), (-1, 2, 0.3), (3, 0, -np.inf)]
         session.apply_edits(edits)
         edited = beta.with_edits(edits)
-        want = np.linalg.inv(tm._scaled_augmented_parts(edited, roots)[0])
+        want = np.linalg.inv(tm._Bordered(edited, roots).matrix)
         assert session.inverse.tobytes() == want.tobytes()
 
 
@@ -493,6 +493,93 @@ class TestLeanEdits:
             assert got == -np.inf
         else:
             assert abs(got - want) <= 4 * abs(np.spacing(want))
+
+
+@st.composite
+def record_cases(draw, size):
+    """``edit_cases`` weights and edits, plus root weights that may hold a -inf."""
+    beta, edits, _ = draw(edit_cases(size))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    log_roots = rng.normal(scale=3.0, size=size)
+    if draw(st.booleans()):
+        log_roots[rng.integers(size)] = -np.inf
+    return beta, tm.RootWeights(log_values=log_roots), edits
+
+
+def plain_bordered(beta, roots):
+    """[[1, p^T], [-p, diag(row sums) - scaled]] written out entry by entry."""
+    adjusted = roots.log_values - beta.row_scales
+    with np.errstate(under="ignore"):
+        p = np.exp(adjusted - tm._logsumexp(adjusted))
+    size = beta.size
+    matrix = np.empty((size + 1, size + 1))
+    matrix[0, 0] = 1.0
+    matrix[0, 1:] = p
+    matrix[1:, 0] = -p
+    matrix[1:, 1:] = 0.0 - beta.scaled
+    matrix[np.arange(1, size + 1), np.arange(1, size + 1)] = beta.scaled.sum(axis=1)
+    return matrix
+
+
+def outcome(read):
+    """The tuple ``read()`` returns, or the class of the error it raises."""
+    try:
+        return read()
+    except (ZeroPartitionError, NumericalFaultError) as exc:
+        return type(exc)
+
+
+def same_outcome(got, want):
+    if isinstance(got, type) or isinstance(want, type):
+        return got is want
+    return len(got) == len(want) and all(same_bits(a, b) for a, b in zip(got, want))
+
+
+class TestBorderedRecord:
+    """One ``_Bordered`` record against the fresh entry points, bit for bit,
+    on the regimes of ``edit_cases``."""
+
+    @pytest.mark.parametrize("size", [2, 3, 7])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_record_reads_equal_fresh_entry_points(self, size, data):
+        beta, roots, edits = data.draw(record_cases(size))
+        for weights in (beta, beta.with_edits(edits)):
+            want_z = outcome(lambda: (tm.log_partition(weights, roots).log_z,))
+            want_w = outcome(lambda: tm.posterior_weights(weights, roots))
+            try:
+                first, second = tm._Bordered(weights, roots), tm._Bordered(weights, roots)
+            except ZeroPartitionError:
+                assert want_z is want_w is ZeroPartitionError
+                continue
+            assert same_bits(first.matrix, plain_bordered(weights, roots))
+            # ln Z read first from one record, (W, rho) first from the other
+            got_z = outcome(lambda: (first.log_z,))
+            got_w = outcome(first.posterior_weights)
+            assert same_outcome(got_z, want_z) and same_outcome(got_w, want_w)
+            got_w = outcome(second.posterior_weights)
+            got_z = outcome(lambda: (second.log_z,))
+            assert same_outcome(got_z, want_z) and same_outcome(got_w, want_w)
+
+    @pytest.mark.parametrize("size", [2, 3, 7])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_session_inverse_equals_a_fresh_records_after_edits(self, size, data):
+        beta, roots, edits = data.draw(record_cases(size))
+        try:
+            session = tm.IncrementalLogdet(beta, roots)
+        except (ZeroPartitionError, NumericalFaultError) as exc:
+            assert outcome(lambda: (tm.log_partition(beta, roots).log_z,)) is type(exc)
+            return
+        edited = beta.with_edits(edits)
+        applied = outcome(lambda: (session.apply_edits(edits),))
+        assert same_outcome(applied,
+                            outcome(lambda: (tm.log_partition(edited, roots).log_z,)))
+        # an edit that raises leaves the session on its old weights
+        current = beta if isinstance(applied, type) else edited
+        assert same_bits(session.beta.log_entries, current.log_entries)
+        assert same_outcome(outcome(lambda: (session.inverse,)),
+                            outcome(lambda: (tm._Bordered(current, roots).inverse,)))
 
 
 class TestInvariants:

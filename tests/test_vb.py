@@ -393,16 +393,34 @@ class TestBorderedRounds:
         assert calls == []
         assert len(resumed.elbo_trace) == len(state.elbo_trace) + 2
 
-    def test_negative_marginal_roundoff_raises(self, monkeypatch):
-        posterior_weights = treemath.posterior_weights
+    def test_one_bordered_matrix_per_structure_step(self, monkeypatch,
+                                                    bordered_counts):
+        steps = []
+        structure_step = vb._structure_step
 
-        def tilted(beta, roots):
-            w, rho = posterior_weights(beta, roots)
+        def counted(*args):
+            steps.append(1)
+            return structure_step(*args)
+
+        monkeypatch.setattr(vb, "_structure_step", counted)
+        rng = np.random.default_rng(74)
+        data = random_data(rng, 9, dims=2, k=3)
+        state = vb.vb_fit(data, random_prior(rng, dims=2, k=3), max_rounds=5, tol=0.0)
+        assert len(steps) == len(state.elbo_trace) == 6
+        assert bordered_counts["set-up"] == len(steps)
+        assert bordered_counts["slogdet", 10] == len(steps)
+        assert bordered_counts["inv", 10] == len(steps)
+
+    def test_negative_marginal_roundoff_raises(self, monkeypatch):
+        posterior_weights = treemath._Bordered.posterior_weights
+
+        def tilted(record):
+            w, rho = posterior_weights(record)
             w = w.copy()
             w[1, 0] = -1e-6
             return w, rho
 
-        monkeypatch.setattr(treemath, "posterior_weights", tilted)
+        monkeypatch.setattr(treemath._Bordered, "posterior_weights", tilted)
         rng = np.random.default_rng(72)
         data = random_data(rng, 5)
         with pytest.raises(NumericalFaultError):
