@@ -484,11 +484,16 @@ def emit_plotdata(kind, input_path, output_path, edges_path=None):
                 for i, r in enumerate(dataset.X)]
         write_tsv(output_path, rows, ["x", "y", "z", "parent"])
     elif kind == "error-vs-labels":
-        rows = _read_tsv(input_path)
         by_count = {}
-        for row in rows:
-            by_count.setdefault(int(float(row["labeled_count"])), []).append(
-                1.0 - float(row["tree_accuracy"]))
+        for r, row in enumerate(_read_tsv(input_path), start=1):
+            try:
+                labeled = int(float(row["labeled_count"]))
+                error = 1.0 - float(row["tree_accuracy"])
+            except KeyError as exc:
+                raise DataError(f"{input_path}: row {r} has no {exc} column") from None
+            except (OverflowError, ValueError) as exc:
+                raise DataError(f"{input_path}: row {r}: {exc}") from None
+            by_count.setdefault(labeled, []).append(error)
         out = []
         for labeled, errors in sorted(by_count.items()):
             errors = np.array(errors)
@@ -505,8 +510,13 @@ def emit_plotdata(kind, input_path, output_path, edges_path=None):
 
 
 def _read_tsv(path):
-    with open(path) as handle:
-        lines = [line.rstrip("\n") for line in handle if line.strip()]
+    try:
+        with open(path) as handle:
+            lines = [line.rstrip("\n") for line in handle if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    if not lines:
+        raise DataError(f"{path}: empty file")
     header = lines[0].split("\t")
     return [dict(zip(header, line.split("\t"))) for line in lines[1:]]
 

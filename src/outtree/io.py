@@ -185,6 +185,8 @@ def read_checkpoint(path):
         dims = range(len(records["alphabet"]))
         prior = DirichletPrior(root=tuple(records[f"prior_root_{d}"] for d in dims),
                                cond=tuple(records[f"prior_cond_{d}"] for d in dims))
+        if not len(records["elbo_trace"]):
+            raise ValueError("record 'elbo_trace' is empty")
         return (prior, [records[f"root_counts_{d}"] for d in dims],
                 [records[f"cond_counts_{d}"] for d in dims], records["q_root"],
                 records["elbo_trace"])

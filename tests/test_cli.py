@@ -536,19 +536,48 @@ class TestMalformedArtifacts:
                          "--model", model_path]) == 3
         assert "mu_c" in error_record(capsys, 3)["message"]
 
-    @pytest.mark.parametrize("drop", ["prior_root_0", "elbo_trace"])
-    def test_checkpoint_with_a_missing_record(self, tmp_path, capsys, drop):
+    def write_checkpoint(self, tmp_path):
         rng = np.random.default_rng(21)
         data_path = str(tmp_path / "cats.csv")
         otio.write_sample_csv(data_path, rng.integers(0, 2, size=(6, 1)))
         ckpt = str(tmp_path / "state.ckpt")
         assert cli.main(["vb", "--input", data_path, "--max-rounds", "2",
                          "--output", ckpt]) == 0
+        return data_path, ckpt
+
+    def resume(self, tmp_path, data_path, ckpt):
+        return cli.main(["vb", "--input", data_path, "--resume", ckpt,
+                         "--output", str(tmp_path / "resumed.ckpt")])
+
+    @pytest.mark.parametrize("drop", ["prior_root_0", "elbo_trace"])
+    def test_checkpoint_with_a_missing_record(self, tmp_path, capsys, drop):
+        data_path, ckpt = self.write_checkpoint(tmp_path)
         lines = open(ckpt).read().split("\n")
         write(ckpt, "\n".join(l for l in lines if not l.startswith(drop)))
-        assert cli.main(["vb", "--input", data_path, "--resume", ckpt,
-                         "--output", str(tmp_path / "resumed.ckpt")]) == 3
+        assert self.resume(tmp_path, data_path, ckpt) == 3
         assert drop in error_record(capsys, 3)["message"]
+
+    def test_checkpoint_with_an_empty_elbo_trace(self, tmp_path, capsys):
+        data_path, ckpt = self.write_checkpoint(tmp_path)
+        lines = open(ckpt).read().split("\n")
+        write(ckpt, "\n".join("elbo_trace vector 0" if l.startswith("elbo_trace") else l
+                              for l in lines))
+        assert self.resume(tmp_path, data_path, ckpt) == 3
+        assert "elbo_trace" in error_record(capsys, 3)["message"]
+
+    def test_checkpoint_of_other_dimensions_than_the_input(self, tmp_path, capsys):
+        data_path, ckpt = self.write_checkpoint(tmp_path)
+        wide = str(tmp_path / "wide.csv")
+        otio.write_sample_csv(wide, np.random.default_rng(23).integers(0, 2, size=(6, 2)))
+        assert self.resume(tmp_path, wide, ckpt) == 3
+        assert "attribute columns" in error_record(capsys, 3)["message"]
+
+    def test_error_vs_labels_with_a_non_numeric_count(self, tmp_path, capsys):
+        bench = str(tmp_path / "bench.tsv")
+        write(bench, "labeled_count\ttree_accuracy\n18\t0.8\nabc\t0.7\n")
+        assert cli.main(["plotdata", "--kind", "error-vs-labels", "--input", bench,
+                         "--output", str(tmp_path / "err.tsv")]) == 3
+        assert "row 2" in error_record(capsys, 3)["message"]
 
     @pytest.mark.parametrize("edges", [
         "child,parent\n0,root\n1,x\n2,0\n",

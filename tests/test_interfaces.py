@@ -1,8 +1,17 @@
-"""Cross-module interface contracts: golden files, immutability, CLI surface."""
+"""Cross-module interface contracts: golden files, immutability, CLI surface,
+the run-time dependencies."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import outtree
 from outtree import cli, models, semisup, treemath
 from outtree import io as otio
 
@@ -114,3 +123,53 @@ class TestCliSurface:
             with pytest.raises(SystemExit):
                 cli.main([command, "--help"])
             assert flag in capsys.readouterr().out
+
+
+# Runs the CLI end to end in a process where importing SciPy fails.
+NO_SCIPY_RUN = textwrap.dedent("""
+    import json
+    import sys
+
+    class BlockScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name == "scipy" or name.startswith("scipy."):
+                raise ImportError(f"{name} is blocked")
+            return None
+
+    sys.meta_path.insert(0, BlockScipy())
+    import outtree
+    from outtree import cli
+
+    d = sys.argv[1]
+    codes = []
+    with open(f"{d}/cats.csv", "w") as handle:
+        handle.write("a,b\\n0,1\\n1,1\\n2,0\\n0,0\\n1,2\\n2,2\\n")
+    for argv in [
+            ["spiral", "--rows", "40", "--seed", "1", "--output", f"{d}/train.csv"],
+            ["spiral", "--rows", "10", "--seed", "2", "--output", f"{d}/test.csv"],
+            ["fit", "--input", f"{d}/train.csv", "--output", f"{d}/m.model",
+             "--max-iters", "3"],
+            ["eval", "--input", f"{d}/train.csv", "--test", f"{d}/test.csv",
+             "--model", f"{d}/m.model", "--output", f"{d}/score.tsv"],
+            ["sample", "--model", f"{d}/m.model", "--rows", "15", "--seed", "3",
+             "--output", f"{d}/draw.csv"],
+            ["vb", "--input", f"{d}/cats.csv", "--max-rounds", "2",
+             "--output", f"{d}/state.ckpt"],
+            ["vb", "--input", f"{d}/cats.csv", "--max-rounds", "2",
+             "--resume", f"{d}/state.ckpt", "--output", f"{d}/resumed.ckpt"]]:
+        codes.append(cli.main(argv))
+    print(json.dumps({"codes": codes,
+                      "scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"]}))
+""")
+
+
+class TestNumpyOnlyRuntime:
+    def test_cli_runs_with_scipy_blocked(self, tmp_path):
+        src = str(Path(outtree.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in [src, os.environ.get("PYTHONPATH")] if p)
+        done = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path)],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.strip().split("\n")[-1])
+        assert result == {"codes": [0] * 7, "scipy": []}, done.stderr

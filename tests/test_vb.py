@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
-from scipy.special import digamma, logsumexp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import digamma, gammaln, logsumexp
 
 from outtree import treemath, vb
 from outtree.errors import NumericalFaultError
@@ -16,6 +18,35 @@ def random_prior(rng, dims=1, k=2, low=0.5, high=3.0):
 
 def random_data(rng, rows, dims=1, k=2):
     return rng.integers(0, k, size=(rows, dims))
+
+
+# the special functions' error bound, relative above 1 and absolute below
+SPECIAL_TOL = 4e-15
+
+
+def special_error(got, want):
+    return np.abs(got - want) / np.maximum(1.0, np.abs(want))
+
+
+class TestSpecialFunctions:
+    GRID = np.geomspace(1e-3, 1e8, 20001)
+    DIGAMMA_ROOT = 1.4616321449683623
+
+    @pytest.mark.parametrize("ours, reference", [(vb._digamma, digamma),
+                                                 (vb._gammaln, gammaln)])
+    def test_log_grid(self, ours, reference):
+        assert special_error(ours(self.GRID), reference(self.GRID)).max() <= SPECIAL_TOL
+
+    def test_digamma_near_its_root(self):
+        x = self.DIGAMMA_ROOT + np.linspace(-1e-3, 1e-3, 2001)
+        assert special_error(vb._digamma(x), digamma(x)).max() <= SPECIAL_TOL
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(1e-3, 1e8), min_size=1, max_size=12))
+    def test_matches_scipy(self, values):
+        x = np.array(values)
+        assert special_error(vb._digamma(x), digamma(x)).max() <= SPECIAL_TOL
+        assert special_error(vb._gammaln(x), gammaln(x)).max() <= SPECIAL_TOL
 
 
 class TestExpectedLogWeights:
