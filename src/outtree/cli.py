@@ -609,7 +609,8 @@ def cmd_fit(args):
     otio.write_model(args.output, report.model)
     otio.write_fit_log(args.output + ".log", report)
     print(f"fit: {float(report.initial_objective)!r} -> {float(report.final_objective)!r} "
-          f"({len(report.iterations)} iterations, {report.reason})")
+          f"({len(report.iterations)} iterations, {report.evaluations} evaluations, "
+          f"{report.reason})")
     return 0
 
 

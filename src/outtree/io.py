@@ -174,8 +174,10 @@ def write_checkpoint(path, prior, state):
 
 
 def read_checkpoint(path):
-    """Returns (DirichletPrior, counts_root, counts_cond, q_root, elbo_trace);
-    a missing record is a ``DataError``."""
+    """Returns (DirichletPrior, counts_root, counts_cond, q_root, elbo_trace).
+
+    A missing record, or counts that are not finite, strictly positive and
+    of their prior table's shape, is a ``DataError``."""
     from .vb import DirichletPrior
 
     records = _parse_document(path)
@@ -187,13 +189,25 @@ def read_checkpoint(path):
                                cond=tuple(records[f"prior_cond_{d}"] for d in dims))
         if not len(records["elbo_trace"]):
             raise ValueError("record 'elbo_trace' is empty")
-        return (prior, [records[f"root_counts_{d}"] for d in dims],
-                [records[f"cond_counts_{d}"] for d in dims], records["q_root"],
+        counts = {kind: [_counts(records, f"{kind}_counts_{d}", table.shape)
+                         for d, table in enumerate(tables)]
+                  for kind, tables in (("root", prior.root), ("cond", prior.cond))}
+        return (prior, counts["root"], counts["cond"], records["q_root"],
                 records["elbo_trace"])
     except KeyError as exc:
         raise DataError(f"{path}: missing record {exc}") from None
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
+
+
+def _counts(records, key, shape):
+    """A checkpoint's count table, checked against its prior table's shape."""
+    table = np.asarray(records[key], dtype=float)
+    if table.shape != shape:
+        raise ValueError(f"record {key!r} has shape {table.shape}, not {shape}")
+    if not np.all(np.isfinite(table) & (table > 0)):
+        raise ValueError(f"record {key!r} has a count that is not finite and positive")
+    return table
 
 
 def write_matrix_tsv(path, matrix):
@@ -212,11 +226,13 @@ def read_matrix_tsv(path):
 
 
 def write_fit_log(path, report):
-    """Line-oriented fit trace: iteration, objective, step, gradient norm."""
+    """Line-oriented fit trace: iteration, objective, step, gradient norm,
+    then ``#`` lines with the objective evaluation count and the stop reason."""
     lines = ["iteration\tobjective\tstep\tgrad_norm",
              f"0\t{float(report.initial_objective)!r}\t0.0\t0.0"]
     lines.extend(f"{it.index}\t{float(it.objective)!r}\t{float(it.step)!r}\t"
                  f"{float(it.grad_norm)!r}" for it in report.iterations)
+    lines.append(f"# evaluations\t{report.evaluations}")
     lines.append(f"# reason\t{report.reason}")
     atomic_write(path, "\n".join(lines) + "\n")
 

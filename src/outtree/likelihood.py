@@ -39,13 +39,18 @@ class FitIteration:
 
 @dataclass
 class FitReport:
-    """Trace of one gradient-ascent run; the objective trace is nondecreasing."""
+    """Trace of one gradient-ascent run; the objective trace is nondecreasing.
+
+    ``evaluations`` counts objective evaluations, the initial one and every
+    line-search trial included, rejected or not.
+    """
 
     initial_objective: float
     final_objective: float
     iterations: list[FitIteration] = field(default_factory=list)
     reason: str = "max_iterations"
     model: MutationModel | None = None
+    evaluations: int = 0
 
 
 def tdid_log_likelihood(data, model: MutationModel) -> float:
@@ -80,6 +85,13 @@ def grad_tdid(data, model: MutationModel) -> np.ndarray:
     return _partition_gradient(data, model, treemath._Bordered(*build_beta(data, model)))
 
 
+# a line-search trial that raises one of these left the numerically
+# representable region (overflowed parameters or a vanished partition
+# function) and is rejected like a trial that fails the Armijo test
+_TRIAL_ERRORS = (ZeroPartitionError, NumericalFaultError, DataError, ValueError,
+                np.linalg.LinAlgError)
+
+
 def _objective(data, model, vector):
     """Penalized log-likelihood, and the bordered-Laplacian record it was
     read from."""
@@ -94,16 +106,19 @@ def fit_ml(data, model0: MutationModel, *, max_iters=500, grad_tol=1e-5,
     """Maximize the out-tree log-likelihood by backtracking gradient ascent.
 
     Steps halve until the Armijo condition (constant 1e-4) holds; only
-    ascent steps are accepted, so the reported trace is nondecreasing. Each
-    line search starts at min(1, 4 * previous accepted step), which keeps
-    trial counts low on badly scaled problems while never exceeding the
-    unit step. Stops on a small gradient sup-norm, the iteration cap, or a
-    failed line search at the step floor 1e-12 (recorded as the convergence
-    reason, not an error). Whenever a holdout set is given, fitting stops
-    once the held-out score has not improved for ``patience`` accepted
-    steps and the best-scoring model is returned. The gradient is read off
-    the accepted trial's bordered Laplacian, so each evaluation sets that
-    matrix up once.
+    ascent steps are accepted, so the reported trace is nondecreasing. The
+    first line search tries the unit step. Each later one starts where the
+    last accepted step predicts the same first-order gain: at
+    min(1, 4 * a, a * |g_prev|^2 / |g|^2) for the previous accepted step a
+    and the previous and current gradients (Nocedal & Wright, section 3.5),
+    so most iterations accept their first trial. Stops on a small gradient
+    sup-norm, the iteration cap, or a failed line search at the step floor
+    1e-12 (recorded as the convergence reason, not an error). Whenever a
+    holdout set is given, fitting stops once the held-out score has not
+    improved for ``patience`` accepted steps and the best-scoring model is
+    returned; the score's training ln Z is read off the accepted record.
+    The gradient is read off the accepted trial's bordered Laplacian, so
+    each evaluation sets that matrix up once.
     """
     if max_iters < 0 or grad_tol <= 0:
         raise ValueError("max_iters must be >= 0 and grad_tol positive")
@@ -112,12 +127,13 @@ def fit_ml(data, model0: MutationModel, *, max_iters=500, grad_tol=1e-5,
     vector = model.param_vector()
     objective, record = _objective(data, model, vector)
     report = FitReport(initial_objective=objective, final_objective=objective,
-                       model=model)
+                       model=model, evaluations=1)
     if holdout is not None:
-        best_holdout = test_log_likelihood(data, holdout, model).score
+        holdout = model.validate_data(holdout)
+        best_holdout = _conditional_score(data, holdout, model, record.log_z).score
         best_model, best_objective, since_best = model, objective, 0
 
-    last_step = 1.0
+    last_step = last_grad_sq = None
     for index in range(1, max_iters + 1):
         penalty_grad = model.penalty(vector)[1]
         grad = _partition_gradient(data, model, record) + penalty_grad
@@ -125,20 +141,18 @@ def fit_ml(data, model0: MutationModel, *, max_iters=500, grad_tol=1e-5,
         if grad_norm < grad_tol:
             report.reason = "gradient_tolerance"
             break
-        step = min(1.0, 4.0 * last_step)
         grad_sq = float(grad @ grad)
+        step = 1.0 if last_step is None else \
+            min(1.0, 4.0 * last_step, last_step * last_grad_sq / grad_sq)
         accepted = False
         while step >= 1e-12:
             candidate_vec = vector + step * grad
+            report.evaluations += 1
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     candidate = model.with_params(candidate_vec)
                     value, record = _objective(data, candidate, candidate_vec)
-            except (ZeroPartitionError, NumericalFaultError, DataError,
-                    ValueError, np.linalg.LinAlgError):
-                # the trial step left the numerically representable region
-                # (overflowed parameters or a vanished partition function);
-                # reject it and shorten the step
+            except _TRIAL_ERRORS:
                 value = -np.inf
             if np.isfinite(value) and value >= objective + 1e-4 * step * grad_sq:
                 accepted = True
@@ -147,11 +161,11 @@ def fit_ml(data, model0: MutationModel, *, max_iters=500, grad_tol=1e-5,
         if not accepted:
             report.reason = "line_search_failure"
             break
-        last_step = step
+        last_step, last_grad_sq = step, grad_sq
         vector, model, objective = candidate_vec, candidate, value
         report.iterations.append(FitIteration(index, objective, step, grad_norm))
         if holdout is not None:
-            holdout_score = test_log_likelihood(data, holdout, model).score
+            holdout_score = _conditional_score(data, holdout, model, record.log_z).score
             if holdout_score > best_holdout:
                 best_holdout, best_model, best_objective = holdout_score, model, objective
                 since_best = 0
@@ -178,14 +192,22 @@ def test_log_likelihood(train, test, model: MutationModel) -> TestScore:
     t, u = len(train), len(test)
     if t < 1 or t + u < 2:
         raise ValueError("need a nonempty train set and at least 2 rows overall")
+    return _conditional_score(train, test, model)
+
+
+def _conditional_score(train, test, model, log_z_train=None) -> TestScore:
+    """``test_log_likelihood`` of validated rows; ``log_z_train`` is the
+    training ln Z when the caller has already read it off a record."""
+    t, u = len(train), len(test)
     union = np.concatenate([train, test], axis=0)
     beta_union, roots_union = build_beta(union, model)
     log_z_union = treemath.log_partition(beta_union, roots_union).log_z
-    if t == 1:
-        log_z_train = float(model.log_marginal_vector(train)[0])
-    else:
-        beta_train, roots_train = build_beta(train, model)
-        log_z_train = treemath.log_partition(beta_train, roots_train).log_z
+    if log_z_train is None:
+        if t == 1:
+            log_z_train = float(model.log_marginal_vector(train)[0])
+        else:
+            beta_train, roots_train = build_beta(train, model)
+            log_z_train = treemath.log_partition(beta_train, roots_train).log_z
     correction = (t - 1) * np.log(t) - (t + u - 1) * np.log(t + u)
     return TestScore(score=log_z_union - log_z_train + correction,
                      log_z_union=log_z_union, log_z_train=log_z_train,

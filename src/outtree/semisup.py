@@ -19,7 +19,7 @@ import numpy as np
 
 from . import treemath
 from .errors import DataError, NumericalFaultError, ZeroPartitionError
-from .likelihood import _partition_gradient
+from .likelihood import _TRIAL_ERRORS, _partition_gradient
 from .models import MutationModel
 from .treemath import IncrementalLogdet, RootWeights, WeightMatrix
 
@@ -256,21 +256,32 @@ def _full_log_partition(X, y, model, label_model):
 
 
 def _ascend_theta(X, y, model, label_model, steps):
-    """A few Armijo gradient steps on theta through the joint partition."""
+    """A few Armijo gradient steps on theta through the joint partition.
+
+    Each step's gradient is read off the record its value came from: the
+    start's, then the accepted trial's, so no weights are factored twice.
+    """
+    X = model.validate_data(X)
     vector = model.param_vector()
+    record = treemath._Bordered(*build_joint_beta(X, y, model, label_model))
+    value = record.log_z
     for _ in range(steps):
-        record = treemath._Bordered(*build_joint_beta(X, y, model, label_model))
-        grad = _partition_gradient(model.validate_data(X), model, record)
-        value = record.log_z
+        grad = _partition_gradient(X, model, record)
+        grad_sq = float(grad @ grad)
         step, improved = 1.0, False
         while step >= 1e-12:
-            candidate = model.with_params(vector + step * grad)
+            candidate_vec = vector + step * grad
             try:
-                trial = _full_log_partition(X, y, candidate, label_model)
-            except (ZeroPartitionError, NumericalFaultError, ValueError):
-                trial = -np.inf
-            if np.isfinite(trial) and trial >= value + 1e-4 * step * float(grad @ grad):
-                model, vector, improved = candidate, vector + step * grad, True
+                with np.errstate(over="ignore", invalid="ignore"):
+                    candidate = model.with_params(candidate_vec)
+                    trial = treemath._Bordered(*build_joint_beta(X, y, candidate,
+                                                                 label_model))
+                    trial_value = trial.log_z
+            except _TRIAL_ERRORS:
+                trial_value = -np.inf
+            if np.isfinite(trial_value) and trial_value >= value + 1e-4 * step * grad_sq:
+                model, vector, value, record = candidate, candidate_vec, trial_value, trial
+                improved = True
                 break
             step *= 0.5
         if not improved:

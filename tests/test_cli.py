@@ -381,6 +381,10 @@ class TestCommands:
                 float(cell)
         summary = capsys.readouterr().out.split()
         float(summary[1]), float(summary[3])
+        # the objective evaluation count, rejected trials included
+        evaluations = int(summary[summary.index("evaluations,") - 1])
+        assert evaluations >= 4
+        assert lines[-2:] == [f"# evaluations\t{evaluations}", "# reason\tmax_iterations"]
 
     def test_vb_and_spiral_bench_summaries_parse_as_floats(self, tmp_path, capsys):
         rng = np.random.default_rng(13)
@@ -571,6 +575,20 @@ class TestMalformedArtifacts:
         otio.write_sample_csv(wide, np.random.default_rng(23).integers(0, 2, size=(6, 2)))
         assert self.resume(tmp_path, wide, ckpt) == 3
         assert "attribute columns" in error_record(capsys, 3)["message"]
+
+    @pytest.mark.parametrize("key, edit", [
+        # a 1 x 4 table for a 2-letter alphabet
+        ("cond_counts_0", lambda parts: parts[:2] + ["1", "4"] + parts[4:]),
+        ("cond_counts_0", lambda parts: parts[:4] + ["-0x1p+0"] + parts[5:]),
+        ("root_counts_0", lambda parts: parts[:3] + ["-0x1p+0"] + parts[4:]),
+    ])
+    def test_checkpoint_with_bad_counts(self, tmp_path, capsys, key, edit):
+        data_path, ckpt = self.write_checkpoint(tmp_path)
+        lines = open(ckpt).read().split("\n")
+        write(ckpt, "\n".join(" ".join(edit(l.split())) if l.startswith(key) else l
+                              for l in lines))
+        assert self.resume(tmp_path, data_path, ckpt) == 3
+        assert key in error_record(capsys, 3)["message"]
 
     def test_error_vs_labels_with_a_non_numeric_count(self, tmp_path, capsys):
         bench = str(tmp_path / "bench.tsv")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from outtree import likelihood as lk
-from outtree import models, sampler
+from outtree import cli, models, sampler
 
 
 def degenerate_gaussian(rng, d=2):
@@ -269,9 +269,54 @@ class TestFit:
         report = lk.fit_ml(data, models.gaussian_init_iid(data), max_iters=5,
                            grad_tol=1e-12)
         assert len(report.iterations) == 5
+        assert report.evaluations == len(evaluations)
         assert bordered_counts["set-up"] == len(evaluations)
         assert bordered_counts["slogdet", 13] == len(evaluations)
         assert bordered_counts["inv", 13] == 5
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_most_line_searches_accept_their_first_trial(self, seed):
+        # each line search starts at the step that repeats the last
+        # iteration's first-order gain; starting at 4x the last step and
+        # halving back took 94-95 evaluations here
+        data = cli.standardize(cli.gen_spiral(cli.SpiralSpec(count=60), seed))[0]
+        report = lk.fit_ml(data, models.gaussian_init_iid(data), max_iters=30,
+                           grad_tol=1e-12)
+        assert len(report.iterations) == 30
+        assert report.evaluations <= 1.5 * len(report.iterations) + 1
+
+    def test_holdout_score_reuses_the_training_log_partition(self, monkeypatch,
+                                                              bordered_counts):
+        # a holdout score sets up the union once; its training ln Z is the
+        # accepted record's
+        evaluations = []
+        objective = lk._objective
+
+        def counted(*args):
+            evaluations.append(1)
+            return objective(*args)
+
+        monkeypatch.setattr(lk, "_objective", counted)
+        rng = np.random.default_rng(34)
+        truth = general_gaussian(rng)
+        train = sampler.sample_dataset(truth, 30, 5).data
+        holdout = sampler.sample_dataset(truth, 10, 6).data
+        report = lk.fit_ml(train, models.gaussian_init_iid(train), max_iters=5,
+                           grad_tol=1e-12, holdout=holdout, patience=10)
+        assert len(report.iterations) == 5
+        assert bordered_counts["slogdet", 41] == 1 + len(report.iterations)
+        assert bordered_counts["slogdet", 31] == len(evaluations)
+        assert bordered_counts["set-up"] == len(evaluations) + 1 + len(report.iterations)
+
+    def test_conditional_score_is_the_test_log_likelihood(self):
+        rng = np.random.default_rng(35)
+        truth = general_gaussian(rng)
+        train = sampler.sample_dataset(truth, 12, 7).data
+        test = sampler.sample_dataset(truth, 5, 8).data
+        model = lk.fit_ml(train, models.gaussian_init_iid(train), max_iters=3).model
+        _, record = lk._objective(train, model, model.param_vector())
+        helper = lk._conditional_score(train, test, model, record.log_z)
+        assert helper == lk.test_log_likelihood(train, test, model)
 
     def test_already_converged_input(self):
         rng = np.random.default_rng(30)

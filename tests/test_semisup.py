@@ -296,17 +296,29 @@ class TestGreedyInference:
                                                theta_steps_per_sweep=2)
         assert joint.log_partition >= plain.log_partition - 1e-8
 
-    def test_one_bordered_matrix_per_theta_step(self, bordered_counts):
+    def test_one_bordered_matrix_per_theta_step(self, monkeypatch, bordered_counts):
         X, y, _, model = synthetic_problem(8, size=12)
         labels = np.where(y >= 0, y, 0)
         lm = semisup.LabelModel(alpha=0.85, n_classes=2)
-        semisup._ascend_theta(X, labels, model, lm, 1)
-        # the step's gradient and value share one record; every line-search
-        # trial sets up one more and only factors it
-        trials = bordered_counts["set-up"] - 1
-        assert trials >= 1
-        assert bordered_counts["inv", 13] == 1
-        assert bordered_counts["slogdet", 13] == 1 + trials
+        trials = []
+        with_params = type(model).with_params
+
+        def counted(self, vector):
+            trials.append(1)
+            return with_params(self, vector)
+
+        monkeypatch.setattr(type(model), "with_params", counted)
+        for steps in (1, 2):
+            trials.clear()
+            bordered_counts.clear()
+            semisup._ascend_theta(X, labels, model, lm, steps)
+            # the start sets up one record and every line-search trial one
+            # more; each step's gradient inverts the record its value was
+            # read from
+            assert len(trials) >= steps
+            assert bordered_counts["set-up"] == 1 + len(trials)
+            assert bordered_counts["inv", 13] == steps
+            assert bordered_counts["slogdet", 13] == 1 + len(trials)
 
 
 class TestCrossValidateAlpha:
