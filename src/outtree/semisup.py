@@ -7,8 +7,10 @@ evenly over the other classes). Unknown labels are filled by greedy hill
 climbing on the joint log-partition: sweeps visit unlabeled nodes in random
 order, rank the alternative labels by a first-order estimate from the
 inverse of the current factorization, score the best candidate exactly
-with a fresh factorization of the flipped weights, and commit strictly
-improving flips.
+by factoring the flipped weights, and commit strictly improving flips. A
+flip rewrites one row and column of the joint weights, so its rescaled
+weights are patched from the current ones, equal bit for bit to a fresh
+derivation, and a commit swaps in the record its preview factored.
 """
 
 from __future__ import annotations
@@ -71,21 +73,28 @@ def build_joint_beta(X, y, model: MutationModel, label_model: LabelModel):
     Every label must be assigned; inference fills missing entries before
     calling. Root weights pick up the uniform label factor 1/K.
     """
+    X = model.validate_data(X)
+    return _joint_weights(model.log_conditional_matrix(X), model.log_marginal_vector(X),
+                          y, label_model)
+
+
+def _joint_weights(log_cond, log_marginal, y, label_model):
+    """``build_joint_beta`` from the attribute log-conditionals and
+    log-marginals."""
     y = np.asarray(y, dtype=np.int64)
     if np.any(y < 0) or np.any(y >= label_model.n_classes):
         raise DataError("all labels must be assigned before building joint weights")
-    X = model.validate_data(X)
-    log_cond = model.log_conditional_matrix(X)
     same = y[:, None] == y[None, :]
     log_joint = log_cond + np.where(same, label_model.log_same, label_model.log_diff)
-    log_roots = model.log_marginal_vector(X) + label_model.log_root
     return (WeightMatrix(log_entries=log_joint),
-            RootWeights(log_values=log_roots))
+            RootWeights(log_values=log_marginal + label_model.log_root))
 
 
 class LabelInference:
     """Mutable hill-climbing state: current labels plus the factored joint
-    determinant. Single-writer, like the session it wraps."""
+    determinant. The record of the last ``flip_delta`` is kept, so a
+    ``commit`` of that flip sets up and factors nothing. Single-writer,
+    like the session it wraps."""
 
     def __init__(self, X, y, model, label_model, observed=None):
         self.X = model.validate_data(X)
@@ -99,8 +108,18 @@ class LabelInference:
         self._log_cond = model.log_conditional_matrix(self.X)
         self.size = len(self.labels)
         self.sweeps = 0
-        self.session = IncrementalLogdet(
-            *build_joint_beta(self.X, self.labels, model, label_model))
+        self._previewed = None
+        self.session = IncrementalLogdet(*_joint_weights(
+            self._log_cond, model.log_marginal_vector(self.X), self.labels, label_model))
+
+    def _ascend(self, steps):
+        """``steps`` gradient steps on the model parameters, started from the
+        session's record; the session goes on from the accepted record."""
+        self.model, record = _ascend_theta(self.X, self.labels, self.model,
+                                           self.label_model, steps, self.session._record)
+        self._log_cond = self.model.log_conditional_matrix(self.X)
+        self._previewed = None
+        self.session._commit(record)
 
     @property
     def log_partition(self) -> float:
@@ -142,15 +161,19 @@ class LabelInference:
     def flip_delta(self, node, new_label) -> float:
         """Exact change in log-partition if node took new_label (no commit).
 
-        Factors the flipped joint weights afresh; -inf when the flip
-        numerically extinguishes the partition function.
+        Factors the flipped joint weights, patched from the current ones,
+        and keeps the record for ``commit``; -inf when the flip numerically
+        extinguishes the partition function.
         """
         self._check_flip(node, new_label)
-        edits = self.flip_edits(node, new_label)
+        self._previewed = None
         try:
-            return self.session.preview_edits(edits)
+            record = self.session._cross(node, *self._flipped_logs(node, new_label))
+            gain = record.log_z - self.log_partition
         except (ZeroPartitionError, NumericalFaultError):
             return -np.inf
+        self._previewed = (node, new_label, record)
+        return gain
 
     def screen_delta(self, node, new_label) -> float:
         """First-order estimate of the flip gain from the current inverse.
@@ -171,9 +194,15 @@ class LabelInference:
                      + column_delta @ (np.diag(core) - core[node]))
 
     def commit(self, node, new_label) -> float:
-        """Apply the flip, returning the new log-partition."""
+        """Apply the flip, returning the new log-partition. The record of a
+        ``flip_delta`` of the same flip just before is swapped in as it is."""
         self._check_flip(node, new_label)
-        log_z = self.session.apply_edits(self.flip_edits(node, new_label))
+        previewed, self._previewed = self._previewed, None
+        if previewed is not None and previewed[:2] == (node, new_label):
+            record = previewed[2]
+        else:
+            record = self.session._cross(node, *self._flipped_logs(node, new_label))
+        log_z = self.session._commit(record)
         self.labels[node] = new_label
         return log_z
 
@@ -216,8 +245,7 @@ def greedy_label_inference(X, y, model: MutationModel, label_model: LabelModel, 
     for restart, stream in enumerate(rng.spawn(restarts)):
         labels = y.copy()
         labels[hidden] = stream.integers(0, label_model.n_classes, hidden.size)
-        current_model = model
-        state = LabelInference(X, labels, current_model, label_model, observed=observed)
+        state = LabelInference(X, labels, model, label_model, observed=observed)
         flips = 0
         for sweep in range(1, max_sweeps + 1):
             state.sweeps = sweep
@@ -234,17 +262,13 @@ def greedy_label_inference(X, y, model: MutationModel, label_model: LabelModel, 
                     committed = True
                     flips += 1
             if theta_steps_per_sweep > 0:
-                current_model = _ascend_theta(X, state.labels, current_model,
-                                              label_model, theta_steps_per_sweep)
-                state = LabelInference(X, state.labels, current_model, label_model,
-                                       observed=observed)
-                state.sweeps = sweep
+                state._ascend(theta_steps_per_sweep)
             if not committed:
                 break
         result = InferenceResult(labels=state.labels.copy(),
                                  log_partition=state.log_partition,
                                  sweeps=state.sweeps, restart=restart,
-                                 model=current_model, flips=flips)
+                                 model=state.model, flips=flips)
         if best is None or result.log_partition > best.log_partition:
             best = result
     return best
@@ -255,15 +279,16 @@ def _full_log_partition(X, y, model, label_model):
     return treemath.log_partition(beta, roots).log_z
 
 
-def _ascend_theta(X, y, model, label_model, steps):
-    """A few Armijo gradient steps on theta through the joint partition.
+def _ascend_theta(X, y, model, label_model, steps, record):
+    """A few Armijo gradient steps on theta through the joint partition,
+    from ``record``, the joint weights' record under ``model``.
 
+    Returns the last accepted model and the record of its joint weights.
     Each step's gradient is read off the record its value came from: the
     start's, then the accepted trial's, so no weights are factored twice.
     """
     X = model.validate_data(X)
     vector = model.param_vector()
-    record = treemath._Bordered(*build_joint_beta(X, y, model, label_model))
     value = record.log_z
     for _ in range(steps):
         grad = _partition_gradient(X, model, record)
@@ -286,7 +311,7 @@ def _ascend_theta(X, y, model, label_model, steps):
             step *= 0.5
         if not improved:
             break
-    return model
+    return model, record
 
 
 def cross_validate_alpha(X, y, model: MutationModel, alpha_grid, *, n_classes=None,

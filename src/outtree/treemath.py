@@ -13,10 +13,11 @@ row-rescaled bordered Laplacian once: ln Z is read off its determinant,
 the edge marginals and root posterior off its inverse, each computed only
 when read. ``log_partition``, ``posterior_weights`` and the greedy-search
 session read such records, so a value and its gradient share one set-up.
-Greedy search scores every candidate edit with a fresh record; edits are
-validated and written as one array, and the rescaled weights need no
-finite mask, because validation leaves -inf as the only non-finite
-log-weight and exp maps it to exactly 0.
+Edits are validated and written as one array, and the rescaled weights
+need no finite mask, because validation leaves -inf as the only
+non-finite log-weight and exp maps it to exactly 0. A replaced row and
+column (a label flip) is patched into a copy of the current rescaled
+weights, equal bit for bit to a fresh derivation.
 
 All values are immutable after construction and safe to share across
 threads; the factorization session is single-writer.
@@ -98,6 +99,9 @@ class WeightMatrix:
         scaled = np.subtract(log_entries, row_scales[:, None])
         with np.errstate(under="ignore"):
             np.exp(scaled, out=scaled)
+        self._set(log_entries, row_scales, scaled, structural_zeros)
+
+    def _set(self, log_entries, row_scales, scaled, structural_zeros):
         for array in (log_entries, row_scales, scaled):
             array.setflags(write=False)
         self.log_entries = log_entries
@@ -140,6 +144,39 @@ class WeightMatrix:
         log_entries[child, parent] = values
         edited = WeightMatrix.__new__(WeightMatrix)
         edited._derive(log_entries, self.structural_zeros or zeros)
+        return edited
+
+    def _with_cross(self, node, row_logs, column_logs):
+        """New matrix with row and column ``node`` replaced by ``row_logs``
+        and ``column_logs``, whose diagonal entries are ignored.
+
+        Equal bit for bit to ``with_edits`` of the same entries, but only
+        row ``node``, column ``node`` and the rows whose scale moved are
+        re-exponentiated: each is the same exp of the same difference as in
+        a full derivation. The row scales are taken again in one pass over
+        the matrix; a maximum is exact in any order. Weights with
+        structural zeros, before or after, are derived afresh. A NaN or
+        +inf in either vector raises ``ValueError``, as in ``with_edits``.
+        """
+        log_entries = self.log_entries.copy()
+        log_entries[node] = row_logs
+        log_entries[:, node] = column_logs
+        log_entries[node, node] = -np.inf
+        column = log_entries[:, node]
+        zeros = _has_log_zeros(log_entries[node], 1) | _has_log_zeros(column, 1)
+        edited = WeightMatrix.__new__(WeightMatrix)
+        if self.structural_zeros or zeros:
+            edited._derive(log_entries, True)
+            return edited
+        row_scales = log_entries.max(axis=1)
+        moved = row_scales != self.row_scales
+        moved[node] = True
+        rows = np.flatnonzero(moved)
+        scaled = self.scaled.copy()
+        with np.errstate(under="ignore"):
+            scaled[:, node] = np.exp(column - row_scales)
+            scaled[rows] = np.exp(log_entries[rows] - row_scales[rows, None])
+        edited._set(log_entries, row_scales, scaled, False)
         return edited
 
 
@@ -311,7 +348,7 @@ class _Bordered:
         # Q = diag(row sums) - weights, filled in place (the diagonal weights are 0)
         np.subtract(0.0, beta.scaled, out=self.matrix[1:, 1:])
         self.matrix.reshape(-1)[size + 2::size + 2] += beta.scaled.sum(axis=1)
-        self.beta = beta
+        self.beta, self.roots = beta, roots
         self.offset = beta.scale_total + adjusted_total
 
     @cached_property
@@ -576,15 +613,18 @@ class IncrementalLogdet:
     ``apply_edits`` replaces (child, parent, new_log_weight) entries and
     swaps in the record of the edited weights; ``preview_edits`` scores
     edits by the ln Z of a fresh record. Edits are validated by
-    ``WeightMatrix.with_edits``. The ``inverse`` is computed on its first
-    read, so a search that never screens candidates (two classes) never
-    inverts. Weights with no out-tree of positive weight raise
-    ``ZeroPartitionError``, at construction too; an edit that raises leaves
-    the session unchanged. Single-writer: one mutable session at a time.
+    ``WeightMatrix.with_edits``. A row-and-column replacement (a label
+    flip) takes ``_cross`` instead, which patches the current rescaled
+    weights, and ``_commit`` swaps in such a record without setting it up
+    or factoring it again. The ``inverse`` is computed on
+    its first read, so a search that never screens candidates (two
+    classes) never inverts. Weights with no out-tree of positive weight
+    raise ``ZeroPartitionError``, at construction too; an edit that raises
+    leaves the session unchanged. Single-writer: one mutable session at a
+    time.
     """
 
     def __init__(self, beta: WeightMatrix, roots: RootWeights):
-        self._roots = roots
         self._record = _Bordered(beta, roots)
         self._record.logdet  # factor now, so weights with Z = 0 raise here
 
@@ -606,12 +646,23 @@ class IncrementalLogdet:
 
     def apply_edits(self, edits) -> float:
         """Apply edits, returning the new log-partition."""
-        record = _Bordered(self.beta.with_edits(edits), self._roots)
-        log_z = record.log_z
-        self._record = record
-        return log_z
+        return self._commit(_Bordered(self.beta.with_edits(edits), self._record.roots))
 
     def preview_edits(self, edits) -> float:
         """Change in log-partition the edits would cause, without committing."""
-        return _Bordered(self.beta.with_edits(edits), self._roots).log_z \
+        return _Bordered(self.beta.with_edits(edits), self._record.roots).log_z \
             - self.log_partition
+
+    def _cross(self, node, row_logs, column_logs):
+        """Unfactored record of the current weights with row and column
+        ``node`` replaced; see ``WeightMatrix._with_cross``."""
+        return _Bordered(self.beta._with_cross(node, row_logs, column_logs),
+                         self._record.roots)
+
+    def _commit(self, record) -> float:
+        """Swap in ``record``, returning its log-partition. It is factored
+        first (a no-op for a previewed record), so one that raises leaves
+        the session unchanged."""
+        log_z = record.log_z
+        self._record = record
+        return log_z

@@ -91,6 +91,24 @@ class TestJointBeta:
         lm = semisup.LabelModel(alpha=0.9, n_classes=2)
         assert np.isclose(np.exp(lm.log_same - lm.log_diff), 9.0)
 
+    def test_session_start_reads_the_conditionals_once(self, monkeypatch):
+        X, _, truth, model = synthetic_problem(9, size=12)
+        calls = []
+        method = type(model).log_conditional_matrix
+
+        def counted(self, data):
+            calls.append(1)
+            return method(self, data)
+
+        monkeypatch.setattr(type(model), "log_conditional_matrix", counted)
+        lm = semisup.LabelModel(alpha=0.8, n_classes=2)
+        state = semisup.LabelInference(X, truth, model, lm)
+        assert len(calls) == 1
+        beta, roots = semisup.build_joint_beta(X, truth, model, lm)
+        assert state.session.beta.log_entries.tobytes() == beta.log_entries.tobytes()
+        assert state.session._record.roots.log_values.tobytes() \
+            == roots.log_values.tobytes()
+
     def test_rejects_missing_labels(self):
         rng = np.random.default_rng(2)
         model = gaussian_model(rng)
@@ -198,6 +216,43 @@ class TestFlipDelta:
             assert delta == after - before
             assert state.log_partition == after
 
+    def test_commit_of_the_previewed_flip_factors_nothing(self, bordered_counts):
+        state, _ = self.make_state(7)
+        first, second = (int(n) for n in np.flatnonzero(~state.observed)[:2])
+        new = int((state.labels[first] + 1) % 3)
+        state.flip_delta(first, new)
+        bordered_counts.clear()
+        state.commit(first, new)
+        assert sum(bordered_counts.values()) == 0
+        # a commit of another flip than the last one previewed patches, sets up
+        # and factors
+        state.flip_delta(first, (new + 1) % 3)
+        bordered_counts.clear()
+        state.commit(second, int((state.labels[second] + 1) % 3))
+        assert dict(bordered_counts) == {"patch": 1, "set-up": 1, ("slogdet", 16): 1}
+
+    def test_session_equals_a_fresh_factorization_after_every_commit(self):
+        rng = np.random.default_rng(61)
+        draw = sampler.sample_dataset(cli.semisup_generator(), 60, int(rng.integers(1 << 30)))
+        state = semisup.LabelInference(
+            draw.data, rng.integers(0, 3, 60), cli.semisup_generator(),
+            semisup.LabelModel(alpha=0.9, n_classes=3), observed=np.zeros(60, dtype=bool))
+        commits = 0
+        for node in np.concatenate([rng.permutation(60), rng.permutation(60)]):
+            node = int(node)
+            candidates = [k for k in range(3) if k != state.labels[node]]
+            scores = [state.screen_delta(node, k) for k in candidates]
+            best = candidates[int(np.argmax(scores))]
+            # every other commit follows a preview of another flip
+            other = candidates[1 - int(np.argmax(scores))]
+            if state.flip_delta(node, best) > 0:
+                if commits % 2:
+                    state.flip_delta(node, other)
+                state.commit(node, best)
+                commits += 1
+                assert state.log_partition == state.recomputed_log_partition()
+        assert commits >= 10
+
 
 class TestGreedyInference:
     def test_all_observed_returns_input(self):
@@ -255,6 +310,35 @@ class TestGreedyInference:
         assert result.sweeps >= 1
         assert (X.shape[0] + 1 in inverted) == screens
 
+    @pytest.mark.parametrize("n_classes, theta_steps", [(2, 0), (3, 0), (2, 2)])
+    def test_each_preview_factors_once_and_commits_factor_nothing(
+            self, monkeypatch, bordered_counts, n_classes, theta_steps):
+        X, y, _, model = synthetic_problem(8, size=16, n_classes=n_classes,
+                                           min_minority=0.2)
+        previews, trials = [], []
+        flip_delta = semisup.LabelInference.flip_delta
+        with_params = type(model).with_params
+
+        def counted_flip(self, *args):
+            previews.append(1)
+            return flip_delta(self, *args)
+
+        def counted_params(self, vector):
+            trials.append(1)
+            return with_params(self, vector)
+
+        monkeypatch.setattr(semisup.LabelInference, "flip_delta", counted_flip)
+        monkeypatch.setattr(type(model), "with_params", counted_params)
+        lm = semisup.LabelModel(alpha=0.9, n_classes=n_classes)
+        result = semisup.greedy_label_inference(X, y, model, lm, rng=3,
+                                                theta_steps_per_sweep=theta_steps)
+        assert result.flips > 0 and (len(trials) > 0) == (theta_steps > 0)
+        # one session start, one factorization per preview and per line-search
+        # trial: commits and the session's restarts after theta steps add none
+        assert bordered_counts["slogdet", 17] == 1 + len(previews) + len(trials)
+        assert bordered_counts["set-up"] == 1 + len(previews) + len(trials)
+        assert bordered_counts["patch"] == len(previews)
+
     def test_beats_majority_on_synthetic_trees(self):
         wins = 0
         for seed in range(10):
@@ -311,7 +395,8 @@ class TestGreedyInference:
         for steps in (1, 2):
             trials.clear()
             bordered_counts.clear()
-            semisup._ascend_theta(X, labels, model, lm, steps)
+            start = treemath._Bordered(*semisup.build_joint_beta(X, labels, model, lm))
+            semisup._ascend_theta(X, labels, model, lm, steps, start)
             # the start sets up one record and every line-search trial one
             # more; each step's gradient inverts the record its value was
             # read from

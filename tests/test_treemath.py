@@ -582,6 +582,93 @@ class TestBorderedRecord:
                             outcome(lambda: (tm._Bordered(current, roots).inverse,)))
 
 
+@st.composite
+def cross_cases(draw, size):
+    """Weights, root weights and two row-and-column replacements in a row.
+
+    Regimes: new column entries that rise above the row maxima, old row
+    maxima that sit in the replaced column and go down, exact ties with a
+    row's other maximum, a replaced row that keeps its maximum, rows spanning 1.5e3 nats (entries that exp to 0),
+    -inf root weights, and structural zeros before or in the replacement
+    (the fresh derivation). The replacement's diagonal entries are finite
+    and must be ignored.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    spread = draw(st.sampled_from([1.0, 1.5e3]))
+    log = rng.normal(scale=spread, size=(size, size))
+    np.fill_diagonal(log, -np.inf)
+    if draw(st.booleans()):
+        log[rng.random((size, size)) < 0.2] = -np.inf
+        np.fill_diagonal(log, -np.inf)
+    log_roots = rng.normal(scale=3.0, size=size)
+    if draw(st.booleans()):
+        log_roots[rng.integers(size)] = -np.inf
+    flips = []
+    for _ in range(2):
+        node = draw(st.integers(0, size - 1))
+        others = np.arange(size) != node
+        if draw(st.booleans()):  # the old maxima sit in the column
+            log[others, node] = log[others].max(axis=1) + rng.uniform(0.0, 1.0)
+        row = rng.normal(scale=spread, size=size)
+        column = rng.normal(scale=spread, size=size) + draw(st.sampled_from([0.0, 3.0]))
+        if draw(st.booleans()):  # row ``node`` keeps its maximum
+            top = log[node].max()
+            row = np.minimum(row, top)
+            row[int(np.argmax(log[node]))] = top
+        if draw(st.booleans()) and size > 2:  # ties with the rest of each row
+            rest = np.where(np.arange(size) == node, -np.inf, log)
+            rest[np.arange(size), np.arange(size)] = -np.inf
+            column = np.where(rng.random(size) < 0.5, rest.max(axis=1), column)
+            row[rng.integers(size)] = row.max()
+        if draw(st.booleans()):
+            (row if draw(st.booleans()) else column)[rng.integers(size)] = -np.inf
+        flips.append((node, row, column))
+    return tm.WeightMatrix(log_entries=log), tm.RootWeights(log_values=log_roots), flips
+
+
+def same_weights(got, want):
+    return all(same_bits(getattr(got, name), getattr(want, name))
+               for name in ("log_entries", "row_scales", "scaled", "scale_total")) \
+        and got.structural_zeros == want.structural_zeros
+
+
+class TestCrossPatch:
+    """``WeightMatrix._with_cross`` against ``with_edits`` of the same entries."""
+
+    @pytest.mark.parametrize("size", [2, 3, 7])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_patched_record_equals_a_fresh_one(self, size, data):
+        beta, roots, flips = data.draw(cross_cases(size))
+        for node, row, column in flips:
+            others = [v for v in range(size) if v != node]
+            edits = [(node, v, row[v]) for v in others] + [(v, node, column[v])
+                                                           for v in others]
+            got, want = beta._with_cross(node, row, column), beta.with_edits(edits)
+            assert same_weights(got, want)
+            assert not got.scaled.flags.writeable and not got.row_scales.flags.writeable
+            got_record = outcome(lambda: (tm._Bordered(got, roots),))
+            want_record = outcome(lambda: (tm._Bordered(want, roots),))
+            if isinstance(want_record, type) or isinstance(got_record, type):
+                assert got_record is want_record
+            else:
+                (got_record,), (want_record,) = got_record, want_record
+                assert same_bits(got_record.matrix, want_record.matrix)
+                assert same_bits(got_record.offset, want_record.offset)
+                for read in (lambda r: (r.log_z,), lambda r: (r.inverse,)):
+                    assert same_outcome(outcome(lambda: read(got_record)),
+                                        outcome(lambda: read(want_record)))
+            beta = got
+
+    def test_rejects_nan_and_inf(self):
+        beta, _ = random_instance(4, np.random.default_rng(41))
+        for bad in (np.nan, np.inf):
+            row = np.zeros(4)
+            row[2] = bad
+            with pytest.raises(ValueError):
+                beta._with_cross(1, np.zeros(4), row)
+
+
 class TestInvariants:
     @pytest.mark.parametrize("size", [2, 3, 4, 5])
     def test_determinant_enumeration_equivalence(self, size):
