@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from outtree import likelihood as lk
-from outtree import cli, models, sampler
+from outtree import cli, models, sampler, treemath
 
 
 def degenerate_gaussian(rng, d=2):
@@ -273,6 +273,17 @@ class TestFit:
         assert bordered_counts["set-up"] == len(evaluations)
         assert bordered_counts["slogdet", 13] == len(evaluations)
         assert bordered_counts["inv", 13] == 5
+
+    def test_gradient_inverts_by_blocks(self, bordered_counts):
+        # at T + 1 = 301 each gradient's inverse is assembled from LAPACK
+        # inverses of blocks no larger than the leaf; none of the whole matrix
+        data = cli.standardize(cli.gen_spiral(cli.SpiralSpec(count=300), 83117))[0]
+        report = lk.fit_ml(data, models.gaussian_init_iid(data), max_iters=3,
+                           grad_tol=1e-12)
+        assert len(report.iterations) == 3
+        inverted = [key[1] for key in bordered_counts if key[0] == "inv"]
+        assert inverted and max(inverted) <= treemath._BLOCK_LEAF
+        assert bordered_counts["slogdet", 301] == report.evaluations
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_most_line_searches_accept_their_first_trial(self, seed):

@@ -339,6 +339,25 @@ class TestGreedyInference:
         assert bordered_counts["set-up"] == 1 + len(previews) + len(trials)
         assert bordered_counts["patch"] == len(previews)
 
+    def test_a_screened_record_is_inverted_once(self, monkeypatch, bordered_counts):
+        # a theta step right after screens reads the inverse they kept; every
+        # inverted record is a distinct session record (each commit and each
+        # accepted theta step raises ln Z), so no bordered matrix repeats
+        X, y, _, model = synthetic_problem(8, size=16, n_classes=3, min_minority=0.2)
+        inverted, inverse = [], np.linalg.inv
+
+        def remembered(a, *args, **kwargs):
+            if np.shape(a)[-1] == 17:
+                inverted.append(a.tobytes())
+            return inverse(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "inv", remembered)
+        lm = semisup.LabelModel(alpha=0.9, n_classes=3)
+        result = semisup.greedy_label_inference(X, y, model, lm, rng=3,
+                                                theta_steps_per_sweep=1)
+        assert result.sweeps >= 2 and bordered_counts["inv", 17] > 0
+        assert len(inverted) == len(set(inverted)) == bordered_counts["inv", 17]
+
     def test_beats_majority_on_synthetic_trees(self):
         wins = 0
         for seed in range(10):

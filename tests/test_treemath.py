@@ -1,11 +1,13 @@
 """Determinant-based out-tree counting against the enumeration oracle."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from outtree import cli, likelihood, models, semisup
 from outtree import treemath as tm
 from outtree.errors import NumericalFaultError, ZeroPartitionError
 
@@ -249,8 +251,13 @@ class TestEdgeMarginals:
         slow = np.einsum("r,ruv->uv", tm.root_posterior(beta, roots), stack)
         assert np.allclose(fast, slow, atol=1e-10)
 
-    def test_posterior_weights_match_enumeration(self):
-        # rho is the root posterior; each non-root row of W sums to 1 - rho
+    @pytest.mark.parametrize("leaf", [None, 1, 2, 3])
+    def test_posterior_weights_match_enumeration(self, monkeypatch, bordered_counts, leaf):
+        # rho is the root posterior; each non-root row of W sums to 1 - rho.
+        # A leaf below the bordered dimension 6 takes the block inverse,
+        # whose certificate must pass: no LAPACK inverse of the whole matrix
+        if leaf is not None:
+            monkeypatch.setattr(tm, "_BLOCK_LEAF", leaf)
         rng = np.random.default_rng(11)
         beta, roots = random_instance(5, rng)
         table = oracle_tree_table(beta, roots)
@@ -264,6 +271,7 @@ class TestEdgeMarginals:
         assert np.allclose(w, want_w, atol=1e-9)
         assert np.allclose(rho, want_rho, atol=1e-9)
         assert np.allclose(w.sum(axis=1), 1.0 - rho, atol=1e-9)
+        assert bordered_counts["inv", 6] == (leaf is None)
 
 
 class TestTreeEntropy:
@@ -712,3 +720,156 @@ class TestInvariants:
         beta = tm.WeightMatrix(entries=entries)
         per_root = tm.log_partition_per_root(beta)
         assert np.ptp(per_root) < 1e-9
+
+
+def certified(matrix, x):
+    """The block inverse's certificate, written out: finite entries, a
+    diagonal of ``matrix @ x`` within 1e-9 of 1, and an alternating-sign
+    probe solved with a normwise backward error of at most 16 n eps."""
+    size = matrix.shape[0]
+    probe = np.where(np.arange(size) % 2, -1.0, 1.0)
+    with np.errstate(all="ignore"):
+        diagonal = np.einsum("ij,ji->i", matrix, x)
+        solved = x @ probe
+        backward = np.max(np.abs(matrix @ solved - probe)) \
+            / (np.max(np.abs(matrix).sum(axis=1)) * np.max(np.abs(solved)))
+    return bool(np.isfinite(x).all() and np.max(np.abs(diagonal - 1.0)) <= 1e-9
+                and backward <= 16 * size * np.finfo(float).eps)
+
+
+@st.composite
+def block_cases(draw):
+    """Weights and root weights for T in [2, 40] and a leaf of 1 to 5.
+
+    Regimes, each drawn on or off: rows spanning more than 1e3 nats,
+    duplicate rows, near-disconnected blocks (cross weights 20-60 nats
+    down), structural zeros with possibly a node that no edge reaches, and a
+    -inf root weight. All off is the dense regime.
+    """
+    size = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    log = rng.normal(size=(size, size))
+    if draw(st.booleans()):
+        log *= 500.0
+        log[np.arange(size), (np.arange(size) + 1) % size] = -1.5e3
+    if draw(st.booleans()):
+        log = log[rng.integers(size, size=size)]
+    if draw(st.booleans()):
+        block = np.arange(size) < rng.integers(1, size + 1)
+        log[block[:, None] != block[None, :]] -= rng.uniform(20.0, 60.0)
+    if draw(st.booleans()):
+        log[rng.random((size, size)) < 0.3] = -np.inf
+        if draw(st.booleans()):
+            log[rng.integers(size)] = -np.inf
+    np.fill_diagonal(log, -np.inf)
+    log_roots = rng.normal(scale=3.0, size=size)
+    if draw(st.booleans()):
+        log_roots[rng.integers(size)] = -np.inf
+    return (tm.WeightMatrix(log_entries=log), tm.RootWeights(log_values=log_roots),
+            draw(st.integers(1, 5)))
+
+
+def spiral_record(count, model_of):
+    data = cli.standardize(cli.gen_spiral(cli.SpiralSpec(count=count), 121))[0]
+    return tm._Bordered(*models.build_beta(data, model_of(data)))
+
+
+class TestBlockInverse:
+    """``_block_inverse`` against LAPACK's inverse and the exact one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=block_cases())
+    def test_falls_back_or_is_certified_and_close(self, case):
+        beta, roots, leaf = case
+        try:
+            matrix = tm._Bordered(beta, roots).matrix
+        except ZeroPartitionError:
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tm, "_BLOCK_LEAF", leaf)
+            try:
+                want = np.linalg.inv(matrix)
+            except np.linalg.LinAlgError:
+                try:
+                    got = tm._block_inverse(matrix)
+                except np.linalg.LinAlgError:
+                    return
+                assert certified(matrix, got)
+                return
+            got = tm._block_inverse(matrix)
+        if same_bits(got, want):
+            return  # the fallback, or the block path to the last bit
+        assert certified(matrix, got)
+        lapack_diagonal = np.abs(np.einsum("ij,ji->i", matrix, want) - 1.0).max()
+        if lapack_diagonal <= 1e-12:
+            # two inverses that each solve with a backward error of a few eps
+            # may differ by the condition number times eps: in 6000 examples
+            # they differed by more than 1e-10 only at conditions of 1e7 to
+            # 1e13 (rows spanning 1e3 nats), by 2e-10 to 1e-5
+            bound = max(1e-10, matrix.shape[0] * np.linalg.cond(matrix) * np.finfo(float).eps)
+            assert np.abs(got - want).max() / np.abs(want).max() <= bound
+
+    def test_singular_leading_block_falls_back(self):
+        # [[0, I], [I, 0]]: the leading half is zero, so its leaf raises
+        size = tm._BLOCK_LEAF + 2
+        half = size // 2
+        matrix = np.zeros((size, size))
+        matrix[:half, half:] = matrix[half:, :half] = np.eye(half)
+        assert same_bits(tm._block_inverse(matrix), np.linalg.inv(matrix))
+        with pytest.raises(np.linalg.LinAlgError):
+            tm._block_inverse(np.zeros((size, size)))
+
+    def test_uncertified_result_is_lapacks_bytes(self, monkeypatch, bordered_counts):
+        # F1: the nearest-neighbour seed of 150 standardized spiral rows,
+        # where the bordered matrix is near-singular and both inverses are
+        # garbage; the block path's diagonal misses 1 by about 3
+        record = spiral_record(150, cli.nn_regression_seed)
+        with np.errstate(all="ignore"):
+            assert not certified(record.matrix, tm._block_recursion(record.matrix))
+        with monkeypatch.context() as patch:
+            patch.setattr(tm, "_BLOCK_LEAF", 151)
+            want = tm._Bordered(record.beta, record.roots)
+            want_inverse, want_weights = want.inverse, want.posterior_weights()
+        bordered_counts.clear()
+        assert same_bits(record.inverse, want_inverse)
+        assert same_outcome(record.posterior_weights(), want_weights)
+        # one LAPACK inverse, the fallback's; the weights read the kept one
+        assert bordered_counts["inv", 151] == 1
+
+    def test_weights_as_accurate_as_lapacks(self, monkeypatch, bordered_counts):
+        # W and rho from the block path (leaf 8, so three levels at T = 40)
+        # and from LAPACK's inverse, each against those from an mpmath
+        # inverse of the same float64 matrix, on a fitted spiral model
+        # (condition 1.4e3) and on semi-supervised joint weights (5.8e5)
+        def fitted(data):
+            return likelihood.fit_ml(data, models.gaussian_init_iid(data), max_iters=20,
+                                     grad_tol=1e-12).model
+
+        def weights(record, inverse):
+            core = inverse[1:, 1:]
+            w = record.beta.scaled * (np.diag(core)[:, None] - core.T)
+            np.fill_diagonal(w, 0.0)
+            border = inverse[1:, 0] - inverse[0, 1:]
+            p = record.normalized
+            return w, p * (1.0 + border - p @ border)
+
+        rng = np.random.default_rng(50)
+        model = models.GaussianModel(mu_c=np.zeros(2), mu_pi=np.zeros(2),
+                                     sigma_c_given_pi=0.9 * np.eye(2),
+                                     sigma_cc=0.35 ** 2 * np.eye(2), sigma_pipi=np.eye(2))
+        X = rng.normal(size=(40, 2))
+        joint = tm._Bordered(*semisup.build_joint_beta(
+            X, rng.integers(3, size=40), model, semisup.LabelModel(alpha=0.9, n_classes=3)))
+        ctx = mpmath.MPContext()
+        ctx.dps = 30
+        for record in (spiral_record(40, fitted), joint):
+            exact = weights(record, np.array(
+                ctx.inverse(ctx.matrix(record.matrix.tolist())).tolist(), dtype=float))
+            lapack = weights(record, np.linalg.inv(record.matrix))
+            with monkeypatch.context() as patch:
+                patch.setattr(tm, "_BLOCK_LEAF", 8)
+                bordered_counts.clear()
+                blocked = record.posterior_weights()
+                assert bordered_counts["inv", 41] == 0
+            for got, lap, want in zip(blocked, lapack, exact):
+                assert np.abs(got - want).max() <= max(1e-13, 10 * np.abs(lap - want).max())
