@@ -26,7 +26,7 @@ import abc
 import numpy as np
 
 from .errors import DataError
-from .treemath import RootWeights, WeightMatrix
+from .treemath import RootWeights, WeightMatrix, _block_rows, _count_finite
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -94,19 +94,27 @@ def build_beta(data, model: MutationModel):
 
     log beta_uv = log p(x_u | x_v) for u != v (diagonal structurally zero),
     log root weight r = log p(x_r). Any non-finite log density aborts with
-    the offending pair.
+    the offending pair. The weights take the model's array as their own,
+    uncopied and read-only.
     """
     data = model.validate_data(data)
-    log_cond = model.log_conditional_matrix(data)
+    log_cond = np.asarray(model.log_conditional_matrix(data), dtype=float)
     log_marg = model.log_marginal_vector(data)
-    off_diag = ~np.eye(len(data), dtype=bool)
-    if not np.all(np.isfinite(log_cond[off_diag])):
-        u, v = np.argwhere(off_diag & ~np.isfinite(log_cond))[0]
-        raise DataError(f"non-finite log conditional for pair ({u}, {v})")
+    size = len(data)
+    # T(T-1) finite entries and a -inf diagonal leave no bad pair off it
+    clean = (log_cond.shape == (size, size) and np.all(np.diag(log_cond) == -np.inf)
+             and _count_finite(log_cond) == size * (size - 1))
+    if not clean:
+        off_diag = ~np.eye(size, dtype=bool)
+        if not np.all(np.isfinite(log_cond[off_diag])):
+            u, v = np.argwhere(off_diag & ~np.isfinite(log_cond))[0]
+            raise DataError(f"non-finite log conditional for pair ({u}, {v})")
     if not np.all(np.isfinite(log_marg)):
         r = int(np.flatnonzero(~np.isfinite(log_marg))[0])
         raise DataError(f"non-finite log marginal for row {r}")
-    return WeightMatrix(log_entries=log_cond), RootWeights(log_values=log_marg)
+    # weights that failed the count are validated again, which names the fault
+    return (WeightMatrix._owning(log_cond, structural_zeros=False if clean else None),
+            RootWeights(log_values=log_marg))
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +220,23 @@ class GaussianModel(MutationModel):
         # once and sum D squared differences instead of T^2 quadratic forms
         white = data @ self._white_cc.T
         white_means = (data @ self.sigma_c_given_pi.T + self.mu_c) @ self._white_cc.T
-        maha = np.zeros((len(data), len(data)))
-        for i in range(self.dim):
-            maha += (white[:, i, None] - white_means[None, :, i]) ** 2
-        out = -0.5 * (self.dim * LOG_2PI + self._logdet_cc + maha)
+        const = self.dim * LOG_2PI + self._logdet_cc
+        size = len(data)
+        out = np.empty((size, size))
+        step = _block_rows(size)
+        part = np.empty((min(step, size), size))
+        # one row block at a time: the squared differences of each dimension
+        # are summed into the block, then the constant is added and scaled
+        for start in range(0, size, step):
+            block = out[start:start + step]
+            rows = white[start:start + step]
+            np.square(np.subtract.outer(rows[:, 0], white_means[:, 0], out=block), out=block)
+            for i in range(1, self.dim):
+                sq = part[:len(block)]
+                np.square(np.subtract.outer(rows[:, i], white_means[:, i], out=sq), out=sq)
+                block += sq
+            block += const
+            block *= -0.5
         np.fill_diagonal(out, -np.inf)
         return out
 
@@ -521,10 +542,23 @@ class KernelModel(MutationModel):
 
     def log_conditional_matrix(self, data):
         means = self._features(data) @ self.alpha + self.mu
+        const = -0.5 * self.dim * LOG_2PI - np.log(self.sigma).sum()
         size = len(data)
-        out = np.full((size, size), -0.5 * self.dim * LOG_2PI - np.log(self.sigma).sum())
-        for j in range(self.dim):
-            out -= 0.5 * ((data[:, j, None] - means[None, :, j]) / self.sigma[j]) ** 2
+        out = np.empty((size, size))
+        step = _block_rows(size)
+        part = np.empty((min(step, size), size))
+        # one row block at a time: the constant, less each dimension's scaled
+        # squared differences in turn
+        for start in range(0, size, step):
+            block = out[start:start + step]
+            block.fill(const)
+            sq = part[:len(block)]
+            for j in range(self.dim):
+                np.subtract.outer(data[start:start + step, j], means[:, j], out=sq)
+                sq /= self.sigma[j]
+                np.square(sq, out=sq)
+                sq *= 0.5
+                block -= sq
         np.fill_diagonal(out, -np.inf)
         return out
 

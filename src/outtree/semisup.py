@@ -86,7 +86,7 @@ def _joint_weights(log_cond, log_marginal, y, label_model):
         raise DataError("all labels must be assigned before building joint weights")
     same = y[:, None] == y[None, :]
     log_joint = log_cond + np.where(same, label_model.log_same, label_model.log_diff)
-    return (WeightMatrix(log_entries=log_joint),
+    return (WeightMatrix._owning(log_joint),
             RootWeights(log_values=log_marginal + label_model.log_root))
 
 

@@ -143,7 +143,7 @@ def _log_weights(data, elogs):
         values = data[:, d]
         log_beta += elog[values][:, values]
     np.fill_diagonal(log_beta, -np.inf)
-    return WeightMatrix(log_entries=log_beta)
+    return WeightMatrix._owning(log_beta)
 
 
 def expected_log_weights(data, counts_cond):

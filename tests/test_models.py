@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from outtree import models
+from outtree import models, semisup, treemath, vb
 from outtree.errors import DataError
 
 
@@ -301,6 +301,171 @@ class TestBuildBeta:
         data = np.array([[0], [1]])
         with pytest.raises(DataError, match=r"\(0, 1\)|\(1, 0\)"):
             models.build_beta(data, model)
+
+
+# ---------------------------------------------------------------------------
+# Row-blocked weight construction against the unblocked expressions
+
+
+def _block_sizes():
+    """2, 3, one row less than a block, one block, one block plus one and
+    2.5 blocks, where a block of a T-row matrix has ``_block_rows(T)`` rows."""
+    one = max(t for t in range(2, 4096) if treemath._block_rows(t) >= t)
+    halves = next(t for t in itertools.count(one) if 2 * t >= 5 * treemath._block_rows(t))
+    return [2, 3, one - 1, one, one + 1, halves]
+
+
+def _reference_log_conditionals(model, data):
+    """Each family's log-conditionals as computed with T x T temporaries."""
+    size = len(data)
+    if isinstance(model, models.GaussianModel):
+        white = data @ model._white_cc.T
+        white_means = (data @ model.sigma_c_given_pi.T + model.mu_c) @ model._white_cc.T
+        maha = np.zeros((size, size))
+        for i in range(model.dim):
+            maha += (white[:, i, None] - white_means[None, :, i]) ** 2
+        out = -0.5 * (model.dim * models.LOG_2PI + model._logdet_cc + maha)
+    elif isinstance(model, models.KernelModel):
+        means = model._features(data) @ model.alpha + model.mu
+        out = np.full((size, size), -0.5 * model.dim * models.LOG_2PI
+                      - np.log(model.sigma).sum())
+        for j in range(model.dim):
+            out -= 0.5 * ((data[:, j, None] - means[None, :, j]) / model.sigma[j]) ** 2
+    else:
+        out = np.zeros((size, size))
+        for d in range(model.dim):
+            out += model._log_cond[d][np.ix_(data[:, d], data[:, d])]
+    np.fill_diagonal(out, -np.inf)
+    return out
+
+
+def _reference_weights(log_entries):
+    """Weights derived from log-weights in whole-matrix expressions."""
+    row_scales = log_entries.max(axis=1)
+    row_scales[row_scales == -np.inf] = 0.0
+    with np.errstate(under="ignore"):
+        scaled = np.exp(log_entries - row_scales[:, None])
+    beta = treemath.WeightMatrix.__new__(treemath.WeightMatrix)
+    beta._set(log_entries, row_scales, scaled, False)
+    return beta
+
+
+def _reference_posterior_weights(record):
+    inv = record._invert()
+    core = inv[1:, 1:]
+    gain = np.diag(core)[:, None] - core.T
+    w = record.beta.scaled * gain
+    np.fill_diagonal(w, 0.0)
+    border = inv[1:, 0] - inv[0, 1:]
+    p = record.normalized
+    return w, p * (1.0 + border - p @ border)
+
+
+def _family(name, rng, size):
+    if name == "gaussian":
+        return random_gaussian(rng, d=3), rng.normal(size=(size, 3))
+    if name == "tabular":
+        return random_tabular(rng, dims=2, k=3), rng.integers(0, 3, size=(size, 2))
+    return random_kernel(rng, size=6, d=2, kernel=name), rng.normal(size=(size, 2))
+
+
+class TestBlockedWeights:
+    @pytest.mark.parametrize("size", _block_sizes())
+    @pytest.mark.parametrize("family", ["gaussian", "rbf", "linear", "tabular"])
+    def test_bytes_equal_the_unblocked_expressions(self, family, size):
+        rng = np.random.default_rng(size)
+        model, data = _family(family, rng, size)
+        data = model.validate_data(data)
+        beta, roots = models.build_beta(data, model)
+        want = _reference_weights(_reference_log_conditionals(model, data))
+        for field in ("log_entries", "row_scales", "scaled"):
+            assert getattr(beta, field).tobytes() == getattr(want, field).tobytes(), field
+        assert beta.scale_total == want.scale_total and not beta.structural_zeros
+        got_record, want_record = treemath._Bordered(beta, roots), treemath._Bordered(want, roots)
+        assert got_record.matrix.tobytes() == want_record.matrix.tobytes()
+        assert got_record.log_z == want_record.log_z
+        for got, ref in zip(got_record.posterior_weights(),
+                            _reference_posterior_weights(want_record)):
+            assert got.flags.c_contiguous and got.tobytes() == ref.tobytes()
+
+    def test_sizes_span_the_block_boundary(self):
+        sizes = _block_sizes()
+        blocks = [-(-t // treemath._block_rows(t)) for t in sizes]
+        assert blocks[:4] == [1, 1, 1, 1] and blocks[4] == 2 and blocks[5] == 3
+
+    def test_overflow_is_a_named_pair(self):
+        rng = np.random.default_rng(50)
+        size = _block_sizes()[4]
+        data = rng.normal(size=(size, 2))
+        # with no regression only the child row overflows, and it lies in
+        # the second block
+        model = models.gaussian_init_iid(data)
+        data[-1] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_cond = model.log_conditional_matrix(data)
+            want = _reference_log_conditionals(model, data)
+            u, v = np.argwhere(~np.eye(size, dtype=bool) & ~np.isfinite(want))[0]
+            assert log_cond[u, v] == -np.inf
+            assert log_cond.tobytes() == want.tobytes()
+            with pytest.raises(DataError, match=rf"pair \({u}, {v}\)"):
+                models.build_beta(data, model)
+
+    @pytest.mark.parametrize("diagonal", [np.nan, 0.0])
+    def test_model_diagonal_must_be_minus_inf(self, monkeypatch, diagonal):
+        conditionals = models.GaussianModel.log_conditional_matrix
+
+        def faulty(self, data):
+            out = conditionals(self, data)
+            np.fill_diagonal(out, diagonal)
+            return out
+
+        monkeypatch.setattr(models.GaussianModel, "log_conditional_matrix", faulty)
+        rng = np.random.default_rng(51)
+        with pytest.raises(ValueError, match="diagonal log-weights must be -inf"):
+            models.build_beta(rng.normal(size=(5, 2)), random_gaussian(rng))
+
+    def test_weights_own_the_model_array(self, monkeypatch):
+        conditionals = models.GaussianModel.log_conditional_matrix
+        returned = []
+
+        def kept(self, data):
+            returned.append(conditionals(self, data))
+            return returned[-1]
+
+        monkeypatch.setattr(models.GaussianModel, "log_conditional_matrix", kept)
+        rng = np.random.default_rng(52)
+        beta, _ = models.build_beta(rng.normal(size=(7, 2)), random_gaussian(rng))
+        assert beta.log_entries is returned[0]
+        assert np.shares_memory(beta.log_entries, returned[0])
+        assert not beta.log_entries.flags.writeable
+
+    def test_public_constructor_copies(self):
+        rng = np.random.default_rng(53)
+        log = rng.normal(size=(6, 6))
+        np.fill_diagonal(log, -np.inf)
+        before = log.copy()
+        beta = treemath.WeightMatrix(log_entries=log)
+        assert log.flags.writeable and log.tobytes() == before.tobytes()
+        assert not np.shares_memory(beta.log_entries, log)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "diagonal"])
+    def test_owning_callers_keep_the_checks(self, bad):
+        rng = np.random.default_rng(54)
+        log = rng.normal(size=(5, 5))
+        np.fill_diagonal(log, -np.inf)
+        if bad == "diagonal":
+            log[2, 2] = 0.0
+        else:
+            log[1, 3] = float(bad)
+        label_model = semisup.LabelModel(alpha=0.9, n_classes=2)
+        with pytest.raises(ValueError):
+            semisup._joint_weights(log, np.zeros(5), np.array([0, 1, 0, 1, 1]), label_model)
+        table = rng.normal(size=(3, 3))
+        table[0, 1] = np.nan if bad == "nan" else np.inf
+        data = np.array([[0], [1], [2], [1]])
+        if bad != "diagonal":
+            with pytest.raises(ValueError, match="log-weights"):
+                vb._log_weights(data, [table])
 
 
 class TestGradients:
