@@ -11,6 +11,7 @@ functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,7 +88,7 @@ def grad_tdid(data, model: MutationModel) -> np.ndarray:
 
 # a line-search trial that raises one of these left the numerically
 # representable region (overflowed parameters or a vanished partition
-# function) and is rejected like a trial that fails the Armijo test
+# function); it is rejected, and the next trial halves the step
 _TRIAL_ERRORS = (ZeroPartitionError, NumericalFaultError, DataError, ValueError,
                 np.linalg.LinAlgError)
 
@@ -101,24 +102,75 @@ def _objective(data, model, vector):
     return float(value) + model.penalty(vector)[0], record
 
 
+class _Accepted(NamedTuple):
+    """A line search's accepted trial: its step along the gradient, the
+    gradient's squared norm, the trial's vector, its value and what the
+    trial's evaluation returned with it."""
+
+    step: float
+    grad_sq: float
+    vector: np.ndarray
+    value: float
+    payload: object
+
+
+def _line_search(evaluate, vector, objective, grad, last=None):
+    """Safeguarded interpolating backtracking from ``vector`` along ``grad``.
+
+    ``evaluate(trial_vector)`` returns the trial's value and a payload; it
+    may raise one of ``_TRIAL_ERRORS``. A trial is accepted when its value
+    is finite and passes the Armijo test with constant 1e-4. A rejected
+    trial at step a with a finite value v moves to the maximizer of the
+    quadratic through phi(0) = f, phi'(0) = |g|^2 and phi(a) = v, clamped
+    to [0.1 a, 0.5 a] (Dennis & Schnabel 1983, Alg. A6.3.1); a trial that
+    raises or is not finite halves the step. The denominator f + a|g|^2 - v
+    is positive whenever the Armijo test failed.
+
+    The first search of a run (``last`` None) starts at min(1, 1/|g|_2);
+    each later one at min(1, 4 a, a |g_prev|^2 / |g|^2) from the run's last
+    accepted trial ``last`` (Nocedal & Wright 2006, section 3.5). Returns
+    the accepted trial, or None once the step falls below 1e-12.
+    """
+    grad_sq = float(grad @ grad)
+    if last is None:
+        step = 1.0 / max(1.0, np.sqrt(grad_sq))
+    else:
+        step = min(1.0, 4.0 * last.step, last.step * last.grad_sq / grad_sq)
+    while step >= 1e-12:
+        trial = vector + step * grad
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                value, payload = evaluate(trial)
+        except _TRIAL_ERRORS:
+            value = -np.inf
+        if np.isfinite(value) and value >= objective + 1e-4 * step * grad_sq:
+            return _Accepted(step, grad_sq, trial, value, payload)
+        # free a rejected trial's payload before the next trial builds its
+        # own, so a search holds at most one at a time
+        payload = None
+        if np.isfinite(value):
+            best = grad_sq * step ** 2 / (2.0 * (objective + step * grad_sq - value))
+            step = min(max(best, 0.1 * step), 0.5 * step)
+        else:
+            step *= 0.5
+    return None
+
+
 def fit_ml(data, model0: MutationModel, *, max_iters=500, grad_tol=1e-5,
            holdout=None, patience=10) -> FitReport:
     """Maximize the out-tree log-likelihood by backtracking gradient ascent.
 
-    Steps halve until the Armijo condition (constant 1e-4) holds; only
-    ascent steps are accepted, so the reported trace is nondecreasing. The
-    first line search tries the unit step. Each later one starts where the
-    last accepted step predicts the same first-order gain: at
-    min(1, 4 * a, a * |g_prev|^2 / |g|^2) for the previous accepted step a
-    and the previous and current gradients (Nocedal & Wright, section 3.5),
-    so most iterations accept their first trial. Stops on a small gradient
-    sup-norm, the iteration cap, or a failed line search at the step floor
-    1e-12 (recorded as the convergence reason, not an error). Whenever a
-    holdout set is given, fitting stops once the held-out score has not
-    improved for ``patience`` accepted steps and the best-scoring model is
-    returned; the score's training ln Z is read off the accepted record.
-    The gradient is read off the accepted trial's bordered Laplacian, so
-    each evaluation sets that matrix up once.
+    Each iteration runs ``_line_search`` along the gradient of the
+    penalized log-likelihood; most accept their first trial. Only steps
+    that pass its Armijo test are accepted, so the reported trace is
+    nondecreasing. Stops on a small gradient sup-norm, the iteration cap,
+    or a failed line search at the step floor 1e-12 (recorded as the
+    convergence reason, not an error). Whenever a holdout set is given,
+    fitting stops once the held-out score has not improved for
+    ``patience`` accepted steps and the best-scoring model is returned; the
+    score's training ln Z is read off the accepted record. The gradient is
+    read off the accepted trial's bordered Laplacian, so each evaluation
+    sets that matrix up once.
     """
     if max_iters < 0 or grad_tol <= 0:
         raise ValueError("max_iters must be >= 0 and grad_tol positive")
@@ -133,37 +185,25 @@ def fit_ml(data, model0: MutationModel, *, max_iters=500, grad_tol=1e-5,
         best_holdout = _conditional_score(data, holdout, model, record.log_z).score
         best_model, best_objective, since_best = model, objective, 0
 
-    last_step = last_grad_sq = None
+    def evaluate(trial_vector):
+        report.evaluations += 1
+        trial = model.with_params(trial_vector)
+        value, trial_record = _objective(data, trial, trial_vector)
+        return value, (trial, trial_record)
+
+    last = None
     for index in range(1, max_iters + 1):
-        penalty_grad = model.penalty(vector)[1]
-        grad = _partition_gradient(data, model, record) + penalty_grad
+        grad = _partition_gradient(data, model, record) + model.penalty(vector)[1]
         grad_norm = float(np.abs(grad).max())
         if grad_norm < grad_tol:
             report.reason = "gradient_tolerance"
             break
-        grad_sq = float(grad @ grad)
-        step = 1.0 if last_step is None else \
-            min(1.0, 4.0 * last_step, last_step * last_grad_sq / grad_sq)
-        accepted = False
-        while step >= 1e-12:
-            candidate_vec = vector + step * grad
-            report.evaluations += 1
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    candidate = model.with_params(candidate_vec)
-                    value, record = _objective(data, candidate, candidate_vec)
-            except _TRIAL_ERRORS:
-                value = -np.inf
-            if np.isfinite(value) and value >= objective + 1e-4 * step * grad_sq:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
+        last = _line_search(evaluate, vector, objective, grad, last)
+        if last is None:
             report.reason = "line_search_failure"
             break
-        last_step, last_grad_sq = step, grad_sq
-        vector, model, objective = candidate_vec, candidate, value
-        report.iterations.append(FitIteration(index, objective, step, grad_norm))
+        vector, objective, (model, record) = last.vector, last.value, last.payload
+        report.iterations.append(FitIteration(index, objective, last.step, grad_norm))
         if holdout is not None:
             holdout_score = _conditional_score(data, holdout, model, record.log_z).score
             if holdout_score > best_holdout:

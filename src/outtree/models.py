@@ -480,6 +480,11 @@ class KernelModel(MutationModel):
     def __init__(self, anchors, alpha, mu, sigma, kernel="rbf", gamma=None,
                  alpha_penalty=1e-3):
         self.anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+        # the stored anchor distances below stay valid only while the anchors
+        # do, so the model keeps a read-only copy of writable ones
+        if self.anchors.flags.writeable:
+            self.anchors = self.anchors.copy()
+            self.anchors.flags.writeable = False
         self.alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
         self.mu = np.asarray(mu, dtype=float)
         self.sigma = np.asarray(sigma, dtype=float)
@@ -497,6 +502,9 @@ class KernelModel(MutationModel):
             raise ValueError("sigma must be length-D and positive")
         if kernel == "rbf" and (self.gamma is None or self.gamma <= 0):
             raise ValueError("rbf kernel needs a positive bandwidth")
+        # the anchors' squared distances to themselves, computed on first use
+        # and shared with every model ``with_params`` derives from this one
+        self._anchor_sq = {}
 
     def validate_data(self, data):
         data = np.atleast_2d(np.asarray(data, dtype=float))
@@ -513,6 +521,17 @@ class KernelModel(MutationModel):
             sq += (points[:, j, None] - self.anchors[None, :, j]) ** 2
         return sq
 
+    def _data_sq_dists(self, data):
+        """``_sq_dists(data)``, read from the stored anchor distances when
+        the rows are the anchors themselves; the stored array is read-only."""
+        if data.shape != self.anchors.shape or not np.array_equal(data, self.anchors):
+            return self._sq_dists(data)
+        if "sq" not in self._anchor_sq:
+            sq = self._sq_dists(self.anchors)
+            sq.flags.writeable = False
+            self._anchor_sq["sq"] = sq
+        return self._anchor_sq["sq"]
+
     def _rbf(self, sq):
         with np.errstate(under="ignore"):
             return np.exp(-sq / (2.0 * self.gamma ** 2))
@@ -521,7 +540,7 @@ class KernelModel(MutationModel):
         points = np.atleast_2d(points)
         if self.kernel == "linear":
             return points @ self.anchors.T
-        return self._rbf(self._sq_dists(points))
+        return self._rbf(self._data_sq_dists(points))
 
     def _univariate_log_normal(self, resid):
         return (-0.5 * LOG_2PI - np.log(self.sigma) - 0.5 * (resid / self.sigma) ** 2).sum(axis=-1)
@@ -575,8 +594,10 @@ class KernelModel(MutationModel):
         mu = vector[n * d:n * d + d]
         sigma = np.exp(vector[n * d + d:n * d + 2 * d])
         gamma = np.exp(vector[-1]) if self.kernel == "rbf" else None
-        return KernelModel(self.anchors, alpha, mu, sigma, kernel=self.kernel,
-                           gamma=gamma, alpha_penalty=self.alpha_penalty)
+        model = KernelModel(self.anchors, alpha, mu, sigma, kernel=self.kernel,
+                            gamma=gamma, alpha_penalty=self.alpha_penalty)
+        model._anchor_sq = self._anchor_sq
+        return model
 
     def penalty(self, vector):
         n, d = self.alpha.shape
@@ -589,7 +610,7 @@ class KernelModel(MutationModel):
         var = self.sigma ** 2
         rows, cols = W.sum(axis=1), W.sum(axis=0)
         if self.kernel == "rbf":
-            sq = self._sq_dists(data)
+            sq = self._data_sq_dists(data)
             feats = self._rbf(sq)
         else:
             feats = self._features(data)

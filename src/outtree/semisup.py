@@ -21,7 +21,7 @@ import numpy as np
 
 from . import treemath
 from .errors import DataError, NumericalFaultError, ZeroPartitionError
-from .likelihood import _TRIAL_ERRORS, _partition_gradient
+from .likelihood import _line_search, _partition_gradient
 from .models import MutationModel
 from .treemath import IncrementalLogdet, RootWeights, WeightMatrix
 
@@ -280,37 +280,36 @@ def _full_log_partition(X, y, model, label_model):
 
 
 def _ascend_theta(X, y, model, label_model, steps, record):
-    """A few Armijo gradient steps on theta through the joint partition,
+    """Up to ``steps`` gradient steps on theta through the joint partition,
     from ``record``, the joint weights' record under ``model``.
 
-    Returns the last accepted model and the record of its joint weights.
-    Each step's gradient is read off the record its value came from: the
-    start's, then the accepted trial's, so no weights are factored twice.
+    The objective is the joint ln Z plus the model's penalty, as in
+    ``fit_ml``, and each step runs the same line search (``_line_search``):
+    the first trial at min(1, 1/|g|_2), later ones warm-started from the
+    last accepted step. Stops early at a zero gradient or a failed search.
+    Returns the last accepted model and the record of its joint weights,
+    whose ln Z is the unpenalized joint ln Z. Each step's gradient is read
+    off the record its value came from: the start's, then the accepted
+    trial's, so no weights are factored twice.
     """
     X = model.validate_data(X)
     vector = model.param_vector()
-    value = record.log_z
+    value = record.log_z + model.penalty(vector)[0]
+
+    def evaluate(trial_vector):
+        trial = model.with_params(trial_vector)
+        trial_record = treemath._Bordered(*build_joint_beta(X, y, trial, label_model))
+        return trial_record.log_z + trial.penalty(trial_vector)[0], (trial, trial_record)
+
+    last = None
     for _ in range(steps):
-        grad = _partition_gradient(X, model, record)
-        grad_sq = float(grad @ grad)
-        step, improved = 1.0, False
-        while step >= 1e-12:
-            candidate_vec = vector + step * grad
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    candidate = model.with_params(candidate_vec)
-                    trial = treemath._Bordered(*build_joint_beta(X, y, candidate,
-                                                                 label_model))
-                    trial_value = trial.log_z
-            except _TRIAL_ERRORS:
-                trial_value = -np.inf
-            if np.isfinite(trial_value) and trial_value >= value + 1e-4 * step * grad_sq:
-                model, vector, value, record = candidate, candidate_vec, trial_value, trial
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
+        grad = _partition_gradient(X, model, record) + model.penalty(vector)[1]
+        if not grad.any():
             break
+        last = _line_search(evaluate, vector, value, grad, last)
+        if last is None:
+            break
+        vector, value, (model, record) = last.vector, last.value, last.payload
     return model, record
 
 

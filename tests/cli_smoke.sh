@@ -16,6 +16,13 @@ outtree fit --input "$dir/train.csv" --output "$dir/m.model" --max-iters 3
 outtree eval --input "$dir/train.csv" --test "$dir/test.csv" \
   --model "$dir/m.model" --output "$dir/score.tsv"
 rows "$dir/score.tsv" 1
+# a kernel model anchored at the training rows: scoring reads the stored
+# anchor distances for the training rows and computes the union's afresh
+outtree fit --input "$dir/train.csv" --output "$dir/k.model" --model-family kernel \
+  --max-iters 3
+outtree eval --input "$dir/train.csv" --test "$dir/test.csv" \
+  --model "$dir/k.model" --output "$dir/kscore.tsv"
+rows "$dir/kscore.tsv" 1
 outtree sample --model "$dir/m.model" --rows 15 --seed 3 --output "$dir/draw.csv"
 rows "$dir/draw.csv" 15
 printf 'a,b\n0,1\n1,1\n2,0\n0,0\n1,2\n2,2\n' > "$dir/cats.csv"

@@ -376,3 +376,120 @@ class TestFit:
         assert report.reason in ("early_stop", "gradient_tolerance", "max_iterations",
                                  "line_search_failure")
         assert report.final_objective >= report.initial_objective
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_kernel_fit_takes_no_svd_and_few_evaluations(self, seed, monkeypatch):
+        # the unit first step used to leave a bordered matrix full of
+        # subnormals whose LU sign is indeterminate (an SVD log-magnitude),
+        # and its halving took 11 of a fit's 21-22 evaluations
+        svd_calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            svd_calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        data = cli.standardize(cli.gen_spiral(cli.SpiralSpec(count=150), seed))[0]
+        report = lk.fit_ml(data, models.kernel_init_iid(data), max_iters=10,
+                           grad_tol=1e-12)
+        assert len(report.iterations) == 10
+        assert svd_calls == []
+        assert report.evaluations <= 15
+
+    def test_gaussian_first_line_search_is_short(self):
+        # halving from the unit step took 9 trials here
+        data = cli.standardize(cli.gen_spiral(cli.SpiralSpec(count=300), 1))[0]
+        report = lk.fit_ml(data, models.gaussian_init_iid(data), max_iters=1,
+                           grad_tol=1e-12)
+        assert len(report.iterations) == 1
+        assert report.evaluations - 1 <= 3
+
+
+class TestLineSearch:
+    """``_line_search`` on one-dimensional objectives: a rejected finite
+    trial moves to the safeguarded quadratic maximizer, a failed one halves."""
+
+    @staticmethod
+    def search(phi, grad, last=None, objective=None):
+        trials = []
+
+        def evaluate(vector):
+            trials.append(float(vector[0]))
+            return phi(float(vector[0])), "payload"
+
+        objective = phi(0.0) if objective is None else objective
+        found = lk._line_search(evaluate, np.zeros(1), objective,
+                                np.array([grad]), last)
+        return found, [t / grad for t in trials]
+
+    def test_quadratic_maximizer_is_the_second_trial(self):
+        # phi(x) = -2 (x - 1/4)^2: gradient 1 at 0, so the first trial is the
+        # unit step, which fails; the quadratic through it is phi itself
+        found, steps = self.search(lambda x: -2.0 * (x - 0.25) ** 2, 1.0)
+        assert steps == [1.0, 0.25]
+        assert found.step == 0.25 and found.value == 0.0
+        assert found.vector.tolist() == [0.25] and found.payload == "payload"
+        assert found.grad_sq == 1.0
+
+    @pytest.mark.parametrize("phi", [
+        lambda x: -1e6 * x ** 2,                        # a cliff: maximizer near 0
+        lambda x: 0.5 * 1e-5 * x if x > 1e-3 else x,    # nearly Armijo: maximizer near a/2
+        lambda x: np.sin(40.0 * x) - 30.0 * x ** 2,
+    ])
+    def test_next_step_stays_within_a_tenth_and_a_half(self, phi):
+        found, steps = self.search(phi, 2.0)
+        assert len(steps) >= 3
+        ratios = [b / a for a, b in zip(steps, steps[1:])]
+        assert all(0.1 * (1 - 1e-15) <= r <= 0.5 * (1 + 1e-15) for r in ratios)
+
+    @pytest.mark.parametrize("failure", list(lk._TRIAL_ERRORS) + [-np.inf, np.nan])
+    def test_raising_and_non_finite_trials_halve(self, failure):
+        def phi(x):
+            if x > 0.1:
+                if isinstance(failure, type):
+                    raise failure("left the representable region")
+                return failure
+            return x
+
+        found, steps = self.search(phi, 1.0)
+        assert steps == [1.0, 0.5, 0.25, 0.125, 0.0625]
+        assert found.step == 0.0625
+
+    def test_first_and_warm_started_trials(self):
+        # the first search of a run starts at min(1, 1/|g|_2), a later one at
+        # min(1, 4a, a |g_prev|^2 / |g|^2)
+        assert self.search(lambda x: x, 4.0)[1] == [0.25]
+        assert self.search(lambda x: x, 0.5)[1] == [1.0]
+        last = lk._Accepted(step=0.01, grad_sq=9.0, vector=None, value=0.0, payload=None)
+        assert self.search(lambda x: x, 1.0, last)[1] == [0.04]
+        assert self.search(lambda x: x, 2.0, last)[1] == [0.01 * 9.0 / 4.0]
+
+    def test_floor_ends_the_search(self):
+        found, steps = self.search(lambda x: -1.0 - x * x, 1.0, objective=0.0)
+        assert found is None
+        assert min(steps) >= 1e-12 and min(steps) < 1e-11
+
+    def test_floor_ends_the_fit_with_line_search_failure(self, monkeypatch):
+        # every trial is a nat below the start, so no step is accepted
+        objective = lk._objective
+
+        def worse(data, model, vector):
+            value, record = objective(data, model, vector)
+            return value - (1.0 if worse.calls else 0.0), record
+
+        def counted(*args):
+            result = worse(*args)
+            worse.calls += 1
+            return result
+
+        worse.calls = 0
+        monkeypatch.setattr(lk, "_objective", counted)
+        rng = np.random.default_rng(36)
+        data = rng.normal(size=(10, 2))
+        report = lk.fit_ml(data, models.gaussian_init_iid(data), max_iters=5,
+                           grad_tol=1e-12)
+        assert report.reason == "line_search_failure"
+        assert report.iterations == []
+        assert report.final_objective == report.initial_objective
+        assert report.evaluations == worse.calls > 2

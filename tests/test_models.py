@@ -267,6 +267,87 @@ class TestKernel:
         assert np.isclose(back.gamma, model.gamma, atol=1e-12)
 
 
+def _kernel_outputs(model, data, rng):
+    size = len(data)
+    W = rng.uniform(0.0, 1.0, (size, size))
+    np.fill_diagonal(W, 0.0)
+    rho = rng.dirichlet(np.ones(size))
+    return (model.log_conditional_matrix(data).tobytes(),
+            model.grad_from_marginals(data, W, rho).tobytes())
+
+
+class TestAnchorDistances:
+    """The anchors' squared distances are computed once and reused for
+    rows equal to the anchors; any other rows take a fresh computation."""
+
+    @pytest.fixture
+    def sq_dist_calls(self, monkeypatch):
+        calls = []
+        sq_dists = models.KernelModel._sq_dists
+
+        def counted(self, points):
+            calls.append(len(points))
+            return sq_dists(self, points)
+
+        monkeypatch.setattr(models.KernelModel, "_sq_dists", counted)
+        return calls
+
+    @staticmethod
+    def _fresh_outputs(model, data, seed, monkeypatch):
+        # the same model, made to compute every distance afresh
+        with monkeypatch.context() as patch:
+            patch.setattr(models.KernelModel, "_data_sq_dists",
+                          lambda self, points: self._sq_dists(points))
+            return _kernel_outputs(model, data, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("kernel", ["rbf", "linear"])
+    def test_reused_bytes_equal_fresh_ones(self, kernel, monkeypatch, sq_dist_calls):
+        rng = np.random.default_rng(16)
+        model = random_kernel(rng, size=40, kernel=kernel)
+        anchors = model.anchors.copy()  # equal rows, another array
+        fresh = self._fresh_outputs(model, anchors, 17, monkeypatch)
+        sq_dist_calls.clear()
+        for _ in range(3):
+            assert _kernel_outputs(model, anchors, np.random.default_rng(17)) == fresh
+        assert sq_dist_calls == ([40] if kernel == "rbf" else [])
+
+    @pytest.mark.parametrize("rows", ["held_out", "permuted"])
+    def test_other_rows_take_the_fresh_path(self, rows, monkeypatch, sq_dist_calls):
+        rng = np.random.default_rng(18)
+        model = random_kernel(rng, size=30)
+        data = rng.normal(size=(30, 2)) if rows == "held_out" \
+            else model.anchors[rng.permutation(30)]
+        fresh = self._fresh_outputs(model, data, 19, monkeypatch)
+        sq_dist_calls.clear()
+        assert _kernel_outputs(model, data, np.random.default_rng(19)) == fresh
+        # one computation per call, none of them stored
+        assert sq_dist_calls == [30, 30]
+        assert model._anchor_sq == {}
+
+    def test_stored_distances_are_shared_and_read_only(self, sq_dist_calls):
+        model = random_kernel(np.random.default_rng(20), size=25)
+        derived = model.with_params(model.param_vector() + 0.1)
+        derived.log_conditional_matrix(model.anchors)
+        stored = derived._anchor_sq["sq"]
+        assert model._anchor_sq is derived._anchor_sq
+        assert derived.with_params(derived.param_vector())._anchor_sq is model._anchor_sq
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[0, 0] = 1.0
+        assert stored.tobytes() == model._sq_dists(model.anchors).tobytes()
+        model.grad_from_marginals(model.anchors, np.zeros((25, 25)), np.ones(25) / 25)
+        assert sq_dist_calls == [25, 25]  # the stored one, then the check above
+
+    def test_anchors_are_a_read_only_copy(self):
+        anchors = np.random.default_rng(21).normal(size=(5, 2))
+        model = models.kernel_init_iid(anchors)
+        assert anchors.flags.writeable and model.anchors is not anchors
+        assert np.array_equal(model.anchors, anchors)
+        with pytest.raises(ValueError):
+            model.anchors[0, 0] = 1.0
+        assert model.with_params(model.param_vector()).anchors is model.anchors
+
+
 class TestBuildBeta:
     def test_smallest_case(self):
         rng = np.random.default_rng(16)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from outtree import cli, models, sampler, semisup, treemath
+from outtree import cli, likelihood, models, sampler, semisup, treemath
 from outtree.errors import DataError
 
 
@@ -423,6 +423,56 @@ class TestGreedyInference:
             assert bordered_counts["set-up"] == 1 + len(trials)
             assert bordered_counts["inv", 13] == steps
             assert bordered_counts["slogdet", 13] == 1 + len(trials)
+
+    def test_theta_steps_climb_the_penalized_objective(self, monkeypatch):
+        # a kernel model's alpha penalty enters each theta step's value and
+        # gradient, as in fit_ml; the record keeps the unpenalized joint ln Z
+        searches, line_search = [], semisup._line_search
+
+        def spied(evaluate, vector, objective, grad, last):
+            searches.append((evaluate, vector, objective))
+            return line_search(evaluate, vector, objective, grad, last)
+
+        monkeypatch.setattr(semisup, "_line_search", spied)
+        X, y, _, _ = synthetic_problem(8, size=12)
+        labels = np.where(y >= 0, y, 0)
+        lm = semisup.LabelModel(alpha=0.85, n_classes=2)
+        seed = models.kernel_init_iid(X, alpha_penalty=50.0)
+        vector = seed.param_vector()
+        vector[:X.size] = 0.3 * np.random.default_rng(5).normal(size=X.size)
+        model = seed.with_params(vector)
+        start = treemath._Bordered(*semisup.build_joint_beta(X, labels, model, lm))
+        penalty, penalty_grad = model.penalty(vector)
+        grad = likelihood._partition_gradient(X, model, start) + penalty_grad
+        assert np.abs(penalty_grad).max() > 0.1 * np.abs(grad).max()
+        for steps in (1, 3):
+            fitted, record = semisup._ascend_theta(X, labels, model, lm, steps, start)
+            fitted_vector = fitted.param_vector()
+            value = record.log_z + fitted.penalty(fitted_vector)[0]
+            assert record.log_z == semisup._full_log_partition(X, labels, fitted, lm)
+            if steps == 1:
+                # one step along the penalized gradient that passes its Armijo test
+                delta = fitted_vector - vector
+                step = float(delta @ grad / (grad @ grad))
+                assert step > 0 and np.allclose(delta, step * grad, rtol=1e-8, atol=1e-12)
+                assert value >= start.log_z + penalty + 1e-4 * step * float(grad @ grad)
+                one_step = value
+            else:
+                assert value > one_step
+        # each search starts from the value its trials' objective takes there
+        assert len(searches) == 4
+        for evaluate, start_vector, objective in searches:
+            assert evaluate(start_vector)[0] == pytest.approx(objective, rel=1e-12, abs=0)
+        assert searches[0][2] == start.log_z + penalty
+
+    def test_theta_steps_stop_at_a_zero_gradient(self, monkeypatch):
+        X, y, _, model = synthetic_problem(8, size=12)
+        labels = np.where(y >= 0, y, 0)
+        lm = semisup.LabelModel(alpha=0.85, n_classes=2)
+        start = treemath._Bordered(*semisup.build_joint_beta(X, labels, model, lm))
+        monkeypatch.setattr(semisup, "_partition_gradient",
+                            lambda X, model, record: np.zeros(len(model.param_vector())))
+        assert semisup._ascend_theta(X, labels, model, lm, 3, start) == (model, start)
 
 
 class TestCrossValidateAlpha:
