@@ -225,7 +225,9 @@ def greedy_label_inference(X, y, model: MutationModel, label_model: LabelModel, 
     Missing labels start uniformly at random; each sweep visits unlabeled
     nodes in random order, screens the K-1 alternative labels to first
     order, exactly evaluates the best candidate, and commits it when the
-    exact gain exceeds ``min_gain``. A sweep with no commits terminates the
+    exact gain exceeds ``min_gain``. A node whose flip was rejected is
+    skipped until a commit or a theta step changes the state, since it
+    would be rejected again. A sweep with no commits terminates the
     run; the best of ``restarts`` runs by final log-partition wins. With
     ``theta_steps_per_sweep`` > 0, that many gradient-ascent steps on the
     model parameters (through the joint partition function) follow each
@@ -247,10 +249,15 @@ def greedy_label_inference(X, y, model: MutationModel, label_model: LabelModel, 
         labels[hidden] = stream.integers(0, label_model.n_classes, hidden.size)
         state = LabelInference(X, labels, model, label_model, observed=observed)
         flips = 0
+        # node -> flip count at its last rejection: until the next commit or
+        # theta step the state is the same, and so would be the rejection
+        rejected = {}
         for sweep in range(1, max_sweeps + 1):
             state.sweeps = sweep
             committed = False
             for node in stream.permutation(hidden):
+                if rejected.get(node) == flips:
+                    continue
                 candidates = [k for k in range(label_model.n_classes)
                               if k != state.labels[node]]
                 if len(candidates) > 1:
@@ -261,8 +268,11 @@ def greedy_label_inference(X, y, model: MutationModel, label_model: LabelModel, 
                     state.commit(node, candidates[0])
                     committed = True
                     flips += 1
+                else:
+                    rejected[node] = flips
             if theta_steps_per_sweep > 0:
                 state._ascend(theta_steps_per_sweep)
+                rejected.clear()
             if not committed:
                 break
         result = InferenceResult(labels=state.labels.copy(),

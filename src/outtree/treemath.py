@@ -21,15 +21,20 @@ Weights built from a fresh array (``build_beta``, the semi-supervised joint
 weights, the VB expected-log weights) take it through the private
 ``WeightMatrix._owning``, which neither copies it nor, when the caller has
 already counted its finite entries, counts them again; the public
-constructor copies. The rescaled weights are derived one block of rows of
-about ``_BLOCK_BYTES`` at a time (row maxima, subtraction, exp) into one
-preallocated array, so no T x T temporary is made, and every matrix of up
-to 181 rows is one block.
+constructor copies. A weight matrix takes only its row maxima when it is
+made. The bordered matrix is filled straight from the log-weights, one
+block of rows of about ``_BLOCK_BYTES`` at a time (subtraction and exp
+into a scratch block, row sums, negation into the matrix); every matrix of
+up to 181 rows is one block. A one-block matrix keeps that scratch as its
+rescaled weights. A larger one makes no rescaled T x T copy, and the edge
+marginals read the rescaled weights back from the bordered matrix; they
+are derived on first read, the same way, and kept.
 Edits are validated and written as one array, and the rescaled weights
 need no finite mask, because validation leaves -inf as the only
 non-finite log-weight and exp maps it to exactly 0. A replaced row and
 column (a label flip) is patched into a copy of the current rescaled
-weights, equal bit for bit to a fresh derivation.
+weights, equal bit for bit to a fresh derivation, and the bordered matrix
+of such patched weights is filled from that copy.
 
 All values are immutable after construction and safe to share across
 threads; the factorization session is single-writer.
@@ -68,7 +73,11 @@ class WeightMatrix:
     product (and hence the determinant) within floating-point range no
     matter how many thousands of nats the raw rows span. ln Z_r picks up
     the correction scale_total - row_scales[r], and the root weights absorb
-    exp(-row_scales[r]) inside the augmented determinant.
+    exp(-row_scales[r]) inside the augmented determinant. A matrix made
+    from log-weights sets only ``row_scales`` and ``scale_total``: the
+    bordered Laplacian is filled from ``log_entries`` directly, and
+    ``scaled`` is derived on its first read (see that property) unless
+    that fill made it.
 
     Validation admits no NaN and no +inf, so -inf is the only non-finite
     log-weight: the row maximum is the largest finite entry (or -inf for a
@@ -79,7 +88,7 @@ class WeightMatrix:
     into its parent's flag, so True may be stale but False is exact.
     """
 
-    __slots__ = ("log_entries", "size", "row_scales", "scale_total", "scaled",
+    __slots__ = ("log_entries", "size", "row_scales", "scale_total", "_scaled",
                  "structural_zeros")
 
     def __init__(self, entries=None, *, log_entries=None):
@@ -113,30 +122,45 @@ class WeightMatrix:
 
     def _derive(self, log_entries, structural_zeros):
         """Set every field from validated log-weights, taking ownership of
-        them. The row maxima, the subtraction and the exp run one row block
-        at a time, into one ``scaled`` array."""
-        size = log_entries.shape[0]
-        row_scales = np.empty(size)
-        scaled = np.empty((size, size))
-        step = _block_rows(size)
-        with np.errstate(under="ignore"):
-            for start in range(0, size, step):
-                rows = slice(start, start + step)
-                scales = np.maximum.reduce(log_entries[rows], axis=1, out=row_scales[rows])
-                scales[scales == -np.inf] = 0.0
-                block = np.subtract(log_entries[rows], scales[:, None], out=scaled[rows])
-                np.exp(block, out=block)
-        self._set(log_entries, row_scales, scaled, structural_zeros)
+        them; ``scaled`` is left to its first read."""
+        row_scales = log_entries.max(axis=1)
+        row_scales[row_scales == -np.inf] = 0.0
+        self._set(log_entries, row_scales, None, structural_zeros)
 
     def _set(self, log_entries, row_scales, scaled, structural_zeros):
         for array in (log_entries, row_scales, scaled):
-            array.setflags(write=False)
+            if array is not None:
+                array.setflags(write=False)
         self.log_entries = log_entries
         self.size = log_entries.shape[0]
         self.row_scales = row_scales
         self.scale_total = float(row_scales.sum())
-        self.scaled = scaled
+        self._scaled = scaled
         self.structural_zeros = structural_zeros
+
+    @property
+    def scaled(self):
+        """exp(log_entries - row_scales[:, None]), read-only. Patched weights
+        (``_with_cross``) carry it from construction, and weights of one row
+        block from their first bordered fill; others derive it on first
+        read, one row block at a time, and keep it. Two threads that both
+        find it unset may both derive it: they get equal arrays, and either
+        one is kept."""
+        scaled = self._scaled
+        if scaled is None:
+            scaled = np.empty((self.size, self.size))
+            with np.errstate(under="ignore"):
+                for rows in _row_blocks(self.size):
+                    self._scaled_rows(rows, scaled[rows])
+            scaled.setflags(write=False)
+            self._scaled = scaled
+        return scaled
+
+    def _scaled_rows(self, rows, out):
+        """Write the scaled weights of the row slice ``rows`` into ``out`` and
+        return it; the caller ignores underflow."""
+        np.subtract(self.log_entries[rows], self.row_scales[rows, None], out=out)
+        return np.exp(out, out=out)
 
     @property
     def entries(self):
@@ -328,9 +352,23 @@ def _validated_zeros(log_entries):
 _BLOCK_BYTES = 256 * 1024
 
 
-def _block_rows(columns):
+# The scratch block that W's scaled weights are read back into is smaller.
+# Reading W off a kept inverse at T+1 = 301 took a median 942-981 us with
+# 256 KiB blocks, 872-921 us with these and 815-849 us from a stored
+# rescaled copy (one OpenBLAS thread on a shared 2-core Xeon VM, 300 calls
+# in each of two runs).
+_SCRATCH_BYTES = 64 * 1024
+
+
+def _block_rows(columns, block_bytes=_BLOCK_BYTES):
     """Rows per block of a float64 matrix with ``columns`` columns."""
-    return max(1, _BLOCK_BYTES // (8 * max(columns, 1)))
+    return max(1, block_bytes // (8 * max(columns, 1)))
+
+
+def _row_blocks(size, block_bytes=_BLOCK_BYTES):
+    """Slices of ``_block_rows`` rows covering a size x size matrix."""
+    step = _block_rows(size, block_bytes)
+    return [slice(start, min(start + step, size)) for start in range(0, size, step)]
 
 
 def _count_finite(a):
@@ -389,10 +427,14 @@ class _Bordered:
     ``matrix`` is [[1, p^T], [-p, Q]], Q = diag(row sums) - beta.scaled and
     p the root weights p(X_r) exp(-row_scales[r]), normalized: its
     determinant is sum_r p(r) Z_r of the scaled weights, and ln Z =
-    ``offset`` + ``logdet`` exactly. ``logdet`` and ``inverse`` are computed
-    on first read and kept; the inverse is ``_block_inverse``'s, which is
-    numpy's ``inv`` up to dimension ``_BLOCK_LEAF`` and wherever its
-    certificate fails. Weights with structural zeros are first
+    ``offset`` + ``logdet`` exactly. Q is written one row block at a time
+    from ``log_entries`` (exp, row sums, 0 - x), or from ``beta.scaled``
+    when the weights carry it; both give the same bytes, and 0 - Q off the
+    diagonal is the scaled weights exactly. Weights of one row block keep
+    the fill's scaled weights. ``logdet`` and ``inverse`` are
+    computed on first read and kept; the inverse is ``_block_inverse``'s,
+    which is numpy's ``inv`` up to dimension ``_BLOCK_LEAF`` and wherever
+    its certificate fails. Weights with structural zeros are first
     checked for an out-tree over their support: where none exists Z = 0
     exactly, but the LU can still return a small positive determinant made
     of roundoff, so this raises ``ZeroPartitionError`` before any factoring.
@@ -413,15 +455,35 @@ class _Bordered:
         self.matrix[0, 0] = 1.0
         self.matrix[0, 1:] = self.normalized
         self.matrix[1:, 0] = -self.normalized
-        # Q = diag(row sums) - weights, filled in place (the diagonal weights are 0)
-        np.subtract(0.0, beta.scaled, out=self.matrix[1:, 1:])
-        self.matrix.reshape(-1)[size + 2::size + 2] += beta.scaled.sum(axis=1)
+        # Q = diag(row sums) - weights, filled in place (the diagonal weights
+        # are 0); 0 - x, not -x, keeps a zero weight +0.0, so 0 - Q gives the
+        # weights back bit for bit
+        core = self.matrix[1:, 1:]
+        if beta._scaled is None:
+            # each block is scaled in a contiguous scratch array: ufuncs on
+            # the strided core ran at half the speed
+            rows = _row_blocks(size)
+            scaled, sums = np.empty((rows[0].stop, size)), np.empty(size)
+            with np.errstate(under="ignore"):
+                for block in rows:
+                    part = beta._scaled_rows(block, scaled[:block.stop - block.start])
+                    np.add.reduce(part, axis=1, out=sums[block])
+                    np.subtract(0.0, part, out=core[block])
+            if len(rows) == 1:
+                # the scratch is then the whole rescaled matrix, so the weights
+                # keep it, as a read of ``scaled`` would, and W reads it
+                scaled.setflags(write=False)
+                beta._scaled = scaled
+        else:
+            np.subtract(0.0, beta.scaled, out=core)
+            sums = beta.scaled.sum(axis=1)
+        self.matrix.reshape(-1)[size + 2::size + 2] += sums
         self.beta, self.roots = beta, roots
         self.offset = beta.scale_total + adjusted_total
 
     @cached_property
     def logdet(self) -> float:
-        return _augmented_logdet(self.matrix, self.beta, self.normalized)
+        return _augmented_logdet(self.matrix, self.normalized)
 
     @property
     def log_z(self) -> float:
@@ -445,10 +507,24 @@ class _Bordered:
         if inv is None:
             inv = self._invert()
         core = inv[1:, 1:]
-        # the gain d ln Z / d scaled, times the scaled weights, in one array;
-        # C order, since an F-ordered W moves the gradient's sums by roundoff
-        w = np.subtract(np.diag(core)[:, None], core.T, out=np.empty_like(self.beta.scaled))
-        w *= self.beta.scaled
+        # W = the gain d ln Z / d scaled, times the scaled weights, in one
+        # C-ordered array (an F-ordered W moves the gradient's sums by
+        # roundoff). Weights that do not carry ``scaled`` have them read back
+        # from the bordered matrix as 0 - Q off the diagonal, exact to the
+        # sign of a zero. The gain takes numpy's transposing copy, faster
+        # than a transposed operand.
+        w = np.empty(core.shape)
+        np.copyto(w, core.T)
+        diag, carried = np.diag(core), self.beta._scaled
+        rows = _row_blocks(len(w), _SCRATCH_BYTES)
+        if carried is None:
+            scaled = np.empty((rows[0].stop, len(w)))
+        for block in rows:
+            gain = np.subtract(diag[block, None], w[block], out=w[block])
+            if carried is None:
+                gain *= np.subtract(0.0, self.matrix[1:, 1:][block], out=scaled[:len(gain)])
+            else:
+                gain *= carried[block]
         np.fill_diagonal(w, 0.0)
         border = inv[1:, 0] - inv[0, 1:]
         p = self.normalized
@@ -567,7 +643,7 @@ def _has_positive_arborescence(support, root_order):
     return False
 
 
-def _augmented_logdet(q_hat, beta, adjusted_norm):
+def _augmented_logdet(q_hat, adjusted_norm):
     """Log |det| of the bordered matrix, robust to indeterminate LU signs.
 
     The true determinant is a nonnegative sum of tree weights, but chain-
@@ -585,7 +661,8 @@ def _augmented_logdet(q_hat, beta, adjusted_norm):
         return float(logdet)
     root_order = np.argsort(adjusted_norm)[::-1]
     root_order = [int(r) for r in root_order if adjusted_norm[r] > 0.0]
-    if not _has_positive_arborescence(beta.scaled > 0.0, root_order):
+    # a positive weight is a negative off-diagonal entry of Q; its diagonal is >= 0
+    if not _has_positive_arborescence(q_hat[1:, 1:] < 0.0, root_order):
         raise ZeroPartitionError("no out-tree has positive weight")
     singular = np.linalg.svd(q_hat, compute_uv=False)
     floor = singular[0] * np.finfo(float).eps * q_hat.shape[0]
@@ -728,8 +805,11 @@ def posterior_weights(beta: WeightMatrix, roots: RootWeights):
     the gradient of ln Z in any parameter is sum W d ln beta + sum rho
     d ln p. The normalized root vector p enters the bordered matrix at
     (0, r) and (r, 0), which gives rho = p * (1 + b - p.b) with
-    b = inv[1:, 0] - inv[0, 1:]. Neither output is clipped: on
-    ill-conditioned weights roundoff can make entries negative.
+    b = inv[1:, 0] - inv[0, 1:]. W is the gain diag(C)[:, None] - C^T
+    (C the inverse's core) times the scaled weights, read back from the
+    bordered matrix when the weights carry no rescaled copy.
+    Neither output is clipped: on ill-conditioned weights roundoff can make
+    entries negative.
     """
     return _Bordered(beta, roots).posterior_weights()
 

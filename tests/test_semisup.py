@@ -475,6 +475,115 @@ class TestGreedyInference:
         assert semisup._ascend_theta(X, labels, model, lm, 3, start) == (model, start)
 
 
+def scoring_every_node(X, y, model, label_model, *, restarts=1, max_sweeps=50,
+                       rng=None, min_gain=1e-9, theta_steps_per_sweep=0):
+    """``greedy_label_inference`` with every unlabeled node scored in every
+    sweep, a node whose flip was rejected in the same state too."""
+    y = semisup.check_labels(y, label_model.n_classes)
+    X = model.validate_data(X)
+    observed = y >= 0
+    hidden = np.flatnonzero(~observed)
+    rng = np.random.default_rng(rng)
+    best = None
+    for restart, stream in enumerate(rng.spawn(restarts)):
+        labels = y.copy()
+        labels[hidden] = stream.integers(0, label_model.n_classes, hidden.size)
+        state = semisup.LabelInference(X, labels, model, label_model, observed=observed)
+        flips = 0
+        for sweep in range(1, max_sweeps + 1):
+            state.sweeps = sweep
+            committed = False
+            for node in stream.permutation(hidden):
+                candidates = [k for k in range(label_model.n_classes)
+                              if k != state.labels[node]]
+                if len(candidates) > 1:
+                    scores = [state.screen_delta(node, k) for k in candidates]
+                    candidates = [candidates[int(np.argmax(scores))]]
+                gain = state.flip_delta(node, candidates[0])
+                if gain > min_gain:
+                    state.commit(node, candidates[0])
+                    committed = True
+                    flips += 1
+            if theta_steps_per_sweep > 0:
+                state._ascend(theta_steps_per_sweep)
+            if not committed:
+                break
+        result = semisup.InferenceResult(labels=state.labels.copy(),
+                                         log_partition=state.log_partition,
+                                         sweeps=state.sweeps, restart=restart,
+                                         model=state.model, flips=flips)
+        if best is None or result.log_partition > best.log_partition:
+            best = result
+    return best
+
+
+class TestRejectedFlipSkip:
+    """A node whose flip was rejected is not scored again in the same state."""
+
+    @staticmethod
+    def events(monkeypatch):
+        """Log of ("start",), ("score", node), ("commit", node) and
+        ("ascend",) events."""
+        log = []
+        cls = semisup.LabelInference
+        init, flip_delta, commit, ascend = cls.__init__, cls.flip_delta, cls.commit, \
+            cls._ascend
+
+        def logged_init(self, *args, **kwargs):
+            log.append(("start",))
+            init(self, *args, **kwargs)
+
+        def logged_flip_delta(self, node, new_label):
+            log.append(("score", int(node)))
+            return flip_delta(self, node, new_label)
+
+        def logged_commit(self, node, new_label):
+            log.append(("commit", int(node)))
+            return commit(self, node, new_label)
+
+        def logged_ascend(self, steps):
+            log.append(("ascend",))
+            return ascend(self, steps)
+
+        monkeypatch.setattr(cls, "__init__", logged_init)
+        monkeypatch.setattr(cls, "flip_delta", logged_flip_delta)
+        monkeypatch.setattr(cls, "commit", logged_commit)
+        monkeypatch.setattr(cls, "_ascend", logged_ascend)
+        return log
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("theta_steps", [0, 1])
+    def test_results_equal_scoring_every_node(self, monkeypatch, n_classes, theta_steps):
+        log = self.events(monkeypatch)
+        skipped = 0
+        for seed in range(4 if theta_steps == 0 else 2):
+            X, y, _, model = synthetic_problem(60 + seed, size=30, n_classes=n_classes,
+                                               min_minority=0.2)
+            lm = semisup.LabelModel(alpha=0.85, n_classes=n_classes)
+            options = dict(restarts=2, rng=seed, theta_steps_per_sweep=theta_steps)
+            log.clear()
+            want = scoring_every_node(X, y, model, lm, **options)
+            every = sum(event[0] == "score" for event in log)
+            log.clear()
+            got = semisup.greedy_label_inference(X, y, model, lm, **options)
+            assert np.array_equal(got.labels, want.labels)
+            assert got.log_partition == want.log_partition
+            assert (got.sweeps, got.restart, got.flips) == (want.sweeps, want.restart,
+                                                            want.flips)
+            assert got.model.param_vector().tobytes() == want.model.param_vector().tobytes()
+            skipped += every - sum(event[0] == "score" for event in log)
+            # between two scores of a node, a restart, a commit or a theta step
+            scored_in_state = set()
+            for event in log:
+                if event[0] == "score":
+                    assert event[1] not in scored_in_state
+                    scored_in_state.add(event[1])
+                else:
+                    scored_in_state.clear()
+        # theta steps follow every sweep, so only a search without them skips
+        assert (skipped > 0) == (theta_steps == 0)
+
+
 class TestCrossValidateAlpha:
     def test_single_value_grid(self):
         X, y, truth, model = synthetic_problem(9)

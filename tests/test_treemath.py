@@ -1,5 +1,7 @@
 """Determinant-based out-tree counting against the enumeration oracle."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -675,6 +677,178 @@ class TestCrossPatch:
             row[2] = bad
             with pytest.raises(ValueError):
                 beta._with_cross(1, np.zeros(4), row)
+
+
+def rescaled_copy_record(beta, roots):
+    """(matrix, logdet, (W, rho)) of the set-up that first derives the
+    rescaled weights as a T x T array, blocked as the package blocks its
+    rows, and then fills the bordered matrix and W from that array."""
+    size, log = beta.size, beta.log_entries
+    row_scales, scaled = np.empty(size), np.empty((size, size))
+    step = tm._block_rows(size)
+    with np.errstate(under="ignore"):
+        for start in range(0, size, step):
+            rows = slice(start, start + step)
+            scales = np.maximum.reduce(log[rows], axis=1, out=row_scales[rows])
+            scales[scales == -np.inf] = 0.0
+            block = np.subtract(log[rows], scales[:, None], out=scaled[rows])
+            np.exp(block, out=block)
+        adjusted = roots.log_values - row_scales
+        p = np.exp(adjusted - tm._logsumexp(adjusted))
+    matrix = np.empty((size + 1, size + 1))
+    matrix[0, 0] = 1.0
+    matrix[0, 1:] = p
+    matrix[1:, 0] = -p
+    np.subtract(0.0, scaled, out=matrix[1:, 1:])
+    matrix.reshape(-1)[size + 2::size + 2] += scaled.sum(axis=1)
+
+    def logdet():
+        candidates = np.flatnonzero(roots.log_values > -np.inf)
+        if beta.structural_zeros \
+                and not tm._has_positive_arborescence(log > -np.inf, candidates):
+            return ZeroPartitionError
+        sign, value = np.linalg.slogdet(matrix)
+        if sign > 0.0 and value != -np.inf:
+            return (float(value),)
+        order = [int(r) for r in np.argsort(p)[::-1] if p[r] > 0.0]
+        if not tm._has_positive_arborescence(scaled > 0.0, order):
+            return ZeroPartitionError
+        singular = np.linalg.svd(matrix, compute_uv=False)
+        floor = singular[0] * np.finfo(float).eps * matrix.shape[0]
+        if sign < 0.0 and singular[-1] > floor:
+            return NumericalFaultError
+        with np.errstate(divide="ignore"):
+            return (float(np.log(np.maximum(singular, floor)).sum()),)
+
+    def weights():
+        try:
+            inv = tm._block_inverse(matrix)
+        except np.linalg.LinAlgError:
+            return ZeroPartitionError
+        core = inv[1:, 1:]
+        w = np.subtract(np.diag(core)[:, None], core.T, out=np.empty_like(scaled))
+        w *= scaled
+        np.fill_diagonal(w, 0.0)
+        border = inv[1:, 0] - inv[0, 1:]
+        return w, p * (1.0 + border - p @ border)
+
+    return matrix, logdet(), weights()
+
+
+def fill_case(size, seed, regime):
+    """Log-weights and root weights of one regime of ``TestFillFromLogWeights``."""
+    rng = np.random.default_rng(seed)
+    log = rng.normal(scale=2.0, size=(size, size))
+    if regime == "wide":  # rows spanning 1.5e3 nats: many entries exp to 0
+        log[rng.random((size, size)) < 0.3] -= 1.5e3
+    elif regime == "empty rows":  # structural zeros and an all -inf row
+        log[rng.random((size, size)) < 0.2] = -np.inf
+        log[rng.integers(size)] = -np.inf
+    np.fill_diagonal(log, -np.inf)
+    return log, tm.RootWeights(log_values=rng.normal(scale=3.0, size=size))
+
+
+class TestFillFromLogWeights:
+    """The bordered matrix filled straight from the log-weights, against the
+    set-up through a rescaled copy, bit for bit."""
+
+    @pytest.mark.parametrize("size", [2, 3, 90, 400])
+    @pytest.mark.parametrize("regime", ["dense", "wide", "empty rows"])
+    def test_record_equals_the_rescaled_copy_set_up(self, size, regime):
+        for seed in range(3 if size <= 90 else 1):
+            log, roots = fill_case(size, seed, regime)
+            beta = tm.WeightMatrix(log_entries=log)
+            want_matrix, want_logdet, want_weights = rescaled_copy_record(beta, roots)
+            try:
+                record = tm._Bordered(beta, roots)
+            except ZeroPartitionError:
+                assert want_logdet is ZeroPartitionError
+                continue
+            # a matrix of one row block keeps the fill's scratch as ``scaled``;
+            # a larger one is left with no rescaled copy
+            if len(tm._row_blocks(size)) == 1:
+                assert same_bits(beta._scaled, masked_derivation(log)[1])
+                assert not beta._scaled.flags.writeable
+            else:
+                assert beta._scaled is None
+            assert same_bits(record.matrix, want_matrix)
+            assert same_outcome(outcome(lambda: (record.logdet,)), want_logdet)
+            assert same_outcome(outcome(record.posterior_weights), want_weights)
+
+    def test_zero_weights_give_zeros_of_the_gains_sign(self):
+        # W = gain * scaled with scaled = +0: the sign is the gain's, which
+        # a product with the negated weights, -gain * (0 - scaled), flips
+        log, roots = fill_case(400, 0, "wide")
+        beta = tm.WeightMatrix(log_entries=log)
+        record = tm._Bordered(beta, roots)
+        w, _ = record.posterior_weights()  # read back from the matrix
+        assert beta._scaled is None
+        zero = (beta.scaled == 0.0) & ~np.eye(400, dtype=bool)
+        core = record._invert()[1:, 1:]
+        gain = np.diag(core)[:, None] - core.T
+        assert zero.sum() > 1000
+        assert same_bits(np.signbit(w[zero]), np.signbit(gain[zero]))
+
+    @pytest.mark.parametrize("size", [4, 90])
+    def test_support_is_read_off_the_matrix(self, size):
+        # every edge into the second half is 2e3 nats below the edges within
+        # it, and only the first half may be the root: the rescaled weights,
+        # and so the entries of Q, hold no out-tree of positive weight
+        second = np.arange(size) >= size // 2
+        log = np.where(second[:, None] & ~second[None, :], -2e3, 0.0)
+        np.fill_diagonal(log, -np.inf)
+        roots = tm.RootWeights(log_values=np.where(second, -np.inf, 0.0))
+        beta = tm.WeightMatrix(log_entries=log)
+        record = tm._Bordered(beta, roots)
+        assert np.linalg.slogdet(record.matrix)[0] <= 0.0  # the fallback runs
+        assert outcome(lambda: (record.logdet,)) is ZeroPartitionError
+        assert rescaled_copy_record(beta, roots)[1] is ZeroPartitionError
+
+    @pytest.mark.parametrize("size", [2, 90, 400])
+    def test_lazy_scaled_is_the_rescaled_copy_and_read_only(self, size):
+        log, roots = fill_case(size, 1, "wide")
+        beta = tm.WeightMatrix._owning(log)
+        before = tm._Bordered(beta, roots)
+        row_scales, scaled = masked_derivation(log)
+        assert same_bits(beta.row_scales, row_scales)
+        assert beta.scaled is beta.scaled and same_bits(beta.scaled, scaled)
+        assert not beta.scaled.flags.writeable
+        with pytest.raises(ValueError):
+            beta.scaled[0, 1] = 2.0
+        # weights that carry ``scaled`` fill from it, to the same bytes
+        after = tm._Bordered(beta, roots)
+        assert same_bits(after.matrix, before.matrix)
+        for got, want in zip(after.posterior_weights(), before.posterior_weights()):
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("size", [3, 90])
+    @pytest.mark.parametrize("regime", ["dense", "wide"])
+    def test_patched_weights_equal_the_rescaled_copy_set_up(self, size, regime):
+        log, roots = fill_case(size, 2, regime)
+        beta = tm.WeightMatrix(log_entries=log)
+        rng = np.random.default_rng(size)
+        for node in rng.integers(size, size=3):
+            row, column = rng.normal(scale=2.0, size=(2, size))
+            beta = beta._with_cross(int(node), row, column)
+            assert beta._scaled is not None  # patched weights carry their copy
+            want_matrix, want_logdet, want_weights = rescaled_copy_record(beta, roots)
+            record = tm._Bordered(beta, roots)
+            assert same_bits(record.matrix, want_matrix)
+            assert same_outcome(outcome(lambda: (record.logdet,)), want_logdet)
+            assert same_outcome(outcome(record.posterior_weights), want_weights)
+
+    def test_log_partition_peaks_below_two_and_a_half_matrices(self):
+        size = 400
+        data = cli.standardize(cli.gen_spiral(cli.SpiralSpec(count=size), 7))[0]
+        model = models.gaussian_init_iid(data)
+        tm.log_partition(*models.build_beta(data, model))  # warm every code path
+        tracemalloc.start()
+        try:
+            tm.log_partition(*models.build_beta(data, model))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * size * size * 8
 
 
 class TestInvariants:
