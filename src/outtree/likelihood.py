@@ -237,7 +237,9 @@ def test_log_likelihood(train, test, model: MutationModel) -> TestScore:
 
 def _conditional_score(train, test, model, log_z_train=None) -> TestScore:
     """``test_log_likelihood`` of validated rows; ``log_z_train`` is the
-    training ln Z when the caller has already read it off a record."""
+    training ln Z when the caller has already read it off a record. Else
+    the training weights are the union's leading t x t block and t root
+    weights (train rows come first), the bytes ``build_beta(train)`` gives."""
     t, u = len(train), len(test)
     union = np.concatenate([train, test], axis=0)
     beta_union, roots_union = build_beta(union, model)
@@ -246,7 +248,8 @@ def _conditional_score(train, test, model, log_z_train=None) -> TestScore:
         if t == 1:
             log_z_train = float(model.log_marginal_vector(train)[0])
         else:
-            beta_train, roots_train = build_beta(train, model)
+            beta_train = treemath.WeightMatrix._owning(beta_union.log_entries[:t, :t].copy())
+            roots_train = treemath.RootWeights(log_values=roots_union.log_values[:t])
             log_z_train = treemath.log_partition(beta_train, roots_train).log_z
     correction = (t - 1) * np.log(t) - (t + u - 1) * np.log(t + u)
     return TestScore(score=log_z_union - log_z_train + correction,

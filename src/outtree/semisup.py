@@ -8,9 +8,9 @@ climbing on the joint log-partition: sweeps visit unlabeled nodes in random
 order, rank the alternative labels by a first-order estimate from the
 inverse of the current factorization, score the best candidate exactly
 by factoring the flipped weights, and commit strictly improving flips. A
-flip rewrites one row and column of the joint weights, so its rescaled
-weights are patched from the current ones, equal bit for bit to a fresh
-derivation, and a commit swaps in the record its preview factored.
+flip rewrites one row and column of the joint weights, so its bordered
+Laplacian is patched from the current one, equal bit for bit to a fresh
+fill, and a commit swaps in the record its preview factored.
 """
 
 from __future__ import annotations
@@ -135,21 +135,6 @@ class LabelInference:
                         self.label_model.log_diff)
         return self._log_cond[node] + term, self._log_cond[:, node] + term
 
-    def flip_edits(self, node, new_label):
-        """The row and column weight edits a label flip induces: a
-        (2(T-1), 3) array of (child, parent, log_weight) rows, alternating
-        the edge from each other node v into the node and the edge back."""
-        row, column = self._flipped_logs(node, new_label)
-        others = np.flatnonzero(np.arange(self.size) != node)
-        edits = np.empty((others.size, 2, 3))
-        edits[:, 0, 0] = node
-        edits[:, 0, 1] = others
-        edits[:, 0, 2] = row[others]
-        edits[:, 1, 0] = others
-        edits[:, 1, 1] = node
-        edits[:, 1, 2] = column[others]
-        return edits.reshape(-1, 3)
-
     def _check_flip(self, node, new_label):
         if self.observed[node]:
             raise ValueError(f"label of node {node} is observed and frozen")
@@ -181,15 +166,19 @@ class LabelInference:
         An edit of the scaled weight of v -> u by delta moves the
         log-determinant by delta * (inv[u, u] - inv[v, u]) to first order
         (indices shifted by the border); the row edits have u = node and the
-        column edits v = node.
+        column edits v = node. The current scaled weights are read off the
+        session's bordered matrix as -Q: x - (0 - q) is x + q exactly. The
+        diagonal entry of each delta then holds a row sum, which is
+        multiplied by an exact 0.
         """
         self._check_flip(node, new_label)
-        beta = self.session.beta
-        core = self.session.inverse[1:, 1:]
+        record = self.session._record
+        row_scales, q = record.beta.row_scales, record.matrix[1:, 1:]
+        core = record.inverse[1:, 1:]
         row, column = self._flipped_logs(node, new_label)
         with np.errstate(under="ignore"):
-            row_delta = np.exp(row - beta.row_scales[node]) - beta.scaled[node]
-            column_delta = np.exp(column - beta.row_scales) - beta.scaled[:, node]
+            row_delta = np.exp(row - row_scales[node]) + q[node]
+            column_delta = np.exp(column - row_scales) + q[:, node]
         return float(row_delta @ (core[node, node] - core[:, node])
                      + column_delta @ (np.diag(core) - core[node]))
 

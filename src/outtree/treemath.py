@@ -21,23 +21,20 @@ Weights built from a fresh array (``build_beta``, the semi-supervised joint
 weights, the VB expected-log weights) take it through the private
 ``WeightMatrix._owning``, which neither copies it nor, when the caller has
 already counted its finite entries, counts them again; the public
-constructor copies. A weight matrix takes only its row maxima when it is
-made. The bordered matrix is filled straight from the log-weights, one
-block of rows of about ``_BLOCK_BYTES`` at a time (subtraction and exp
-into a scratch block, row sums, negation into the matrix); every matrix of
-up to 181 rows is one block. A one-block matrix keeps that scratch as its
-rescaled weights. A larger one makes no rescaled T x T copy, and the edge
-marginals read the rescaled weights back from the bordered matrix; they
-are derived on first read, the same way, and kept.
-Edits are validated and written as one array, and the rescaled weights
-need no finite mask, because validation leaves -inf as the only
+constructor copies. A weight matrix holds its log-weights and their row
+maxima, and nothing else. The bordered matrix is the one home of the
+rescaled weights: it is filled straight from the log-weights, one block of
+rows of about ``_BLOCK_BYTES`` at a time (subtraction and exp into a
+scratch block, row sums, negation into the matrix), and the edge marginals
+and the greedy search's screen read the rescaled weights back from it.
+They need no finite mask, because validation leaves -inf as the only
 non-finite log-weight and exp maps it to exactly 0. A replaced row and
-column (a label flip) is patched into a copy of the current rescaled
-weights, equal bit for bit to a fresh derivation, and the bordered matrix
-of such patched weights is filled from that copy.
+column (a label flip) is patched into a copy of the current bordered
+matrix, equal bit for bit to a fresh fill.
 
-All values are immutable after construction and safe to share across
-threads; the factorization session is single-writer.
+Weights, root weights and trees are immutable after construction and safe
+to share across threads; a record computes its determinant and inverse on
+first read, and the factorization session is single-writer.
 """
 
 from __future__ import annotations
@@ -67,29 +64,25 @@ class WeightMatrix:
     -inf, and the diagonal is always -inf (no self edges). Because every
     out-tree uses exactly one entry from each non-root row, row rescaling
     factors out of all partition functions exactly; computations therefore
-    use ``scaled`` = exp(log_entries - row_scales[:, None]) with
+    use the rescaled weights exp(log_entries - row_scales[:, None]) with
     ``row_scales`` the largest finite log entry of each row. Scaled entries
     lie in [0, 1] with a 1 in every row, which keeps the best tree's weight
     product (and hence the determinant) within floating-point range no
     matter how many thousands of nats the raw rows span. ln Z_r picks up
     the correction scale_total - row_scales[r], and the root weights absorb
-    exp(-row_scales[r]) inside the augmented determinant. A matrix made
-    from log-weights sets only ``row_scales`` and ``scale_total``: the
-    bordered Laplacian is filled from ``log_entries`` directly, and
-    ``scaled`` is derived on its first read (see that property) unless
-    that fill made it.
+    exp(-row_scales[r]) inside the augmented determinant. The bordered
+    Laplacian (``_Bordered``) is filled from ``log_entries`` directly and
+    holds the rescaled weights; ``scaled`` derives them afresh.
 
     Validation admits no NaN and no +inf, so -inf is the only non-finite
     log-weight: the row maximum is the largest finite entry (or -inf for a
     row of structural zeros, whose scale is 0), and exp maps -inf to exactly
     0, so the derivation needs no finite mask. ``structural_zeros`` says
-    whether an off-diagonal log-weight may be -inf: validation sets it from
-    the same count of finite entries, and an edited matrix ORs its edits
-    into its parent's flag, so True may be stale but False is exact.
+    whether an off-diagonal log-weight is -inf, from the same count of
+    finite entries as validation.
     """
 
-    __slots__ = ("log_entries", "size", "row_scales", "scale_total", "_scaled",
-                 "structural_zeros")
+    __slots__ = ("log_entries", "size", "row_scales", "scale_total", "structural_zeros")
 
     def __init__(self, entries=None, *, log_entries=None):
         if (entries is None) == (log_entries is None):
@@ -122,38 +115,29 @@ class WeightMatrix:
 
     def _derive(self, log_entries, structural_zeros):
         """Set every field from validated log-weights, taking ownership of
-        them; ``scaled`` is left to its first read."""
+        them."""
         row_scales = log_entries.max(axis=1)
         row_scales[row_scales == -np.inf] = 0.0
-        self._set(log_entries, row_scales, None, structural_zeros)
+        self._set(log_entries, row_scales, structural_zeros)
 
-    def _set(self, log_entries, row_scales, scaled, structural_zeros):
-        for array in (log_entries, row_scales, scaled):
-            if array is not None:
-                array.setflags(write=False)
+    def _set(self, log_entries, row_scales, structural_zeros):
+        log_entries.setflags(write=False)
+        row_scales.setflags(write=False)
         self.log_entries = log_entries
         self.size = log_entries.shape[0]
         self.row_scales = row_scales
         self.scale_total = float(row_scales.sum())
-        self._scaled = scaled
         self.structural_zeros = structural_zeros
 
     @property
     def scaled(self):
-        """exp(log_entries - row_scales[:, None]), read-only. Patched weights
-        (``_with_cross``) carry it from construction, and weights of one row
-        block from their first bordered fill; others derive it on first
-        read, one row block at a time, and keep it. Two threads that both
-        find it unset may both derive it: they get equal arrays, and either
-        one is kept."""
-        scaled = self._scaled
-        if scaled is None:
-            scaled = np.empty((self.size, self.size))
-            with np.errstate(under="ignore"):
-                for rows in _row_blocks(self.size):
-                    self._scaled_rows(rows, scaled[rows])
-            scaled.setflags(write=False)
-            self._scaled = scaled
+        """exp(log_entries - row_scales[:, None]), derived on each read one
+        row block at a time (the bordered fill's bytes), and read-only."""
+        scaled = np.empty((self.size, self.size))
+        with np.errstate(under="ignore"):
+            for rows in _row_blocks(self.size):
+                self._scaled_rows(rows, scaled[rows])
+        scaled.setflags(write=False)
         return scaled
 
     def _scaled_rows(self, rows, out):
@@ -168,67 +152,6 @@ class WeightMatrix:
         with np.errstate(under="ignore"):
             out = np.exp(self.log_entries)
         return out
-
-    def with_edits(self, edits):
-        """New matrix with (child, parent, new_log_weight) entries replaced.
-
-        ``edits`` is any (E, 3) array-like; indices may be negative, as in
-        numpy, and a later edit of the same entry wins. Only what an edit
-        can break is validated: NaN or +inf weights, indices that are not
-        integers or out of range (``IndexError``), and diagonal entries.
-        """
-        edits = np.asarray(edits, dtype=float)
-        if edits.size == 0:
-            edits = edits.reshape(0, 3)
-        if edits.ndim != 2 or edits.shape[1] != 3:
-            raise ValueError("edits must be (child, parent, log_weight) rows")
-        index, values = edits[:, :2], edits[:, 2]
-        zeros = _has_log_zeros(values)
-        if (np.trunc(index) != index).any():
-            raise ValueError("edit indices must be integers")
-        if ((index < -self.size) | (index >= self.size)).any():
-            raise IndexError("edit index out of range")
-        child, parent = (index.astype(np.intp) % self.size).T
-        if (child == parent).any():
-            raise ValueError("cannot edit the diagonal")
-        log_entries = self.log_entries.copy()
-        log_entries[child, parent] = values
-        edited = WeightMatrix.__new__(WeightMatrix)
-        edited._derive(log_entries, self.structural_zeros or zeros)
-        return edited
-
-    def _with_cross(self, node, row_logs, column_logs):
-        """New matrix with row and column ``node`` replaced by ``row_logs``
-        and ``column_logs``, whose diagonal entries are ignored.
-
-        Equal bit for bit to ``with_edits`` of the same entries, but only
-        row ``node``, column ``node`` and the rows whose scale moved are
-        re-exponentiated: each is the same exp of the same difference as in
-        a full derivation. The row scales are taken again in one pass over
-        the matrix; a maximum is exact in any order. Weights with
-        structural zeros, before or after, are derived afresh. A NaN or
-        +inf in either vector raises ``ValueError``, as in ``with_edits``.
-        """
-        log_entries = self.log_entries.copy()
-        log_entries[node] = row_logs
-        log_entries[:, node] = column_logs
-        log_entries[node, node] = -np.inf
-        column = log_entries[:, node]
-        zeros = _has_log_zeros(log_entries[node], 1) | _has_log_zeros(column, 1)
-        edited = WeightMatrix.__new__(WeightMatrix)
-        if self.structural_zeros or zeros:
-            edited._derive(log_entries, True)
-            return edited
-        row_scales = log_entries.max(axis=1)
-        moved = row_scales != self.row_scales
-        moved[node] = True
-        rows = np.flatnonzero(moved)
-        scaled = self.scaled.copy()
-        with np.errstate(under="ignore"):
-            scaled[:, node] = np.exp(column - row_scales)
-            scaled[rows] = np.exp(log_entries[rows] - row_scales[rows, None])
-        edited._set(log_entries, row_scales, scaled, False)
-        return edited
 
 
 class RootWeights:
@@ -424,20 +347,19 @@ def _check_sizes(beta, roots):
 class _Bordered:
     """The row-rescaled bordered Laplacian of one (weights, roots) pair.
 
-    ``matrix`` is [[1, p^T], [-p, Q]], Q = diag(row sums) - beta.scaled and
-    p the root weights p(X_r) exp(-row_scales[r]), normalized: its
+    ``matrix`` is [[1, p^T], [-p, Q]], Q = diag(row sums) - scaled weights
+    and p the root weights p(X_r) exp(-row_scales[r]), normalized: its
     determinant is sum_r p(r) Z_r of the scaled weights, and ln Z =
     ``offset`` + ``logdet`` exactly. Q is written one row block at a time
-    from ``log_entries`` (exp, row sums, 0 - x), or from ``beta.scaled``
-    when the weights carry it; both give the same bytes, and 0 - Q off the
-    diagonal is the scaled weights exactly. Weights of one row block keep
-    the fill's scaled weights. ``logdet`` and ``inverse`` are
-    computed on first read and kept; the inverse is ``_block_inverse``'s,
-    which is numpy's ``inv`` up to dimension ``_BLOCK_LEAF`` and wherever
-    its certificate fails. Weights with structural zeros are first
-    checked for an out-tree over their support: where none exists Z = 0
-    exactly, but the LU can still return a small positive determinant made
-    of roundoff, so this raises ``ZeroPartitionError`` before any factoring.
+    from ``log_entries`` (exp, row sums, 0 - x), so 0 - Q off the diagonal
+    is the scaled weights exactly, and the record is their only home.
+    ``logdet`` and ``inverse`` are computed on first read and kept; the
+    inverse is ``_block_inverse``'s, which is numpy's ``inv`` up to
+    dimension ``_BLOCK_LEAF`` and wherever its certificate fails. Weights
+    with structural zeros are first checked for an out-tree over their
+    support: where none exists Z = 0 exactly, but the LU can still return a
+    small positive determinant made of roundoff, so this raises
+    ``ZeroPartitionError`` before any factoring.
     """
 
     def __init__(self, beta: WeightMatrix, roots: RootWeights):
@@ -446,40 +368,77 @@ class _Bordered:
             candidates = np.flatnonzero(roots.log_values > -np.inf)
             if not _has_positive_arborescence(beta.log_entries > -np.inf, candidates):
                 raise ZeroPartitionError("no out-tree has positive weight")
+        size = beta.size
+        self.matrix = np.empty((size + 1, size + 1))
+        # Q = diag(row sums) - weights, filled in place (the diagonal weights
+        # are 0); 0 - x, not -x, keeps a zero weight +0.0, so 0 - Q gives the
+        # weights back bit for bit. Each block is scaled in a contiguous
+        # scratch array: ufuncs on the strided core ran at half the speed
+        core = self.matrix[1:, 1:]
+        rows = _row_blocks(size)
+        scaled, sums = np.empty((rows[0].stop, size)), np.empty(size)
+        with np.errstate(under="ignore"):
+            for block in rows:
+                part = beta._scaled_rows(block, scaled[:block.stop - block.start])
+                np.add.reduce(part, axis=1, out=sums[block])
+                np.subtract(0.0, part, out=core[block])
+        self.matrix.reshape(-1)[size + 2::size + 2] += sums
+        self._border(beta, roots)
+
+    def _border(self, beta, roots):
+        """Write the root border of ``matrix`` and set the record's weights,
+        root weights, normalized border p and ln Z offset."""
         adjusted_log = roots.log_values - beta.row_scales
         adjusted_total = float(_logsumexp(adjusted_log))
         with np.errstate(under="ignore"):
             self.normalized = np.exp(adjusted_log - adjusted_total)
-        size = beta.size
-        self.matrix = np.empty((size + 1, size + 1))
         self.matrix[0, 0] = 1.0
         self.matrix[0, 1:] = self.normalized
         self.matrix[1:, 0] = -self.normalized
-        # Q = diag(row sums) - weights, filled in place (the diagonal weights
-        # are 0); 0 - x, not -x, keeps a zero weight +0.0, so 0 - Q gives the
-        # weights back bit for bit
-        core = self.matrix[1:, 1:]
-        if beta._scaled is None:
-            # each block is scaled in a contiguous scratch array: ufuncs on
-            # the strided core ran at half the speed
-            rows = _row_blocks(size)
-            scaled, sums = np.empty((rows[0].stop, size)), np.empty(size)
-            with np.errstate(under="ignore"):
-                for block in rows:
-                    part = beta._scaled_rows(block, scaled[:block.stop - block.start])
-                    np.add.reduce(part, axis=1, out=sums[block])
-                    np.subtract(0.0, part, out=core[block])
-            if len(rows) == 1:
-                # the scratch is then the whole rescaled matrix, so the weights
-                # keep it, as a read of ``scaled`` would, and W reads it
-                scaled.setflags(write=False)
-                beta._scaled = scaled
-        else:
-            np.subtract(0.0, beta.scaled, out=core)
-            sums = beta.scaled.sum(axis=1)
-        self.matrix.reshape(-1)[size + 2::size + 2] += sums
         self.beta, self.roots = beta, roots
         self.offset = beta.scale_total + adjusted_total
+
+    def _crossed(self, node, row_logs, column_logs):
+        """Record of these weights with row and column ``node`` replaced by
+        ``row_logs`` and ``column_logs`` (their diagonal entries ignored),
+        not yet factored.
+
+        Equal bit for bit to a fresh record of the same log-weights, but the
+        bordered matrix is a copy of this one in which only row ``node``,
+        column ``node`` and the rows whose scale moved are exponentiated
+        again, each the same exp of the same difference as in a fresh fill.
+        The row scales are taken again in one pass; a maximum is exact in
+        any order. Every row sum is taken again as the sum of the row's
+        entries 0 - x with the diagonal zeroed, and negated: pairwise
+        summation commutes with negation, and no sum is zero (each row holds
+        a 1), so this is the fresh fill's sum bit for bit. Weights with
+        structural zeros, before or after, get a fresh record of validated
+        weights. A NaN or +inf in either vector raises ``ValueError``.
+        """
+        log_entries = self.beta.log_entries.copy()
+        log_entries[node] = row_logs
+        log_entries[:, node] = column_logs
+        log_entries[node, node] = -np.inf
+        column = log_entries[:, node]
+        zeros = _has_log_zeros(log_entries[node], 1) | _has_log_zeros(column, 1)
+        if self.beta.structural_zeros or zeros:
+            return _Bordered(WeightMatrix._owning(log_entries), self.roots)
+        row_scales = log_entries.max(axis=1)
+        moved = row_scales != self.beta.row_scales
+        moved[node] = True
+        rows = np.flatnonzero(moved)
+        beta = WeightMatrix.__new__(WeightMatrix)
+        beta._set(log_entries, row_scales, False)
+        record = _Bordered.__new__(_Bordered)
+        record.matrix = self.matrix.copy()
+        core = record.matrix[1:, 1:]
+        with np.errstate(under="ignore"):
+            core[:, node] = np.subtract(0.0, np.exp(column - row_scales))
+            core[rows] = np.subtract(0.0, np.exp(log_entries[rows] - row_scales[rows, None]))
+        np.fill_diagonal(core, 0.0)
+        np.fill_diagonal(core, np.subtract(0.0, np.add.reduce(core, axis=1)))
+        record._border(beta, self.roots)
+        return record
 
     @cached_property
     def logdet(self) -> float:
@@ -507,24 +466,19 @@ class _Bordered:
         if inv is None:
             inv = self._invert()
         core = inv[1:, 1:]
-        # W = the gain d ln Z / d scaled, times the scaled weights, in one
-        # C-ordered array (an F-ordered W moves the gradient's sums by
-        # roundoff). Weights that do not carry ``scaled`` have them read back
-        # from the bordered matrix as 0 - Q off the diagonal, exact to the
-        # sign of a zero. The gain takes numpy's transposing copy, faster
-        # than a transposed operand.
+        # W = the gain d ln Z / d scaled, times the scaled weights read back
+        # from the bordered matrix as 0 - Q off the diagonal (exact to the
+        # sign of a zero), in one C-ordered array (an F-ordered W moves the
+        # gradient's sums by roundoff). The gain takes numpy's transposing
+        # copy, faster than a transposed operand.
         w = np.empty(core.shape)
         np.copyto(w, core.T)
-        diag, carried = np.diag(core), self.beta._scaled
+        diag, q = np.diag(core), self.matrix[1:, 1:]
         rows = _row_blocks(len(w), _SCRATCH_BYTES)
-        if carried is None:
-            scaled = np.empty((rows[0].stop, len(w)))
+        scaled = np.empty((rows[0].stop, len(w)))
         for block in rows:
             gain = np.subtract(diag[block, None], w[block], out=w[block])
-            if carried is None:
-                gain *= np.subtract(0.0, self.matrix[1:, 1:][block], out=scaled[:len(gain)])
-            else:
-                gain *= carried[block]
+            gain *= np.subtract(0.0, q[block], out=scaled[:len(gain)])
         np.fill_diagonal(w, 0.0)
         border = inv[1:, 0] - inv[0, 1:]
         p = self.normalized
@@ -689,15 +643,13 @@ def log_partition_per_root(beta: WeightMatrix) -> np.ndarray:
     return out
 
 
-def log_partition(beta: WeightMatrix, roots: RootWeights, *, per_root=False) -> LogPartition:
+def log_partition(beta: WeightMatrix, roots: RootWeights) -> LogPartition:
     """ln Z = ln(sum_r p(X_r)) + logdet of the augmented Laplacian.
 
-    One O(T^3) determinant covers all roots at once. ``per_root=True`` also
-    fills the slower per-root vector ln Z_r.
+    One O(T^3) determinant covers all roots at once; the per-root vector
+    ln Z_r is ``log_partition_per_root``'s.
     """
-    log_z = _Bordered(beta, roots).log_z
-    per = log_partition_per_root(beta) if per_root else None
-    return LogPartition(log_z=log_z, per_root_log_z=per)
+    return LogPartition(log_z=_Bordered(beta, roots).log_z)
 
 
 def enumerate_out_trees(size: int) -> list[OutTree]:
@@ -807,7 +759,7 @@ def posterior_weights(beta: WeightMatrix, roots: RootWeights):
     (0, r) and (r, 0), which gives rho = p * (1 + b - p.b) with
     b = inv[1:, 0] - inv[0, 1:]. W is the gain diag(C)[:, None] - C^T
     (C the inverse's core) times the scaled weights, read back from the
-    bordered matrix when the weights carry no rescaled copy.
+    bordered matrix.
     Neither output is clipped: on ill-conditioned weights roundoff can make
     entries negative.
     """
@@ -831,18 +783,15 @@ def tree_entropy(beta: WeightMatrix, r: int) -> float:
 class IncrementalLogdet:
     """The ``_Bordered`` record of the current weights, factored.
 
-    ``apply_edits`` replaces (child, parent, new_log_weight) entries and
-    swaps in the record of the edited weights; ``preview_edits`` scores
-    edits by the ln Z of a fresh record. Edits are validated by
-    ``WeightMatrix.with_edits``. A row-and-column replacement (a label
-    flip) takes ``_cross`` instead, which patches the current rescaled
-    weights, and ``_commit`` swaps in such a record without setting it up
-    or factoring it again. The ``inverse`` is computed on
-    its first read, so a search that never screens candidates (two
-    classes) never inverts. Weights with no out-tree of positive weight
-    raise ``ZeroPartitionError``, at construction too; an edit that raises
-    leaves the session unchanged. Single-writer: one mutable session at a
-    time.
+    A row-and-column replacement (a label flip) takes ``_cross``, which
+    patches a copy of the current bordered matrix (``_Bordered._crossed``),
+    and ``_commit`` swaps in such a record without setting it up or
+    factoring it again. The ``inverse`` is computed on its first read, so a
+    search that never screens candidates (two classes) never inverts.
+    Weights with no out-tree of positive weight raise
+    ``ZeroPartitionError``, at construction too; a replacement whose record
+    raises leaves the session unchanged. Single-writer: one mutable session
+    at a time.
     """
 
     def __init__(self, beta: WeightMatrix, roots: RootWeights):
@@ -865,20 +814,10 @@ class IncrementalLogdet:
     def inverse(self) -> np.ndarray:
         return self._record.inverse
 
-    def apply_edits(self, edits) -> float:
-        """Apply edits, returning the new log-partition."""
-        return self._commit(_Bordered(self.beta.with_edits(edits), self._record.roots))
-
-    def preview_edits(self, edits) -> float:
-        """Change in log-partition the edits would cause, without committing."""
-        return _Bordered(self.beta.with_edits(edits), self._record.roots).log_z \
-            - self.log_partition
-
     def _cross(self, node, row_logs, column_logs):
         """Unfactored record of the current weights with row and column
-        ``node`` replaced; see ``WeightMatrix._with_cross``."""
-        return _Bordered(self.beta._with_cross(node, row_logs, column_logs),
-                         self._record.roots)
+        ``node`` replaced; see ``_Bordered._crossed``."""
+        return self._record._crossed(node, row_logs, column_logs)
 
     def _commit(self, record) -> float:
         """Swap in ``record``, returning its log-partition. It is factored

@@ -10,10 +10,10 @@ from outtree import treemath
 
 @pytest.fixture
 def bordered_counts(monkeypatch):
-    """Counts of bordered-Laplacian set-ups (key "set-up"), of rescaled
-    weights patched by ``WeightMatrix._with_cross`` rather than derived
-    afresh (key "patch"), and of ``np.linalg.slogdet``/``inv`` calls keyed
-    by (name, matrix dimension)."""
+    """Counts of bordered-Laplacian set-ups from the weights (key "set-up"),
+    of records that ``_Bordered._crossed`` patched from a copy of the
+    current matrix rather than set up afresh (key "patch"), and of
+    ``np.linalg.slogdet``/``inv`` calls keyed by (name, matrix dimension)."""
     counts = Counter()
 
     class Counted(treemath._Bordered):
@@ -21,12 +21,11 @@ def bordered_counts(monkeypatch):
             counts["set-up"] += 1
             super().__init__(*args)
 
-    with_cross = treemath.WeightMatrix._with_cross
-
-    def counted_cross(self, *args):
-        edited = with_cross(self, *args)
-        counts["patch"] += not edited.structural_zeros  # a derivation sets the flag
-        return edited
+        def _crossed(self, *args):
+            set_up = counts["set-up"]
+            record = super()._crossed(*args)
+            counts["patch"] += counts["set-up"] == set_up  # the fresh path sets up
+            return record
 
     def counted(name, fn):
         def wrapper(a, *args, **kwargs):
@@ -35,7 +34,6 @@ def bordered_counts(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(treemath, "_Bordered", Counted)
-    monkeypatch.setattr(treemath.WeightMatrix, "_with_cross", counted_cross)
     for name in ("slogdet", "inv"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     return counts

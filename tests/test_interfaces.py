@@ -70,7 +70,8 @@ class TestImmutability:
         beta = treemath.WeightMatrix(entries=[[0.0, 1.0], [0.5, 0.0]])
         roots = treemath.RootWeights(values=[1.0, 1.0])
         session = treemath.IncrementalLogdet(beta, roots)
-        session.apply_edits([(0, 1, -1.5)])
+        session._commit(session._cross(0, [0.0, -1.5], [0.0, np.log(0.5)]))
+        assert session.beta.log_entries[0, 1] == -1.5
         assert beta.log_entries[0, 1] == 0.0
 
 
@@ -173,3 +174,43 @@ class TestNumpyOnlyRuntime:
         assert done.returncode == 0, done.stderr
         result = json.loads(done.stdout.strip().split("\n")[-1])
         assert result == {"codes": [0] * 7, "scipy": []}, done.stderr
+
+
+def _bindings(modules):
+    """Every module global of ``modules`` and every attribute of the classes
+    they define, keyed by (module, name) and (module, class, name)."""
+    out = {}
+    for module in modules:
+        for key, value in vars(module).items():
+            out[module.__name__, key] = value
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                for attr, member in vars(value).items():
+                    out[module.__name__, key, attr] = member
+    return out
+
+
+class TestBenchTracer:
+    def test_tracer_binds_the_package_and_restores_it(self, monkeypatch):
+        # the benchmark's per-layer tracer wraps the package's functions by
+        # name, so a traced run breaks when a name it looks up goes away
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import tracer
+
+        from outtree import likelihood, sampler, vb  # noqa: F401 (the traced modules)
+        modules = [module for name, module in sorted(sys.modules.items())
+                   if module is not None and name.split(".")[0] == "outtree"]
+        before = _bindings(modules + [np.linalg])
+        traced = tracer.Tracer()
+        traced.install()
+        try:
+            during = _bindings(modules + [np.linalg])
+        finally:
+            traced.uninstall()
+        wrapped = {key for key, value in before.items() if during[key] is not value}
+        assert {("outtree.treemath", "log_partition"), ("outtree.models", "build_beta"),
+                ("outtree.likelihood", "build_beta"), ("numpy.linalg", "slogdet"),
+                ("outtree.treemath", "IncrementalLogdet", "__init__"),
+                ("outtree.semisup", "LabelInference", "screen_delta")} <= wrapped
+        after = _bindings(modules + [np.linalg])
+        assert after.keys() == before.keys()
+        assert all(after[key] is value for key, value in before.items())

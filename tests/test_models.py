@@ -421,21 +421,22 @@ def _reference_log_conditionals(model, data):
 
 
 def _reference_weights(log_entries):
-    """Weights derived from log-weights in whole-matrix expressions."""
+    """Weights and their rescaled matrix, derived from log-weights in
+    whole-matrix expressions."""
     row_scales = log_entries.max(axis=1)
     row_scales[row_scales == -np.inf] = 0.0
     with np.errstate(under="ignore"):
         scaled = np.exp(log_entries - row_scales[:, None])
     beta = treemath.WeightMatrix.__new__(treemath.WeightMatrix)
-    beta._set(log_entries, row_scales, scaled, False)
-    return beta
+    beta._set(log_entries, row_scales, False)
+    return beta, scaled
 
 
 def _reference_posterior_weights(record):
     inv = record._invert()
     core = inv[1:, 1:]
     gain = np.diag(core)[:, None] - core.T
-    w = record.beta.scaled * gain
+    w = _reference_weights(record.beta.log_entries)[1] * gain
     np.fill_diagonal(w, 0.0)
     border = inv[1:, 0] - inv[0, 1:]
     p = record.normalized
@@ -458,9 +459,10 @@ class TestBlockedWeights:
         model, data = _family(family, rng, size)
         data = model.validate_data(data)
         beta, roots = models.build_beta(data, model)
-        want = _reference_weights(_reference_log_conditionals(model, data))
-        for field in ("log_entries", "row_scales", "scaled"):
+        want, want_scaled = _reference_weights(_reference_log_conditionals(model, data))
+        for field in ("log_entries", "row_scales"):
             assert getattr(beta, field).tobytes() == getattr(want, field).tobytes(), field
+        assert beta.scaled.tobytes() == want_scaled.tobytes()
         assert beta.scale_total == want.scale_total and not beta.structural_zeros
         got_record, want_record = treemath._Bordered(beta, roots), treemath._Bordered(want, roots)
         assert got_record.matrix.tobytes() == want_record.matrix.tobytes()

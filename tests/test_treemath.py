@@ -93,16 +93,16 @@ class TestLogPartition:
     def test_matches_enumeration(self, seed):
         rng = np.random.default_rng(seed)
         beta, roots = random_instance(5, rng)
-        got = tm.log_partition(beta, roots, per_root=True)
+        got = tm.log_partition(beta, roots)
         want = tm.brute_force_log_partition(beta, roots)
         assert np.isclose(got.log_z, want.log_z, rtol=1e-9)
-        assert np.allclose(got.per_root_log_z, want.per_root_log_z, rtol=1e-9)
+        assert np.allclose(tm.log_partition_per_root(beta), want.per_root_log_z, rtol=1e-9)
 
     def test_augmented_route_equals_per_root_route(self):
         rng = np.random.default_rng(11)
         beta, roots = random_instance(6, rng)
-        lp = tm.log_partition(beta, roots, per_root=True)
-        via_sum = logsumexp(roots.log_values + lp.per_root_log_z)
+        lp = tm.log_partition(beta, roots)
+        via_sum = logsumexp(roots.log_values + tm.log_partition_per_root(beta))
         assert np.isclose(lp.log_z, via_sum, rtol=1e-9)
 
     def test_disconnected_root_gets_minus_inf(self):
@@ -143,11 +143,18 @@ class TestLogPartition:
 
     def test_structural_zeros_flag(self):
         rng = np.random.default_rng(4)
-        beta, _ = random_instance(5, rng)
+        beta, roots = random_instance(5, rng)
         assert not beta.structural_zeros
         assert not tm.WeightMatrix(log_entries=beta.log_entries).structural_zeros
-        assert beta.with_edits([(1, 2, -np.inf)]).structural_zeros
-        assert not beta.with_edits([(1, 2, 0.5)]).structural_zeros
+        # a flip that writes a -inf sets the flag, and one that removes the
+        # only -inf clears it
+        record = tm._Bordered(beta, roots)
+        column = beta.log_entries[:, 2].copy()
+        column[1] = -np.inf
+        zeros = record._crossed(2, beta.log_entries[2], column)
+        assert zeros.beta.structural_zeros
+        assert not zeros._crossed(2, beta.log_entries[2], beta.log_entries[:, 2]) \
+            .beta.structural_zeros
         entries = beta.entries
         entries[3, 0] = 0.0
         assert tm.WeightMatrix(entries=entries).structural_zeros
@@ -308,13 +315,31 @@ class TestTreeEntropy:
             assert tm.tree_entropy(beta, r) > -1e-8
 
 
+def crossed_log(log, node, row, column):
+    """``log`` with row and column ``node`` replaced by ``row`` and
+    ``column`` and its diagonal kept -inf, written as a plain copy: the
+    log-weights of a flip, whose fresh ``WeightMatrix`` is the oracle of the
+    patched record."""
+    out = np.array(log, dtype=float)
+    out[node] = row
+    out[:, node] = column
+    out[node, node] = -np.inf
+    return out
+
+
 class TestIncrementalLogdet:
+    """The session's flip path, ``_cross`` and ``_commit``, against fresh
+    records of the same log-weights."""
+
     def test_empty_edit_list_is_identity(self):
+        # the flip that writes the node's own row and column back
         rng = np.random.default_rng(14)
         beta, roots = random_instance(6, rng)
         session = tm.IncrementalLogdet(beta, roots)
         before = session.logdet
-        session.apply_edits([])
+        record = session._cross(2, beta.log_entries[2], beta.log_entries[:, 2])
+        assert same_bits(record.matrix, session._record.matrix)
+        session._commit(record)
         assert session.logdet == before
 
     def test_edit_then_reverse(self):
@@ -322,75 +347,89 @@ class TestIncrementalLogdet:
         beta, roots = random_instance(6, rng)
         session = tm.IncrementalLogdet(beta, roots)
         original = session.log_partition
-        old_log = beta.log_entries[2, 3]
-        session.apply_edits([(2, 3, old_log + 0.8)])
-        session.apply_edits([(2, 3, old_log)])
-        assert abs(session.log_partition - original) < 1e-10
+        session._commit(session._cross(2, beta.log_entries[2] + 0.8,
+                                       beta.log_entries[:, 2] - 0.3))
+        assert session.log_partition != original
+        session._commit(session._cross(2, beta.log_entries[2], beta.log_entries[:, 2]))
+        assert session.log_partition == original
+        assert same_bits(session._record.matrix, tm._Bordered(beta, roots).matrix)
 
     def test_preview_does_not_mutate(self):
         rng = np.random.default_rng(16)
         beta, roots = random_instance(5, rng)
         session = tm.IncrementalLogdet(beta, roots)
-        before = session.log_partition
-        delta = session.preview_edits([(0, 1, -2.0), (1, 0, -3.0)])
+        before, matrix = session.log_partition, session._record.matrix.copy()
+        record = session._cross(0, *rng.uniform(-3.0, 0.5, (2, 5)))
+        delta = record.log_z - before
         assert session.log_partition == before
-        session.apply_edits([(0, 1, -2.0), (1, 0, -3.0)])
-        assert abs((session.log_partition - before) - delta) < 1e-10
+        assert same_bits(session._record.matrix, matrix)
+        session._commit(record)
+        assert session.log_partition - before == delta
 
     @pytest.mark.parametrize("seed", range(3))
     def test_batch_matches_fresh_recompute(self, seed):
         rng = np.random.default_rng(100 + seed)
         beta, roots = random_instance(20, rng)
         session = tm.IncrementalLogdet(beta, roots)
-        edits = []
-        for _ in range(19):
-            u, v = rng.integers(0, 20, 2)
-            while u == v:
-                u, v = rng.integers(0, 20, 2)
-            edits.append((int(u), int(v), float(rng.uniform(-3.0, 0.5))))
-        session.apply_edits(edits)
-        fresh = tm.log_partition(beta.with_edits(edits), roots)
-        assert abs(session.log_partition - fresh.log_z) < 1e-8
+        log = beta.log_entries
+        for _ in range(5):
+            node = int(rng.integers(20))
+            row, column = rng.uniform(-3.0, 0.5, (2, 20))
+            session._commit(session._cross(node, row, column))
+            log = crossed_log(log, node, row, column)
+        fresh = tm.log_partition(tm.WeightMatrix(log_entries=log), roots)
+        assert session.log_partition == fresh.log_z
 
     def test_structural_zero_edits_round_trip(self):
         rng = np.random.default_rng(17)
         beta, roots = random_instance(5, rng)
         session = tm.IncrementalLogdet(beta, roots)
         start = session.log_partition
-        session.apply_edits([(1, 2, -np.inf)])
-        fresh = tm.log_partition(beta.with_edits([(1, 2, -np.inf)]), roots)
-        assert abs(session.log_partition - fresh.log_z) < 1e-8
-        session.apply_edits([(1, 2, float(beta.log_entries[1, 2]))])
-        assert abs(session.log_partition - start) < 1e-8
+        row, column = beta.log_entries[2], beta.log_entries[:, 2].copy()
+        column[1] = -np.inf
+        session._commit(session._cross(2, row, column))
+        fresh = tm.WeightMatrix(log_entries=crossed_log(beta.log_entries, 2, row, column))
+        assert session.beta.structural_zeros
+        assert session.log_partition == tm.log_partition(fresh, roots).log_z
+        session._commit(session._cross(2, row, beta.log_entries[:, 2]))
+        assert not session.beta.structural_zeros
+        assert session.log_partition == start
 
     def test_singular_update_is_signalled_and_state_kept(self):
-        # removing both edges of a two-node graph leaves no out-tree at all
+        # removing both edges of a two-node graph leaves no out-tree at all:
+        # the fresh record of the flipped weights raises when it is set up
         beta = tm.WeightMatrix(entries=[[0.0, 0.5], [0.5, 0.0]])
         roots = tm.RootWeights(values=[1.0, 1e-300])
         session = tm.IncrementalLogdet(beta, roots)
         before = session.log_partition
-        edits = [(0, 1, -np.inf), (1, 0, -np.inf)]
         with pytest.raises(ZeroPartitionError):
-            session.preview_edits(edits)
-        with pytest.raises(ZeroPartitionError):
-            session.apply_edits(edits)
+            session._cross(0, np.full(2, -np.inf), np.full(2, -np.inf))
         assert session.log_partition == before
+        # every edge into nodes 2 and 3 from the roots 0 and 1 sits 2e3 nats
+        # down: a patched record that raises when it is factored, on commit
+        roots = tm.RootWeights(log_values=[0.0, 0.0, -np.inf, -np.inf])
+        session = tm.IncrementalLogdet(tm.WeightMatrix(entries=np.ones((4, 4)) - np.eye(4)),
+                                       roots)
+        session._commit(session._cross(2, [-2e3, -2e3, 0.0, 0.0], np.zeros(4)))
+        kept, before = session._record, session.log_partition
+        record = session._cross(3, [-2e3, -2e3, 0.0, 0.0], np.zeros(4))
+        assert not record.beta.structural_zeros
+        with pytest.raises(ZeroPartitionError):
+            session._commit(record)
+        assert session._record is kept and session.log_partition == before
 
     def test_automatic_refactor_keeps_accuracy(self):
         rng = np.random.default_rng(18)
         beta, roots = random_instance(8, rng)
         session = tm.IncrementalLogdet(beta, roots)
-        log_beta = np.array(beta.log_entries)
-        for step in range(60):
-            u, v = rng.integers(0, 8, 2)
-            if u == v:
-                continue
-            new = float(rng.uniform(-2.0, 0.5))
-            session.apply_edits([(int(u), int(v), new)])
-            log_beta[u, v] = new
+        log_beta = beta.log_entries
+        for _ in range(60):
+            node = int(rng.integers(8))
+            row, column = rng.uniform(-2.0, 0.5, (2, 8))
+            session._commit(session._cross(node, row, column))
+            log_beta = crossed_log(log_beta, node, row, column)
         fresh = tm.log_partition(tm.WeightMatrix(log_entries=log_beta), roots)
-        assert abs(session.log_partition - fresh.log_z) < 1e-9
-
+        assert session.log_partition == fresh.log_z
 
     def test_inverse_is_the_fresh_inverse_of_the_bordered_matrix(self):
         rng = np.random.default_rng(19)
@@ -398,10 +437,14 @@ class TestIncrementalLogdet:
         session = tm.IncrementalLogdet(beta, roots)
         want = np.linalg.inv(tm._Bordered(beta, roots).matrix)
         assert session.inverse.tobytes() == want.tobytes()
-        edits = [(1, 4, -0.7), (-1, 2, 0.3), (3, 0, -np.inf)]
-        session.apply_edits(edits)
-        edited = beta.with_edits(edits)
-        want = np.linalg.inv(tm._Bordered(edited, roots).matrix)
+        log = beta.log_entries
+        for node, zero in [(1, None), (6, 2), (3, None)]:
+            row, column = rng.uniform(-2.0, 0.5, (2, 7))
+            if zero is not None:
+                column[zero] = -np.inf
+            session._commit(session._cross(node, row, column))
+            log = crossed_log(log, node, row, column)
+        want = np.linalg.inv(tm._Bordered(tm.WeightMatrix(log_entries=log), roots).matrix)
         assert session.inverse.tobytes() == want.tobytes()
 
 
@@ -423,10 +466,11 @@ def masked_derivation(log):
 
 @st.composite
 def edit_cases(draw, size):
-    """A weight matrix, edits of it, and the edited log-weights by a loop.
+    """A weight matrix, and its log-weights with (child, parent) entries
+    edited one by one in a loop.
 
     Regimes: structural zeros with one all -inf row, rows spanning 1.5e3
-    nats, duplicate (child, parent) edits and negative indices.
+    nats, edits to -inf, duplicate (child, parent) edits and negative indices.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     log = rng.normal(size=(size, size))
@@ -449,48 +493,11 @@ def edit_cases(draw, size):
     edited = log.copy()
     for u, v, w in edits:
         edited[u, v] = w
-    return tm.WeightMatrix(log_entries=log), edits, edited
+    return tm.WeightMatrix(log_entries=log), edited
 
 
 class TestLeanEdits:
-    """``with_edits`` and ``_logsumexp`` against their plain references."""
-
-    @pytest.mark.parametrize("size", [2, 3, 7])
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_with_edits_equals_a_fresh_matrix(self, size, data):
-        beta, edits, edited = data.draw(edit_cases(size))
-        got = beta.with_edits(edits)
-        want = tm.WeightMatrix(log_entries=edited)
-        assert same_bits(got.log_entries, want.log_entries)
-        assert same_bits(got.row_scales, want.row_scales)
-        assert same_bits(got.scaled, want.scaled)
-        assert same_bits(got.scale_total, want.scale_total)
-        assert got.size == want.size
-        # an edited matrix may keep a stale True, never a wrong False
-        assert got.structural_zeros >= want.structural_zeros
-        assert not got.log_entries.flags.writeable and not got.scaled.flags.writeable
-        row_scales, scaled = masked_derivation(edited)
-        assert same_bits(got.row_scales, row_scales)
-        assert same_bits(got.scaled, scaled)
-
-    @pytest.mark.parametrize("edits, error", [
-        ([(0, 1, 0.5), (1, 1, 0.0)], ValueError),  # diagonal
-        ([(-1, 3, 0.0)], ValueError),  # diagonal through a negative index
-        ([(0, -4, 0.0)], ValueError),
-        ([(0, 1, np.nan)], ValueError),
-        ([(0, 1, np.inf)], ValueError),
-        ([(0.5, 1, 0.0)], ValueError),
-        ([(0, np.nan, 0.0)], ValueError),
-        ([(0, 1), (1, 0)], ValueError),
-        ([(4, 1, 0.0)], IndexError),
-        ([(0, -5, 0.0)], IndexError),
-        ([(0, np.inf, 0.0)], IndexError),
-    ])
-    def test_with_edits_rejects_bad_edits(self, edits, error):
-        beta, _ = random_instance(4, np.random.default_rng(40))
-        with pytest.raises(error):
-            beta.with_edits(edits)
+    """``_logsumexp`` against its plain reference."""
 
     @settings(max_examples=200, deadline=None)
     @given(values=st.lists(st.one_of(st.floats(-800.0, 800.0), st.just(-np.inf)),
@@ -507,13 +514,14 @@ class TestLeanEdits:
 
 @st.composite
 def record_cases(draw, size):
-    """``edit_cases`` weights and edits, plus root weights that may hold a -inf."""
-    beta, edits, _ = draw(edit_cases(size))
+    """``edit_cases`` weights and edited log-weights, plus root weights that
+    may hold a -inf."""
+    beta, edited = draw(edit_cases(size))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     log_roots = rng.normal(scale=3.0, size=size)
     if draw(st.booleans()):
         log_roots[rng.integers(size)] = -np.inf
-    return beta, tm.RootWeights(log_values=log_roots), edits
+    return beta, tm.RootWeights(log_values=log_roots), edited
 
 
 def plain_bordered(beta, roots):
@@ -553,8 +561,8 @@ class TestBorderedRecord:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_record_reads_equal_fresh_entry_points(self, size, data):
-        beta, roots, edits = data.draw(record_cases(size))
-        for weights in (beta, beta.with_edits(edits)):
+        beta, roots, edited = data.draw(record_cases(size))
+        for weights in (beta, tm.WeightMatrix(log_entries=edited)):
             want_z = outcome(lambda: (tm.log_partition(weights, roots).log_z,))
             want_w = outcome(lambda: tm.posterior_weights(weights, roots))
             try:
@@ -575,21 +583,25 @@ class TestBorderedRecord:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_session_inverse_equals_a_fresh_records_after_edits(self, size, data):
-        beta, roots, edits = data.draw(record_cases(size))
+        beta, roots, flips = data.draw(cross_cases(size))
         try:
             session = tm.IncrementalLogdet(beta, roots)
         except (ZeroPartitionError, NumericalFaultError) as exc:
             assert outcome(lambda: (tm.log_partition(beta, roots).log_z,)) is type(exc)
             return
-        edited = beta.with_edits(edits)
-        applied = outcome(lambda: (session.apply_edits(edits),))
-        assert same_outcome(applied,
-                            outcome(lambda: (tm.log_partition(edited, roots).log_z,)))
-        # an edit that raises leaves the session on its old weights
-        current = beta if isinstance(applied, type) else edited
-        assert same_bits(session.beta.log_entries, current.log_entries)
-        assert same_outcome(outcome(lambda: (session.inverse,)),
-                            outcome(lambda: (tm._Bordered(current, roots).inverse,)))
+        for node, row, column in flips:
+            current = session.beta
+            edited = tm.WeightMatrix(log_entries=crossed_log(current.log_entries, node,
+                                                             row, column))
+            applied = outcome(lambda: (session._commit(session._cross(node, row, column)),))
+            assert same_outcome(applied,
+                                outcome(lambda: (tm.log_partition(edited, roots).log_z,)))
+            # a flip that raises leaves the session on its old weights
+            if not isinstance(applied, type):
+                current = edited
+            assert same_bits(session.beta.log_entries, current.log_entries)
+            assert same_outcome(outcome(lambda: (session.inverse,)),
+                                outcome(lambda: (tm._Bordered(current, roots).inverse,)))
 
 
 @st.composite
@@ -643,40 +655,48 @@ def same_weights(got, want):
 
 
 class TestCrossPatch:
-    """``WeightMatrix._with_cross`` against ``with_edits`` of the same entries."""
+    """``_Bordered._crossed`` against a fresh record of the same log-weights."""
 
     @pytest.mark.parametrize("size", [2, 3, 7])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_patched_record_equals_a_fresh_one(self, size, data):
         beta, roots, flips = data.draw(cross_cases(size))
+        current = outcome(lambda: (tm._Bordered(beta, roots),))
         for node, row, column in flips:
-            others = [v for v in range(size) if v != node]
-            edits = [(node, v, row[v]) for v in others] + [(v, node, column[v])
-                                                           for v in others]
-            got, want = beta._with_cross(node, row, column), beta.with_edits(edits)
-            assert same_weights(got, want)
-            assert not got.scaled.flags.writeable and not got.row_scales.flags.writeable
-            got_record = outcome(lambda: (tm._Bordered(got, roots),))
-            want_record = outcome(lambda: (tm._Bordered(want, roots),))
-            if isinstance(want_record, type) or isinstance(got_record, type):
-                assert got_record is want_record
+            want_beta = tm.WeightMatrix(log_entries=crossed_log(beta.log_entries, node,
+                                                                row, column))
+            want = outcome(lambda: (tm._Bordered(want_beta, roots),))
+            if isinstance(current, type):
+                # no session holds weights with Z = 0, so none is crossed from
+                beta, current = want_beta, want
+                continue
+            got = outcome(lambda: (current[0]._crossed(node, row, column),))
+            if isinstance(want, type) or isinstance(got, type):
+                assert got is want
             else:
-                (got_record,), (want_record,) = got_record, want_record
+                (got_record,), (want_record,) = got, want
+                assert same_weights(got_record.beta, want_beta)
+                assert not got_record.beta.log_entries.flags.writeable
+                assert not got_record.beta.row_scales.flags.writeable
                 assert same_bits(got_record.matrix, want_record.matrix)
+                assert same_bits(got_record.normalized, want_record.normalized)
                 assert same_bits(got_record.offset, want_record.offset)
                 for read in (lambda r: (r.log_z,), lambda r: (r.inverse,)):
                     assert same_outcome(outcome(lambda: read(got_record)),
                                         outcome(lambda: read(want_record)))
-            beta = got
+            beta, current = want_beta, got
 
     def test_rejects_nan_and_inf(self):
-        beta, _ = random_instance(4, np.random.default_rng(41))
+        beta, roots = random_instance(4, np.random.default_rng(41))
+        record = tm._Bordered(beta, roots)
         for bad in (np.nan, np.inf):
             row = np.zeros(4)
             row[2] = bad
             with pytest.raises(ValueError):
-                beta._with_cross(1, np.zeros(4), row)
+                record._crossed(1, np.zeros(4), row)
+            with pytest.raises(ValueError):
+                record._crossed(1, row, np.zeros(4))
 
 
 def rescaled_copy_record(beta, roots):
@@ -764,13 +784,6 @@ class TestFillFromLogWeights:
             except ZeroPartitionError:
                 assert want_logdet is ZeroPartitionError
                 continue
-            # a matrix of one row block keeps the fill's scratch as ``scaled``;
-            # a larger one is left with no rescaled copy
-            if len(tm._row_blocks(size)) == 1:
-                assert same_bits(beta._scaled, masked_derivation(log)[1])
-                assert not beta._scaled.flags.writeable
-            else:
-                assert beta._scaled is None
             assert same_bits(record.matrix, want_matrix)
             assert same_outcome(outcome(lambda: (record.logdet,)), want_logdet)
             assert same_outcome(outcome(record.posterior_weights), want_weights)
@@ -782,7 +795,6 @@ class TestFillFromLogWeights:
         beta = tm.WeightMatrix(log_entries=log)
         record = tm._Bordered(beta, roots)
         w, _ = record.posterior_weights()  # read back from the matrix
-        assert beta._scaled is None
         zero = (beta.scaled == 0.0) & ~np.eye(400, dtype=bool)
         core = record._invert()[1:, 1:]
         gain = np.diag(core)[:, None] - core.T
@@ -811,11 +823,11 @@ class TestFillFromLogWeights:
         before = tm._Bordered(beta, roots)
         row_scales, scaled = masked_derivation(log)
         assert same_bits(beta.row_scales, row_scales)
-        assert beta.scaled is beta.scaled and same_bits(beta.scaled, scaled)
+        assert same_bits(beta.scaled, scaled)
         assert not beta.scaled.flags.writeable
         with pytest.raises(ValueError):
             beta.scaled[0, 1] = 2.0
-        # weights that carry ``scaled`` fill from it, to the same bytes
+        # reading ``scaled`` leaves the weights and their records as they were
         after = tm._Bordered(beta, roots)
         assert same_bits(after.matrix, before.matrix)
         for got, want in zip(after.posterior_weights(), before.posterior_weights()):
@@ -825,14 +837,12 @@ class TestFillFromLogWeights:
     @pytest.mark.parametrize("regime", ["dense", "wide"])
     def test_patched_weights_equal_the_rescaled_copy_set_up(self, size, regime):
         log, roots = fill_case(size, 2, regime)
-        beta = tm.WeightMatrix(log_entries=log)
+        record = tm._Bordered(tm.WeightMatrix(log_entries=log), roots)
         rng = np.random.default_rng(size)
         for node in rng.integers(size, size=3):
             row, column = rng.normal(scale=2.0, size=(2, size))
-            beta = beta._with_cross(int(node), row, column)
-            assert beta._scaled is not None  # patched weights carry their copy
-            want_matrix, want_logdet, want_weights = rescaled_copy_record(beta, roots)
-            record = tm._Bordered(beta, roots)
+            record = record._crossed(int(node), row, column)
+            want_matrix, want_logdet, want_weights = rescaled_copy_record(record.beta, roots)
             assert same_bits(record.matrix, want_matrix)
             assert same_outcome(outcome(lambda: (record.logdet,)), want_logdet)
             assert same_outcome(outcome(record.posterior_weights), want_weights)
@@ -857,10 +867,11 @@ class TestInvariants:
         rng = np.random.default_rng(size)
         for _ in range(20):
             beta, roots = random_instance(size, rng)
-            got = tm.log_partition(beta, roots, per_root=True)
+            got = tm.log_partition(beta, roots)
             want = tm.brute_force_log_partition(beta, roots)
             assert np.isclose(np.exp(got.log_z), np.exp(want.log_z), rtol=1e-9)
-            assert np.allclose(got.per_root_log_z, want.per_root_log_z, rtol=1e-9)
+            assert np.allclose(tm.log_partition_per_root(beta), want.per_root_log_z,
+                               rtol=1e-9)
 
     def test_scaling_covariance(self):
         rng = np.random.default_rng(21)
@@ -882,10 +893,11 @@ class TestInvariants:
         sigma = rng.permutation(6)
         perm_beta = tm.WeightMatrix(log_entries=beta.log_entries[np.ix_(sigma, sigma)])
         perm_roots = tm.RootWeights(log_values=roots.log_values[sigma])
-        base = tm.log_partition(beta, roots, per_root=True)
-        perm = tm.log_partition(perm_beta, perm_roots, per_root=True)
+        base = tm.log_partition(beta, roots)
+        perm = tm.log_partition(perm_beta, perm_roots)
         assert abs(base.log_z - perm.log_z) < 1e-10
-        assert np.allclose(perm.per_root_log_z, base.per_root_log_z[sigma], atol=1e-10)
+        assert np.allclose(tm.log_partition_per_root(perm_beta),
+                           tm.log_partition_per_root(beta)[sigma], atol=1e-10)
 
     def test_symmetric_beta_collapses_roots(self):
         rng = np.random.default_rng(23)
