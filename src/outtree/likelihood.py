@@ -6,6 +6,11 @@ is exchangeable, and collapses to the iid likelihood whenever the
 conditional ignores the parent and equals the marginal. Test data is scored
 conditionally on the training rows through the ratio of two partition
 functions.
+
+Every value, gradient and score here reads a bordered-Laplacian record
+filled straight from (data, model) by ``models._build_bordered``: the same
+bytes as the record of ``build_beta``'s weights, with no T x T log-weights
+behind it.
 """
 
 from __future__ import annotations
@@ -15,9 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import treemath
 from .errors import DataError, NumericalFaultError, ZeroPartitionError
-from .models import MutationModel, build_beta
+from .models import MutationModel, _build_bordered
 
 
 @dataclass(frozen=True)
@@ -56,10 +60,9 @@ class FitReport:
 
 def tdid_log_likelihood(data, model: MutationModel) -> float:
     """ln Z - (T - 1) ln T for the dataset under the model."""
-    beta, roots = build_beta(data, model)
-    lp = treemath.log_partition(beta, roots)
-    size = beta.size
-    return float(lp.log_z - (size - 1) * np.log(size))
+    data = model.validate_data(data)
+    size = len(data)
+    return float(_build_bordered(data, model).log_z - (size - 1) * np.log(size))
 
 
 def iid_log_likelihood(data, model: MutationModel) -> float:
@@ -83,7 +86,7 @@ def _partition_gradient(data, model, record):
 def grad_tdid(data, model: MutationModel) -> np.ndarray:
     """Gradient of the out-tree log-likelihood in the flat parameter vector."""
     data = model.validate_data(data)
-    return _partition_gradient(data, model, treemath._Bordered(*build_beta(data, model)))
+    return _partition_gradient(data, model, _build_bordered(data, model))
 
 
 # a line-search trial that raises one of these left the numerically
@@ -94,10 +97,10 @@ _TRIAL_ERRORS = (ZeroPartitionError, NumericalFaultError, DataError, ValueError,
 
 
 def _objective(data, model, vector):
-    """Penalized log-likelihood, and the bordered-Laplacian record it was
-    read from."""
-    record = treemath._Bordered(*build_beta(data, model))
-    size = record.beta.size
+    """Penalized log-likelihood of validated data, and the bordered-Laplacian
+    record it was read from."""
+    record = _build_bordered(data, model)
+    size = len(data)
     value = record.log_z - (size - 1) * np.log(size)
     return float(value) + model.penalty(vector)[0], record
 
@@ -237,20 +240,15 @@ def test_log_likelihood(train, test, model: MutationModel) -> TestScore:
 
 def _conditional_score(train, test, model, log_z_train=None) -> TestScore:
     """``test_log_likelihood`` of validated rows; ``log_z_train`` is the
-    training ln Z when the caller has already read it off a record. Else
-    the training weights are the union's leading t x t block and t root
-    weights (train rows come first), the bytes ``build_beta(train)`` gives."""
+    training ln Z when the caller has already read it off a record. The
+    union's record is freed before the training rows are filled."""
     t, u = len(train), len(test)
-    union = np.concatenate([train, test], axis=0)
-    beta_union, roots_union = build_beta(union, model)
-    log_z_union = treemath.log_partition(beta_union, roots_union).log_z
+    log_z_union = _build_bordered(np.concatenate([train, test], axis=0), model).log_z
     if log_z_train is None:
         if t == 1:
             log_z_train = float(model.log_marginal_vector(train)[0])
         else:
-            beta_train = treemath.WeightMatrix._owning(beta_union.log_entries[:t, :t].copy())
-            roots_train = treemath.RootWeights(log_values=roots_union.log_values[:t])
-            log_z_train = treemath.log_partition(beta_train, roots_train).log_z
+            log_z_train = _build_bordered(train, model).log_z
     correction = (t - 1) * np.log(t) - (t + u - 1) * np.log(t + u)
     return TestScore(score=log_z_union - log_z_train + correction,
                      log_z_union=log_z_union, log_z_train=log_z_train,

@@ -17,6 +17,14 @@ edge weights W and root weights rho, which with the posterior edge
 marginals and root posterior is the gradient of ln Z. Each family computes
 it from W-weighted moments or counts in O(T^2 D), never forming the
 derivative of each log-weight.
+
+Each family's log-conditionals come from one row-block kernel
+(``_conditional_rows``): a per-dataset precompute (whitened rows and
+means, kernel features and means, or table lookups), then a fill of any
+block of rows into a caller's contiguous block. ``log_conditional_matrix``
+loops it over the whole matrix for ``build_beta``, the public weights API;
+``_build_bordered`` validates each block and rescales it straight into the
+bordered Laplacian, so the likelihood makes no T x T log-weights.
 """
 
 from __future__ import annotations
@@ -26,7 +34,8 @@ import abc
 import numpy as np
 
 from .errors import DataError
-from .treemath import RootWeights, WeightMatrix, _block_rows, _count_finite
+from .treemath import (RootWeights, WeightMatrix, _Bordered, _count_finite, _row_blocks,
+                       _row_scales)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -85,8 +94,47 @@ class MutationModel(abc.ABC):
         """Root log densities of every row of validated data."""
 
     @abc.abstractmethod
+    def _conditional_rows(self, data):
+        """Row-block kernel of the log-conditionals of validated ``data``.
+
+        Runs the family's per-dataset precompute and returns ``fill(rows,
+        out, work)``, which writes log p(x_u | x_v) for u in the row slice
+        ``rows`` and every v into ``out``, a contiguous len(rows) x T block;
+        ``work`` is a contiguous scratch block of the same shape that it may
+        overwrite. The diagonal entries written are ignored. Each entry is
+        computed as the same expression whatever the block, so any blocking
+        gives the same bytes.
+        """
+
     def log_conditional_matrix(self, data) -> np.ndarray:
         """All pairwise conditionals, entry (u, v) = log p(x_u | x_v); -inf diagonal."""
+        size = len(data)
+        out = np.empty((size, size))
+        fill = self._conditional_rows(data)
+        blocks = _row_blocks(size)
+        work = np.empty((blocks[0].stop, size))
+        for rows in blocks:
+            fill(rows, out[rows], work[:rows.stop - rows.start])
+        np.fill_diagonal(out, -np.inf)
+        return out
+
+
+def _check_conditional_rows(block, start):
+    """Raise ``DataError`` naming the first non-finite off-diagonal entry of
+    ``block``, rows ``start`` onwards of a log-conditional matrix."""
+    finite = np.isfinite(block)
+    finite.reshape(-1)[start::block.shape[1] + 1] = True
+    if not finite.all():
+        u, v = np.argwhere(~finite)[0]
+        raise DataError(f"non-finite log conditional for pair ({start + u}, {v})")
+
+
+def _check_marginals(log_marg):
+    """Raise ``DataError`` naming the first row with a non-finite root log
+    density."""
+    if not np.all(np.isfinite(log_marg)):
+        r = int(np.flatnonzero(~np.isfinite(log_marg))[0])
+        raise DataError(f"non-finite log marginal for row {r}")
 
 
 def build_beta(data, model: MutationModel):
@@ -105,16 +153,47 @@ def build_beta(data, model: MutationModel):
     clean = (log_cond.shape == (size, size) and np.all(np.diag(log_cond) == -np.inf)
              and _count_finite(log_cond) == size * (size - 1))
     if not clean:
-        off_diag = ~np.eye(size, dtype=bool)
-        if not np.all(np.isfinite(log_cond[off_diag])):
-            u, v = np.argwhere(off_diag & ~np.isfinite(log_cond))[0]
-            raise DataError(f"non-finite log conditional for pair ({u}, {v})")
-    if not np.all(np.isfinite(log_marg)):
-        r = int(np.flatnonzero(~np.isfinite(log_marg))[0])
-        raise DataError(f"non-finite log marginal for row {r}")
+        _check_conditional_rows(log_cond, 0)
+    _check_marginals(log_marg)
     # weights that failed the count are validated again, which names the fault
     return (WeightMatrix._owning(log_cond, structural_zeros=False if clean else None),
             RootWeights(log_values=log_marg))
+
+
+def _build_bordered(data, model: MutationModel):
+    """The bordered-Laplacian record of validated ``data`` under ``model``,
+    filled straight from the model's row-block kernel with no T x T
+    log-weights.
+
+    Each block of log-conditionals is validated by its row minima and
+    maxima, with no mask unless one is non-finite (``build_beta``'s
+    ``DataError`` texts, for the same first bad pair), and rescaled into the
+    bordered matrix in place, so the record is ``_Bordered(*build_beta(data,
+    model))`` byte for byte; it holds no ``WeightMatrix``. Overflow in the
+    model's arithmetic is left to the finite checks, which name the pair or
+    row.
+    """
+    size = len(data)
+    row_scales = np.empty(size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fill = model._conditional_rows(data)
+
+        def log_rows(rows, out, work):
+            fill(rows, out, work)
+            # a block whose row minima (over the diagonal as written) and
+            # maxima (over the rest) are finite holds no bad pair
+            lowest = np.min(out, axis=1)
+            out.reshape(-1)[rows.start::size + 1] = -np.inf
+            scales = _row_scales(out, out=row_scales[rows])
+            if not (np.isfinite(lowest).all() and np.isfinite(scales).all()):
+                _check_conditional_rows(out, rows.start)
+            return out, scales
+
+        record = _Bordered._from_rows(size, log_rows)
+        log_marg = model.log_marginal_vector(data)
+    _check_marginals(log_marg)
+    record._border(row_scales, float(row_scales.sum()), RootWeights(log_values=log_marg))
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -215,30 +294,25 @@ class GaussianModel(MutationModel):
         maha = (white ** 2).sum(axis=1)
         return -0.5 * (self.dim * LOG_2PI + self._logdet_pipi + maha)
 
-    def log_conditional_matrix(self, data):
+    def _conditional_rows(self, data):
         # whitening is linear, so whiten the rows and the conditional means
         # once and sum D squared differences instead of T^2 quadratic forms
         white = data @ self._white_cc.T
         white_means = (data @ self.sigma_c_given_pi.T + self.mu_c) @ self._white_cc.T
         const = self.dim * LOG_2PI + self._logdet_cc
-        size = len(data)
-        out = np.empty((size, size))
-        step = _block_rows(size)
-        part = np.empty((min(step, size), size))
-        # one row block at a time: the squared differences of each dimension
-        # are summed into the block, then the constant is added and scaled
-        for start in range(0, size, step):
-            block = out[start:start + step]
-            rows = white[start:start + step]
-            np.square(np.subtract.outer(rows[:, 0], white_means[:, 0], out=block), out=block)
+
+        def fill(rows, out, work):
+            # the squared differences of each dimension are summed into the
+            # block, then the constant is added and scaled
+            block = white[rows]
+            np.square(np.subtract.outer(block[:, 0], white_means[:, 0], out=out), out=out)
             for i in range(1, self.dim):
-                sq = part[:len(block)]
-                np.square(np.subtract.outer(rows[:, i], white_means[:, i], out=sq), out=sq)
-                block += sq
-            block += const
-            block *= -0.5
-        np.fill_diagonal(out, -np.inf)
-        return out
+                np.square(np.subtract.outer(block[:, i], white_means[:, i], out=work), out=work)
+                out += work
+            out += const
+            out *= -0.5
+
+        return fill
 
     def param_vector(self):
         cc, _ = _pack_chol(self._chol_cc)
@@ -389,13 +463,17 @@ class TabularModel(MutationModel):
             out += self._log_root[d][data[:, d]]
         return out
 
-    def log_conditional_matrix(self, data):
-        size = len(data)
-        out = np.zeros((size, size))
-        for d in range(self.dim):
-            out += self._log_cond[d][np.ix_(data[:, d], data[:, d])]
-        np.fill_diagonal(out, -np.inf)
-        return out
+    def _conditional_rows(self, data):
+        # each dimension's table, its columns taken at the parents' values:
+        # lookup[a, v] = log p(child value a | x_v) in that dimension
+        lookups = [(self._log_cond[d][:, data[:, d]], data[:, d]) for d in range(self.dim)]
+
+        def fill(rows, out, work):
+            out.fill(0.0)
+            for lookup, column in lookups:
+                out += np.take(lookup, column[rows], axis=0, out=work)
+
+        return fill
 
     def param_vector(self):
         parts = []
@@ -505,6 +583,9 @@ class KernelModel(MutationModel):
         # the anchors' squared distances to themselves, computed on first use
         # and shared with every model ``with_params`` derives from this one
         self._anchor_sq = {}
+        # the anchors' RBF features, computed on first use and kept by this
+        # model alone: they depend on gamma
+        self._anchor_features = None
 
     def validate_data(self, data):
         data = np.atleast_2d(np.asarray(data, dtype=float))
@@ -521,10 +602,13 @@ class KernelModel(MutationModel):
             sq += (points[:, j, None] - self.anchors[None, :, j]) ** 2
         return sq
 
+    def _at_anchors(self, points):
+        return points.shape == self.anchors.shape and np.array_equal(points, self.anchors)
+
     def _data_sq_dists(self, data):
         """``_sq_dists(data)``, read from the stored anchor distances when
         the rows are the anchors themselves; the stored array is read-only."""
-        if data.shape != self.anchors.shape or not np.array_equal(data, self.anchors):
+        if not self._at_anchors(data):
             return self._sq_dists(data)
         if "sq" not in self._anchor_sq:
             sq = self._sq_dists(self.anchors)
@@ -536,11 +620,20 @@ class KernelModel(MutationModel):
         with np.errstate(under="ignore"):
             return np.exp(-sq / (2.0 * self.gamma ** 2))
 
-    def _features(self, points):
+    def _features(self, points, sq=None):
+        """Kernel features of each row of ``points`` against the anchors, from
+        their squared distances ``sq`` when given; the anchors' own RBF
+        features are computed once per model and read-only."""
         points = np.atleast_2d(points)
         if self.kernel == "linear":
             return points @ self.anchors.T
-        return self._rbf(self._data_sq_dists(points))
+        if not self._at_anchors(points):
+            return self._rbf(self._sq_dists(points) if sq is None else sq)
+        if self._anchor_features is None:
+            features = self._rbf(self._data_sq_dists(points))
+            features.flags.writeable = False
+            self._anchor_features = features
+        return self._anchor_features
 
     def _univariate_log_normal(self, resid):
         return (-0.5 * LOG_2PI - np.log(self.sigma) - 0.5 * (resid / self.sigma) ** 2).sum(axis=-1)
@@ -559,27 +652,21 @@ class KernelModel(MutationModel):
     def log_marginal_vector(self, data):
         return self._univariate_log_normal(data - self.mu)
 
-    def log_conditional_matrix(self, data):
+    def _conditional_rows(self, data):
         means = self._features(data) @ self.alpha + self.mu
         const = -0.5 * self.dim * LOG_2PI - np.log(self.sigma).sum()
-        size = len(data)
-        out = np.empty((size, size))
-        step = _block_rows(size)
-        part = np.empty((min(step, size), size))
-        # one row block at a time: the constant, less each dimension's scaled
-        # squared differences in turn
-        for start in range(0, size, step):
-            block = out[start:start + step]
-            block.fill(const)
-            sq = part[:len(block)]
+
+        def fill(rows, out, work):
+            # the constant, less each dimension's scaled squared differences
+            out.fill(const)
             for j in range(self.dim):
-                np.subtract.outer(data[start:start + step, j], means[:, j], out=sq)
-                sq /= self.sigma[j]
-                np.square(sq, out=sq)
-                sq *= 0.5
-                block -= sq
-        np.fill_diagonal(out, -np.inf)
-        return out
+                np.subtract.outer(data[rows, j], means[:, j], out=work)
+                work /= self.sigma[j]
+                np.square(work, out=work)
+                work *= 0.5
+                out -= work
+
+        return fill
 
     def param_vector(self):
         parts = [self.alpha.ravel(), self.mu, np.log(self.sigma)]
@@ -609,11 +696,8 @@ class KernelModel(MutationModel):
     def grad_from_marginals(self, data, W, rho):
         var = self.sigma ** 2
         rows, cols = W.sum(axis=1), W.sum(axis=0)
-        if self.kernel == "rbf":
-            sq = self._data_sq_dists(data)
-            feats = self._rbf(sq)
-        else:
-            feats = self._features(data)
+        sq = self._data_sq_dists(data) if self.kernel == "rbf" else None
+        feats = self._features(data, sq)
         means = feats @ self.alpha + self.mu
         children = W.T @ data                   # sum_u W_uv x_u, per parent v
         # d(sum_uv W_uv log beta_uv) / d means_v, per dimension

@@ -173,7 +173,7 @@ class LabelInference:
         """
         self._check_flip(node, new_label)
         record = self.session._record
-        row_scales, q = record.beta.row_scales, record.matrix[1:, 1:]
+        row_scales, q = record.row_scales, record.matrix[1:, 1:]
         core = record.inverse[1:, 1:]
         row, column = self._flipped_logs(node, new_label)
         with np.errstate(under="ignore"):

@@ -13,6 +13,10 @@ row-rescaled bordered Laplacian once: ln Z is read off its determinant,
 the edge marginals and root posterior off its inverse, each computed only
 when read. ``log_partition``, ``posterior_weights`` and the greedy-search
 session read such records, so a value and its gradient share one set-up.
+The likelihood's records come straight from a model instead
+(``models._build_bordered``): the record's one fill loop takes each row
+block of log-weights from either a ``WeightMatrix`` or the model's
+row-block kernel, so no T x T log-weights are made on that path.
 Above dimension ``_BLOCK_LEAF`` the inverse is assembled by recursive block
 elimination on matrix products and kept only if it passes an O(T^2)
 residual certificate; otherwise, and at or below that dimension, it is
@@ -23,10 +27,10 @@ weights, the VB expected-log weights) take it through the private
 already counted its finite entries, counts them again; the public
 constructor copies. A weight matrix holds its log-weights and their row
 maxima, and nothing else. The bordered matrix is the one home of the
-rescaled weights: it is filled straight from the log-weights, one block of
-rows of about ``_BLOCK_BYTES`` at a time (subtraction and exp into a
-scratch block, row sums, negation into the matrix), and the edge marginals
-and the greedy search's screen read the rescaled weights back from it.
+rescaled weights: it is filled one block of rows of about ``_BLOCK_BYTES``
+at a time (log-weights in a scratch block, row maxima, subtraction and
+exp, row sums, negation into the matrix), and the edge marginals and the
+greedy search's screen read the rescaled weights back from it.
 They need no finite mask, because validation leaves -inf as the only
 non-finite log-weight and exp maps it to exactly 0. A replaced row and
 column (a label flip) is patched into a copy of the current bordered
@@ -116,9 +120,7 @@ class WeightMatrix:
     def _derive(self, log_entries, structural_zeros):
         """Set every field from validated log-weights, taking ownership of
         them."""
-        row_scales = log_entries.max(axis=1)
-        row_scales[row_scales == -np.inf] = 0.0
-        self._set(log_entries, row_scales, structural_zeros)
+        self._set(log_entries, _row_scales(log_entries), structural_zeros)
 
     def _set(self, log_entries, row_scales, structural_zeros):
         log_entries.setflags(write=False)
@@ -136,15 +138,14 @@ class WeightMatrix:
         scaled = np.empty((self.size, self.size))
         with np.errstate(under="ignore"):
             for rows in _row_blocks(self.size):
-                self._scaled_rows(rows, scaled[rows])
+                _scaled_rows(*self._log_rows(rows), scaled[rows])
         scaled.setflags(write=False)
         return scaled
 
-    def _scaled_rows(self, rows, out):
-        """Write the scaled weights of the row slice ``rows`` into ``out`` and
-        return it; the caller ignores underflow."""
-        np.subtract(self.log_entries[rows], self.row_scales[rows, None], out=out)
-        return np.exp(out, out=out)
+    def _log_rows(self, rows, out=None, work=None):
+        """Log-weights and row scales of the row slice ``rows``; a row source
+        of ``_Bordered._fill`` that writes into neither block."""
+        return self.log_entries[rows], self.row_scales[rows]
 
     @property
     def entries(self):
@@ -283,6 +284,19 @@ _BLOCK_BYTES = 256 * 1024
 _SCRATCH_BYTES = 64 * 1024
 
 
+# Elements per operand of the buffers numpy gives a ufunc call with a
+# broadcast or strided operand (np.subtract.outer, the row-scale subtraction,
+# 0 - x into the strided core) during a fill; numpy's default is 8192, 64 KiB
+# each. Buffering only copies, and the row sums reduce contiguous rows, which
+# need no buffer, so the bytes are the same. Filling the bordered matrix of a
+# Gaussian model at T=1000 took a median 8.1-10.5 ms with these against
+# 11.4-15.0 ms with the default, and at T=300 0.96-1.05 against 1.03-1.10 ms
+# (one OpenBLAS thread on a shared 2-core Xeon VM, three runs of 15 to 100
+# alternating calls); the default's buffers also added 0.1 T^2 float64 to the
+# peak memory of a fill at T=400.
+_UFUNC_BUFSIZE = 1024
+
+
 def _block_rows(columns, block_bytes=_BLOCK_BYTES):
     """Rows per block of a float64 matrix with ``columns`` columns."""
     return max(1, block_bytes // (8 * max(columns, 1)))
@@ -292,6 +306,22 @@ def _row_blocks(size, block_bytes=_BLOCK_BYTES):
     """Slices of ``_block_rows`` rows covering a size x size matrix."""
     step = _block_rows(size, block_bytes)
     return [slice(start, min(start + step, size)) for start in range(0, size, step)]
+
+
+def _row_scales(log_rows, out=None):
+    """The largest entry of each row of validated log-weights, 0 for a row
+    of structural zeros; written into ``out`` when given."""
+    scales = np.max(log_rows, axis=1, out=out)
+    scales[scales == -np.inf] = 0.0
+    return scales
+
+
+def _scaled_rows(log_rows, scales, out):
+    """Write exp(log_rows - scales[:, None]), the rescaled weights of a row
+    block, into ``out`` (which may be ``log_rows``) and return it; the
+    caller ignores underflow."""
+    np.subtract(log_rows, scales[:, None], out=out)
+    return np.exp(out, out=out)
 
 
 def _count_finite(a):
@@ -351,8 +381,10 @@ class _Bordered:
     and p the root weights p(X_r) exp(-row_scales[r]), normalized: its
     determinant is sum_r p(r) Z_r of the scaled weights, and ln Z =
     ``offset`` + ``logdet`` exactly. Q is written one row block at a time
-    from ``log_entries`` (exp, row sums, 0 - x), so 0 - Q off the diagonal
-    is the scaled weights exactly, and the record is their only home.
+    (exp, row sums, 0 - x) from the log-weights of a ``WeightMatrix``, or
+    of a model's row-block kernel (``_from_rows``; ``beta`` is then None),
+    so 0 - Q off the diagonal is the scaled weights exactly, and the record
+    is their only home.
     ``logdet`` and ``inverse`` are computed on first read and kept; the
     inverse is ``_block_inverse``'s, which is numpy's ``inv`` up to
     dimension ``_BLOCK_LEAF`` and wherever its certificate fails. Weights
@@ -362,41 +394,68 @@ class _Bordered:
     ``ZeroPartitionError`` before any factoring.
     """
 
+    beta = None  # the weights of a record set up from a ``WeightMatrix``
+
     def __init__(self, beta: WeightMatrix, roots: RootWeights):
         _check_sizes(beta, roots)
         if beta.structural_zeros:
             candidates = np.flatnonzero(roots.log_values > -np.inf)
             if not _has_positive_arborescence(beta.log_entries > -np.inf, candidates):
                 raise ZeroPartitionError("no out-tree has positive weight")
-        size = beta.size
+        self._fill(beta.size, beta._log_rows)
+        self.beta = beta
+        self._border(beta.row_scales, beta.scale_total, roots)
+
+    @classmethod
+    def _from_rows(cls, size, log_rows):
+        """Record whose core is filled from the row source ``log_rows`` (see
+        ``_fill``) and whose border ``_border`` writes next."""
+        record = cls.__new__(cls)
+        record._fill(size, log_rows)
+        return record
+
+    def _fill(self, size, log_rows):
+        """Write Q into the core of a fresh bordered matrix, one block of
+        ``_row_blocks(size)`` at a time. ``log_rows(rows, out, work)``
+        returns the validated log-weights of the row slice ``rows`` and their
+        row scales; it may write the log-weights into ``out``, a contiguous
+        scratch block of that many rows, and overwrite ``work``, a second
+        one."""
         self.matrix = np.empty((size + 1, size + 1))
         # Q = diag(row sums) - weights, filled in place (the diagonal weights
         # are 0); 0 - x, not -x, keeps a zero weight +0.0, so 0 - Q gives the
         # weights back bit for bit. Each block is scaled in a contiguous
-        # scratch array: ufuncs on the strided core ran at half the speed
-        core = self.matrix[1:, 1:]
-        rows = _row_blocks(size)
-        scaled, sums = np.empty((rows[0].stop, size)), np.empty(size)
+        # scratch array: ufuncs on the strided core ran at half the speed.
+        # The block's own rows of the matrix are not written until its last
+        # step, so until then their memory is the ``work`` block
+        core, flat = self.matrix[1:, 1:], self.matrix.reshape(-1)
+        blocks = _row_blocks(size)
+        scratch, sums = np.empty((blocks[0].stop, size)), np.empty(size)
         with np.errstate(under="ignore"):
-            for block in rows:
-                part = beta._scaled_rows(block, scaled[:block.stop - block.start])
-                np.add.reduce(part, axis=1, out=sums[block])
-                np.subtract(0.0, part, out=core[block])
+            np.setbufsize(_UFUNC_BUFSIZE)  # restored as the errstate exits
+            for rows in blocks:
+                count = rows.stop - rows.start
+                part = scratch[:count]
+                start = (rows.start + 1) * (size + 1)
+                work = flat[start:start + count * size].reshape(count, size)
+                part = _scaled_rows(*log_rows(rows, part, work), part)
+                np.add.reduce(part, axis=1, out=sums[rows])
+                np.subtract(0.0, part, out=core[rows])
         self.matrix.reshape(-1)[size + 2::size + 2] += sums
-        self._border(beta, roots)
 
-    def _border(self, beta, roots):
-        """Write the root border of ``matrix`` and set the record's weights,
-        root weights, normalized border p and ln Z offset."""
-        adjusted_log = roots.log_values - beta.row_scales
+    def _border(self, row_scales, scale_total, roots):
+        """Write the root border of ``matrix`` and set the record's row
+        scales, root weights, normalized border p and ln Z offset;
+        ``scale_total`` is ``float(row_scales.sum())``."""
+        adjusted_log = roots.log_values - row_scales
         adjusted_total = float(_logsumexp(adjusted_log))
         with np.errstate(under="ignore"):
             self.normalized = np.exp(adjusted_log - adjusted_total)
         self.matrix[0, 0] = 1.0
         self.matrix[0, 1:] = self.normalized
         self.matrix[1:, 0] = -self.normalized
-        self.beta, self.roots = beta, roots
-        self.offset = beta.scale_total + adjusted_total
+        self.row_scales, self.roots = row_scales, roots
+        self.offset = scale_total + adjusted_total
 
     def _crossed(self, node, row_logs, column_logs):
         """Record of these weights with row and column ``node`` replaced by
@@ -437,7 +496,8 @@ class _Bordered:
             core[rows] = np.subtract(0.0, np.exp(log_entries[rows] - row_scales[rows, None]))
         np.fill_diagonal(core, 0.0)
         np.fill_diagonal(core, np.subtract(0.0, np.add.reduce(core, axis=1)))
-        record._border(beta, self.roots)
+        record.beta = beta
+        record._border(row_scales, beta.scale_total, self.roots)
         return record
 
     @cached_property

@@ -10,22 +10,23 @@ from outtree import treemath
 
 @pytest.fixture
 def bordered_counts(monkeypatch):
-    """Counts of bordered-Laplacian set-ups from the weights (key "set-up"),
-    of records that ``_Bordered._crossed`` patched from a copy of the
-    current matrix rather than set up afresh (key "patch"), and of
-    ``np.linalg.slogdet``/``inv`` calls keyed by (name, matrix dimension)."""
+    """Counts of bordered-Laplacian set-ups, from weights or straight from a
+    model (key "set-up": fills of a fresh matrix), of records that
+    ``_Bordered._crossed`` patched from a copy of the current matrix rather
+    than set up afresh (key "patch"), and of ``np.linalg.slogdet``/``inv``
+    calls keyed by (name, matrix dimension)."""
     counts = Counter()
+    fill, crossed = treemath._Bordered._fill, treemath._Bordered._crossed
 
-    class Counted(treemath._Bordered):
-        def __init__(self, *args):
-            counts["set-up"] += 1
-            super().__init__(*args)
+    def counted_fill(self, *args):
+        counts["set-up"] += 1
+        return fill(self, *args)
 
-        def _crossed(self, *args):
-            set_up = counts["set-up"]
-            record = super()._crossed(*args)
-            counts["patch"] += counts["set-up"] == set_up  # the fresh path sets up
-            return record
+    def counted_crossed(self, *args):
+        set_up = counts["set-up"]
+        record = crossed(self, *args)
+        counts["patch"] += counts["set-up"] == set_up  # the fresh path sets up
+        return record
 
     def counted(name, fn):
         def wrapper(a, *args, **kwargs):
@@ -33,7 +34,8 @@ def bordered_counts(monkeypatch):
             return fn(a, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(treemath, "_Bordered", Counted)
+    monkeypatch.setattr(treemath._Bordered, "_fill", counted_fill)
+    monkeypatch.setattr(treemath._Bordered, "_crossed", counted_crossed)
     for name in ("slogdet", "inv"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     return counts

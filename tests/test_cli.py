@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -442,6 +445,31 @@ class TestCommands:
         assert code == 3
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "DataError"
+
+    def test_overflowing_held_out_row_writes_one_line(self, tmp_path):
+        # the score's arithmetic overflows on a row of 1e300; the run ends
+        # with the JSON record naming the pair, and no warning before it
+        rng = np.random.default_rng(13)
+        data = rng.normal(size=(8, 2))
+        test = rng.normal(size=(3, 2))
+        test[1, 0] = 1e300
+        paths = [str(tmp_path / name) for name in ("train.csv", "test.csv", "m.model")]
+        otio.write_sample_csv(paths[0], data)
+        otio.write_sample_csv(paths[1], test)
+        otio.write_model(paths[2], models.gaussian_init_iid(data))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "outtree.cli", "eval", "--input", paths[0],
+             "--test", paths[1], "--model", paths[2]],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                p for p in [src, os.environ.get("PYTHONPATH")] if p)})
+        assert done.returncode == 3
+        lines = done.stderr.split("\n")
+        assert len(lines) == 2 and lines[1] == "", done.stderr
+        record = json.loads(lines[0])
+        assert record == {"error": "DataError", "exit_code": 3,
+                          "message": "non-finite log conditional for pair (9, 0)"}
 
 
 class TestSemisupBenchmark:

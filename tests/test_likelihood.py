@@ -230,11 +230,29 @@ class TestGradient:
             tracemalloc.stop()
         assert peak < 16 * size * size * 8
 
+    def test_log_likelihood_holds_no_log_weights(self):
+        # the record is filled straight from the model: the bordered matrix
+        # (1.005 T^2 float64), one scratch block of 81 rows (0.2 T^2), the
+        # whitened rows and means and numpy's 8 KiB ufunc buffers (0.03 T^2
+        # together); T x T log-weights would add T^2 more
+        size = 400
+        data = cli.standardize(cli.gen_spiral(cli.SpiralSpec(count=size), 7))[0]
+        model = models.gaussian_init_iid(data)
+        lk.tdid_log_likelihood(data, model)  # warm every code path
+        tracemalloc.start()
+        try:
+            lk.tdid_log_likelihood(data, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * size * size * 8
+
 
 class TestFit:
     def test_one_weight_build_per_objective_evaluation(self, monkeypatch):
-        # the gradient reuses the accepted trial's weights
-        calls = {"build_beta": 0, "objective": 0}
+        # the gradient reuses the accepted trial's weights, filled straight
+        # from the model into its record
+        calls = {"_build_bordered": 0, "objective": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -242,14 +260,15 @@ class TestFit:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(lk, "build_beta", counted("build_beta", lk.build_beta))
+        monkeypatch.setattr(lk, "_build_bordered",
+                            counted("_build_bordered", lk._build_bordered))
         monkeypatch.setattr(lk, "_objective", counted("objective", lk._objective))
         rng = np.random.default_rng(25)
         data = rng.normal(size=(12, 2))
         report = lk.fit_ml(data, models.gaussian_init_iid(data), max_iters=5,
                            grad_tol=1e-12)
         assert len(report.iterations) == 5
-        assert calls["build_beta"] == calls["objective"]
+        assert calls["_build_bordered"] == calls["objective"]
 
     def test_one_bordered_matrix_per_objective_evaluation(self, monkeypatch,
                                                           bordered_counts):

@@ -1,6 +1,7 @@
 """Model families: densities, gradients, parameter round-trips."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -294,10 +295,9 @@ class TestAnchorDistances:
 
     @staticmethod
     def _fresh_outputs(model, data, seed, monkeypatch):
-        # the same model, made to compute every distance afresh
+        # the same model, made to compute every distance and feature afresh
         with monkeypatch.context() as patch:
-            patch.setattr(models.KernelModel, "_data_sq_dists",
-                          lambda self, points: self._sq_dists(points))
+            patch.setattr(models.KernelModel, "_at_anchors", lambda self, points: False)
             return _kernel_outputs(model, data, np.random.default_rng(seed))
 
     @pytest.mark.parametrize("kernel", ["rbf", "linear"])
@@ -337,6 +337,35 @@ class TestAnchorDistances:
         assert stored.tobytes() == model._sq_dists(model.anchors).tobytes()
         model.grad_from_marginals(model.anchors, np.zeros((25, 25)), np.ones(25) / 25)
         assert sq_dist_calls == [25, 25]  # the stored one, then the check above
+
+    def test_anchor_features_are_kept_per_model(self, monkeypatch):
+        # the fill, the matrix and the gradient at the anchors share one RBF
+        # evaluation; a derived model, with another bandwidth, makes its own
+        calls = []
+        rbf = models.KernelModel._rbf
+
+        def counted(self, sq):
+            calls.append(sq.shape)
+            return rbf(self, sq)
+
+        rng = np.random.default_rng(22)
+        model = random_kernel(rng, size=30)
+        anchors = model.anchors.copy()
+        want = model._rbf(model._sq_dists(anchors))
+        W, rho = np.ones((30, 30)) - np.eye(30), np.full(30, 1 / 30)
+        monkeypatch.setattr(models.KernelModel, "_rbf", counted)
+        models._build_bordered(anchors, model)
+        model.log_conditional_matrix(anchors)
+        model.grad_from_marginals(anchors, W, rho)
+        assert calls == [(30, 30)]
+        stored = model._anchor_features
+        assert stored.tobytes() == want.tobytes() and not stored.flags.writeable
+        derived = model.with_params(model.param_vector() + 0.1)
+        assert derived._anchor_features is None
+        derived.grad_from_marginals(anchors, W, rho)
+        assert calls == [(30, 30)] * 2
+        assert derived._anchor_features.tobytes() != stored.tobytes()
+        assert model._anchor_features is stored
 
     def test_anchors_are_a_read_only_copy(self):
         anchors = np.random.default_rng(21).normal(size=(5, 2))
@@ -549,6 +578,112 @@ class TestBlockedWeights:
         if bad != "diagonal":
             with pytest.raises(ValueError, match="log-weights"):
                 vb._log_weights(data, [table])
+
+
+# ---------------------------------------------------------------------------
+# The bordered Laplacian filled straight from a model
+
+
+def _fill_family(name, rng, size):
+    """A perturbed model of each family and data for it; "anchored" is an
+    RBF model whose anchors are the data rows, as in a kernel fit."""
+    if name != "anchored":
+        return _family(name, rng, size)
+    data = rng.normal(size=(size, 2))
+    model = models.kernel_init_iid(data)
+    vector = model.param_vector()
+    return model.with_params(vector + 0.1 * rng.normal(size=len(vector))), data
+
+
+class TestFillFromModel:
+    """``_build_bordered(data, model)`` is ``_Bordered(*build_beta(data,
+    model))`` byte for byte, with no weight matrix behind it."""
+
+    @pytest.mark.parametrize("size", [2, 3, 90, 400])
+    @pytest.mark.parametrize("family", ["gaussian", "rbf", "anchored", "linear", "tabular"])
+    def test_bytes_equal_the_record_of_the_weights(self, family, size):
+        rng = np.random.default_rng(size)
+        model, data = _fill_family(family, rng, size)
+        data = model.validate_data(data)
+        got = models._build_bordered(data, model)
+        want = treemath._Bordered(*models.build_beta(data, model))
+        assert got.beta is None and got.matrix.shape == (size + 1, size + 1)
+        for name in ("matrix", "normalized", "row_scales"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.roots.log_values.tobytes() == want.roots.log_values.tobytes()
+        assert got.offset == want.offset and got.log_z == want.log_z
+        for a, b in zip(got.posterior_weights(), want.posterior_weights()):
+            assert a.tobytes() == b.tobytes()
+
+    def test_sizes_are_one_block_and_several(self):
+        blocks = [len(treemath._row_blocks(size)) for size in (2, 3, 90, 400)]
+        assert blocks[:3] == [1, 1, 1] and blocks[3] > 2
+
+    @staticmethod
+    def _errors(data, model):
+        """The ``DataError`` texts of both paths."""
+        texts = []
+        for build in (models.build_beta, models._build_bordered):
+            with pytest.raises(DataError) as raised:
+                build(data, model)
+            texts.append(str(raised.value))
+        return texts
+
+    @pytest.mark.parametrize("fault, text", [
+        ("conditional", "non-finite log conditional for pair (180, 0)"),
+        ("marginal", "non-finite log marginal for row 180"),
+        ("both", "non-finite log conditional for pair (180, 0)")])
+    def test_faults_raise_the_texts_of_build_beta(self, fault, text):
+        # a value of 1 is never the child of a 0 (a tabular zero), or never a
+        # root; only row 180, in the second block of 200 rows, takes it
+        root = [1.0, 0.0] if fault != "conditional" else [0.5, 0.5]
+        cond = np.array([[1.0, 0.5], [0.0, 0.5]]) if fault != "marginal" \
+            else np.full((2, 2), 0.5)
+        data = np.zeros((200, 1), dtype=np.int64)
+        data[180] = 1
+        assert len(treemath._row_blocks(200)) == 2
+        assert self._errors(data, models.TabularModel([root], [cond])) == [text, text]
+
+    def test_overflow_is_a_named_pair_without_warnings(self):
+        rng = np.random.default_rng(50)
+        data = rng.normal(size=(400, 2))
+        model = models.gaussian_init_iid(data)
+        data[300] = 1e200
+        with np.errstate(over="ignore"):
+            want = self._errors(data, model)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as raised:
+                models._build_bordered(data, model)
+        assert str(raised.value) == want and "(300, " in want
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_any_non_finite_entry_names_its_pair(self, value, monkeypatch):
+        # the fill's check reads row minima and maxima: each kind of bad
+        # entry, in the second block, still raises with the pair's name, and
+        # a bad diagonal entry, which is not a weight, raises nothing
+        rng = np.random.default_rng(51)
+        data = rng.normal(size=(200, 2))
+        model = models.gaussian_init_iid(data)
+        base = models.GaussianModel._conditional_rows
+
+        def spoiled(self, data, pair):
+            fill = base(self, data)
+
+            def spoiled_fill(rows, out, work):
+                fill(rows, out, work)
+                if rows.start <= pair[0] < rows.stop:
+                    out[pair[0] - rows.start, pair[1]] = value
+            return spoiled_fill
+
+        monkeypatch.setattr(models.GaussianModel, "_conditional_rows",
+                            lambda self, data: spoiled(self, data, (180, 7)))
+        assert self._errors(data, model) == ["non-finite log conditional for pair (180, 7)"] * 2
+        monkeypatch.setattr(models.GaussianModel, "_conditional_rows",
+                            lambda self, data: spoiled(self, data, (180, 180)))
+        got = models._build_bordered(data, model)
+        want = treemath._Bordered(*models.build_beta(data, model))
+        assert got.matrix.tobytes() == want.matrix.tobytes()
 
 
 class TestGradients:
