@@ -124,7 +124,7 @@ def standardize(train, *others):
 
 
 # ---------------------------------------------------------------------------
-# Spiral generator and PCA
+# Spiral generator
 
 
 @dataclass(frozen=True)
@@ -147,17 +147,6 @@ def gen_spiral(spec: SpiralSpec, rng) -> np.ndarray:
     s = rng.uniform(0.0, 2.0 * np.pi * spec.turns, spec.count)
     points = np.stack([s * np.cos(s), s * np.sin(s), s], axis=1)
     return points + spec.noise * rng.standard_normal((spec.count, 3))
-
-
-def pca_project(X, components=3):
-    """Top principal components by exact eigendecomposition of the sample
-    covariance; returns the projected coordinates."""
-    X = np.asarray(X, dtype=float)
-    centered = X - X.mean(axis=0)
-    cov = centered.T @ centered / max(len(X) - 1, 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1][:components]
-    return centered @ eigvecs[:, order]
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +394,7 @@ def semisup_generator(scale=1.02, angle=0.25, noise=0.3) -> GaussianModel:
 
 def run_semisup_benchmark(*, count=60, n_classes=2, alpha_true=0.9,
                           labeled_fracs=(0.3,), seeds=10, seed=0, restarts=5,
-                          max_sweeps=40, alpha=None, min_minority=0.35,
-                          fit_unsupervised=False):
+                          max_sweeps=40, min_minority=0.35):
     """Synthetic tree-mutated label recovery versus the majority baseline.
 
     Attributes and labels mutate along the same latent tree; draws whose
@@ -417,11 +405,9 @@ def run_semisup_benchmark(*, count=60, n_classes=2, alpha_true=0.9,
     """
     config = dict(count=count, n_classes=n_classes, alpha_true=alpha_true,
                   labeled_fracs=list(labeled_fracs), seeds=seeds, seed=seed,
-                  restarts=restarts, max_sweeps=max_sweeps, alpha=alpha,
-                  min_minority=min_minority, fit_unsupervised=fit_unsupervised)
+                  restarts=restarts, max_sweeps=max_sweeps, min_minority=min_minority)
     digest = config_hash(config)
     generator = semisup_generator()
-    inference_alpha = alpha_true if alpha is None else alpha
     rows = []
     for frac in labeled_fracs:
         for index in range(seeds):
@@ -436,14 +422,9 @@ def run_semisup_benchmark(*, count=60, n_classes=2, alpha_true=0.9,
             y = truth.copy()
             n_labeled = max(int(round(frac * count)), 1)
             y[rng.permutation(count)[n_labeled:]] = semisup.MISSING
-            if fit_unsupervised:
-                seeded = nn_regression_seed(draw.data)
-                model = likelihood.fit_ml(draw.data, seeded, max_iters=30).model
-            else:
-                model = generator
             result = semisup.greedy_label_inference(
-                draw.data, y, model,
-                semisup.LabelModel(alpha=inference_alpha, n_classes=n_classes),
+                draw.data, y, generator,
+                semisup.LabelModel(alpha=alpha_true, n_classes=n_classes),
                 restarts=restarts, max_sweeps=max_sweeps, rng=rng)
             hidden = y < 0
             majority = int(np.bincount(y[y >= 0], minlength=n_classes).argmax())

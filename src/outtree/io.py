@@ -1,9 +1,9 @@
-"""File formats: model documents, variational checkpoints, TSV dumps.
+"""File formats: model documents, variational checkpoints, TSV outputs.
 
 Model and checkpoint documents are line-oriented text with a schema header
 (``outtree-model/1``). Every float is written as C99 hex (float.hex), so
-round-trips are bit-exact. TSV plot/debug outputs use repr(), the shortest
-decimal that round-trips. All writers go through an atomic temp+rename.
+round-trips are bit-exact. TSV outputs use repr(), the shortest decimal
+that round-trips. All writers go through an atomic temp+rename.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .errors import DataError
 from .models import GaussianModel, KernelModel, TabularModel
 
 MODEL_SCHEMA = "outtree-model/1"
-MATRIX_HEADER = "# outtree-matrix"
 
 
 def atomic_write(path, text):
@@ -208,21 +207,6 @@ def _counts(records, key, shape):
     if not np.all(np.isfinite(table) & (table > 0)):
         raise ValueError(f"record {key!r} has a count that is not finite and positive")
     return table
-
-
-def write_matrix_tsv(path, matrix):
-    """Debug dump shared across modules: header line then TSV rows."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    lines = [f"{MATRIX_HEADER} T={matrix.shape[0]}"]
-    lines.extend("\t".join(repr(float(v)) for v in row) for row in matrix)
-    atomic_write(path, "\n".join(lines) + "\n")
-
-
-def read_matrix_tsv(path):
-    lines = _read_lines(path)
-    if not lines or not lines[0].startswith(MATRIX_HEADER):
-        raise DataError(f"{path}: missing {MATRIX_HEADER} header")
-    return np.array([[float(v) for v in line.split("\t")] for line in lines[1:]])
 
 
 def write_fit_log(path, report):

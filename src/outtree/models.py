@@ -21,10 +21,13 @@ derivative of each log-weight.
 Each family's log-conditionals come from one row-block kernel
 (``_conditional_rows``): a per-dataset precompute (whitened rows and
 means, kernel features and means, or table lookups), then a fill of any
-block of rows into a caller's contiguous block. ``log_conditional_matrix``
-loops it over the whole matrix for ``build_beta``, the public weights API;
-``_build_bordered`` validates each block and rescales it straight into the
-bordered Laplacian, so the likelihood makes no T x T log-weights.
+block of rows into a caller's contiguous block. One check,
+``_checked_rows``, validates every block of weights made from data:
+``build_beta``, the public weights API, keeps the checked blocks as a
+T x T ``WeightMatrix`` (the semi-supervised joint weights start from it,
+and VB's expected-log weights run the tabular kernel ``_table_rows``
+through the same check); ``_build_bordered`` rescales them straight into
+the bordered Laplacian, so the likelihood makes no T x T log-weights.
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ import abc
 import numpy as np
 
 from .errors import DataError
-from .treemath import (RootWeights, WeightMatrix, _Bordered, _count_finite, _row_blocks,
-                       _row_scales)
+from .treemath import RootWeights, WeightMatrix, _Bordered, _row_blocks, _row_scales
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -106,18 +108,6 @@ class MutationModel(abc.ABC):
         gives the same bytes.
         """
 
-    def log_conditional_matrix(self, data) -> np.ndarray:
-        """All pairwise conditionals, entry (u, v) = log p(x_u | x_v); -inf diagonal."""
-        size = len(data)
-        out = np.empty((size, size))
-        fill = self._conditional_rows(data)
-        blocks = _row_blocks(size)
-        work = np.empty((blocks[0].stop, size))
-        for rows in blocks:
-            fill(rows, out[rows], work[:rows.stop - rows.start])
-        np.fill_diagonal(out, -np.inf)
-        return out
-
 
 def _check_conditional_rows(block, start):
     """Raise ``DataError`` naming the first non-finite off-diagonal entry of
@@ -137,27 +127,55 @@ def _check_marginals(log_marg):
         raise DataError(f"non-finite log marginal for row {r}")
 
 
+def _checked_rows(fill, size, row_scales):
+    """Row source of ``_Bordered._fill`` that runs the row-block kernel
+    ``fill`` (see ``MutationModel._conditional_rows``) of a size x size
+    matrix and checks each block.
+
+    A block whose row minima, over the diagonal as written, and row maxima,
+    over the -inf diagonal, are finite holds no bad pair; only a block that
+    fails is searched, for ``_check_conditional_rows``' ``DataError``. The
+    block's row scales are written into ``row_scales``. Callers ignore
+    overflow and invalid operations in the kernel's arithmetic and leave
+    them to this check, which names the pair.
+    """
+    def log_rows(rows, out, work):
+        fill(rows, out, work)
+        lowest = np.min(out, axis=1)
+        out.reshape(-1)[rows.start::size + 1] = -np.inf
+        scales = _row_scales(out, out=row_scales[rows])
+        if not (np.isfinite(lowest).all() and np.isfinite(scales).all()):
+            _check_conditional_rows(out, rows.start)
+        return out, scales
+
+    return log_rows
+
+
+def _checked_weights(fill, size):
+    """The ``WeightMatrix`` of the log-weights that the row-block kernel
+    ``fill`` writes, checked a row block at a time by ``_checked_rows``."""
+    log_entries, row_scales = np.empty((size, size)), np.empty(size)
+    log_rows = _checked_rows(fill, size, row_scales)
+    blocks = _row_blocks(size)
+    work = np.empty((blocks[0].stop, size))
+    for rows in blocks:
+        log_rows(rows, log_entries[rows], work[:rows.stop - rows.start])
+    return WeightMatrix._owning(log_entries, row_scales)
+
+
 def build_beta(data, model: MutationModel):
     """Weight matrix and root weights for a dataset under a model.
 
     log beta_uv = log p(x_u | x_v) for u != v (diagonal structurally zero),
-    log root weight r = log p(x_r). Any non-finite log density aborts with
-    the offending pair. The weights take the model's array as their own,
-    uncopied and read-only.
+    log root weight r = log p(x_r). Any non-finite log density, overflow
+    included, aborts with the offending pair or row.
     """
     data = model.validate_data(data)
-    log_cond = np.asarray(model.log_conditional_matrix(data), dtype=float)
-    log_marg = model.log_marginal_vector(data)
-    size = len(data)
-    # T(T-1) finite entries and a -inf diagonal leave no bad pair off it
-    clean = (log_cond.shape == (size, size) and np.all(np.diag(log_cond) == -np.inf)
-             and _count_finite(log_cond) == size * (size - 1))
-    if not clean:
-        _check_conditional_rows(log_cond, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = _checked_weights(model._conditional_rows(data), len(data))
+        log_marg = model.log_marginal_vector(data)
     _check_marginals(log_marg)
-    # weights that failed the count are validated again, which names the fault
-    return (WeightMatrix._owning(log_cond, structural_zeros=False if clean else None),
-            RootWeights(log_values=log_marg))
+    return beta, RootWeights(log_values=log_marg)
 
 
 def _build_bordered(data, model: MutationModel):
@@ -165,30 +183,15 @@ def _build_bordered(data, model: MutationModel):
     filled straight from the model's row-block kernel with no T x T
     log-weights.
 
-    Each block of log-conditionals is validated by its row minima and
-    maxima, with no mask unless one is non-finite (``build_beta``'s
-    ``DataError`` texts, for the same first bad pair), and rescaled into the
-    bordered matrix in place, so the record is ``_Bordered(*build_beta(data,
-    model))`` byte for byte; it holds no ``WeightMatrix``. Overflow in the
-    model's arithmetic is left to the finite checks, which name the pair or
-    row.
+    The blocks are checked as ``build_beta``'s are (``_checked_rows``) and
+    rescaled into the bordered matrix in place, so the record is
+    ``_Bordered(*build_beta(data, model))`` byte for byte; it holds no
+    ``WeightMatrix``.
     """
     size = len(data)
     row_scales = np.empty(size)
     with np.errstate(over="ignore", invalid="ignore"):
-        fill = model._conditional_rows(data)
-
-        def log_rows(rows, out, work):
-            fill(rows, out, work)
-            # a block whose row minima (over the diagonal as written) and
-            # maxima (over the rest) are finite holds no bad pair
-            lowest = np.min(out, axis=1)
-            out.reshape(-1)[rows.start::size + 1] = -np.inf
-            scales = _row_scales(out, out=row_scales[rows])
-            if not (np.isfinite(lowest).all() and np.isfinite(scales).all()):
-                _check_conditional_rows(out, rows.start)
-            return out, scales
-
+        log_rows = _checked_rows(model._conditional_rows(data), size, row_scales)
         record = _Bordered._from_rows(size, log_rows)
         log_marg = model.log_marginal_vector(data)
     _check_marginals(log_marg)
@@ -464,16 +467,7 @@ class TabularModel(MutationModel):
         return out
 
     def _conditional_rows(self, data):
-        # each dimension's table, its columns taken at the parents' values:
-        # lookup[a, v] = log p(child value a | x_v) in that dimension
-        lookups = [(self._log_cond[d][:, data[:, d]], data[:, d]) for d in range(self.dim)]
-
-        def fill(rows, out, work):
-            out.fill(0.0)
-            for lookup, column in lookups:
-                out += np.take(lookup, column[rows], axis=0, out=work)
-
-        return fill
+        return _table_rows(data, self._log_cond)
 
     def param_vector(self):
         parts = []
@@ -517,6 +511,24 @@ class TabularModel(MutationModel):
         return np.array(
             [int(np.searchsorted(self._cond_cdf[d][:, x_parent[d]], u[d], side="right"))
              for d in range(self.dim)], dtype=np.int64)
+
+
+def _table_rows(data, tables):
+    """Row-block kernel (see ``MutationModel._conditional_rows``) of the
+    log-weights sum_d tables[d][x_ud, x_vd] of integer ``data`` whose
+    values index the tables' rows and columns."""
+    # each dimension's table, its columns taken at the parents' values:
+    # lookup[a, v] = tables[d][a, x_vd]
+    lookups = [(table[:, data[:, d]], data[:, d]) for d, table in enumerate(tables)]
+
+    def fill(rows, out, work):
+        out.fill(0.0)
+        for lookup, column in lookups:
+            # the values are in range, so "clip" moves none; numpy copies
+            # an out= result through a buffer under the default "raise"
+            out += np.take(lookup, column[rows], axis=0, out=work, mode="clip")
+
+    return fill
 
 
 def _softmax_with_reference(logits):

@@ -22,7 +22,7 @@ import numpy as np
 from . import treemath
 from .errors import DataError, NumericalFaultError, ZeroPartitionError
 from .likelihood import _line_search, _partition_gradient
-from .models import MutationModel
+from .models import MutationModel, build_beta
 from .treemath import IncrementalLogdet, RootWeights, WeightMatrix
 
 MISSING = -1
@@ -73,21 +73,19 @@ def build_joint_beta(X, y, model: MutationModel, label_model: LabelModel):
     Every label must be assigned; inference fills missing entries before
     calling. Root weights pick up the uniform label factor 1/K.
     """
-    X = model.validate_data(X)
-    return _joint_weights(model.log_conditional_matrix(X), model.log_marginal_vector(X),
-                          y, label_model)
+    return _joint_weights(*build_beta(X, model), y, label_model)
 
 
-def _joint_weights(log_cond, log_marginal, y, label_model):
-    """``build_joint_beta`` from the attribute log-conditionals and
-    log-marginals."""
+def _joint_weights(beta, roots, y, label_model):
+    """``build_joint_beta`` from the attribute weights and root weights of
+    ``build_beta``."""
     y = np.asarray(y, dtype=np.int64)
     if np.any(y < 0) or np.any(y >= label_model.n_classes):
         raise DataError("all labels must be assigned before building joint weights")
     same = y[:, None] == y[None, :]
-    log_joint = log_cond + np.where(same, label_model.log_same, label_model.log_diff)
+    log_joint = beta.log_entries + np.where(same, label_model.log_same, label_model.log_diff)
     return (WeightMatrix._owning(log_joint),
-            RootWeights(log_values=log_marginal + label_model.log_root))
+            RootWeights(log_values=roots.log_values + label_model.log_root))
 
 
 class LabelInference:
@@ -105,19 +103,20 @@ class LabelInference:
             else np.asarray(observed, dtype=bool).copy()
         if np.any(self.labels < 0):
             raise DataError("state requires a full label assignment")
-        self._log_cond = model.log_conditional_matrix(self.X)
+        beta, roots = build_beta(self.X, model)
+        self._log_cond = beta.log_entries
         self.size = len(self.labels)
         self.sweeps = 0
         self._previewed = None
-        self.session = IncrementalLogdet(*_joint_weights(
-            self._log_cond, model.log_marginal_vector(self.X), self.labels, label_model))
+        self.session = IncrementalLogdet(*_joint_weights(beta, roots, self.labels,
+                                                         label_model))
 
     def _ascend(self, steps):
         """``steps`` gradient steps on the model parameters, started from the
         session's record; the session goes on from the accepted record."""
         self.model, record = _ascend_theta(self.X, self.labels, self.model,
                                            self.label_model, steps, self.session._record)
-        self._log_cond = self.model.log_conditional_matrix(self.X)
+        self._log_cond = build_beta(self.X, self.model)[0].log_entries
         self._previewed = None
         self.session._commit(record)
 

@@ -23,10 +23,10 @@ residual certificate; otherwise, and at or below that dimension, it is
 numpy's ``inv``, bit for bit.
 Weights built from a fresh array (``build_beta``, the semi-supervised joint
 weights, the VB expected-log weights) take it through the private
-``WeightMatrix._owning``, which neither copies it nor, when the caller has
-already counted its finite entries, counts them again; the public
-constructor copies. A weight matrix holds its log-weights and their row
-maxima, and nothing else. The bordered matrix is the one home of the
+``WeightMatrix._owning``, which does not copy it and, given the row scales
+of a checked fill (``models._checked_rows``), validates nothing again; the
+public constructor copies. A weight matrix holds its log-weights and their
+row maxima, and nothing else. The bordered matrix is the one home of the
 rescaled weights: it is filled one block of rows of about ``_BLOCK_BYTES``
 at a time (log-weights in a scratch block, row maxima, subtraction and
 exp, row sums, negation into the matrix), and the edge marginals and the
@@ -83,7 +83,7 @@ class WeightMatrix:
     row of structural zeros, whose scale is 0), and exp maps -inf to exactly
     0, so the derivation needs no finite mask. ``structural_zeros`` says
     whether an off-diagonal log-weight is -inf, from the same count of
-    finite entries as validation.
+    finite entries as validation; weights of a checked fill have none.
     """
 
     __slots__ = ("log_entries", "size", "row_scales", "scale_total", "structural_zeros")
@@ -102,27 +102,27 @@ class WeightMatrix:
                 log_entries = np.log(entries)
         else:
             log_entries = np.array(log_entries, dtype=float)
-        self._derive(log_entries, _validated_zeros(log_entries))
+        self._set(log_entries)
 
     @classmethod
-    def _owning(cls, log_entries, structural_zeros=None):
+    def _owning(cls, log_entries, row_scales=None):
         """Matrix that takes the fresh float64 array ``log_entries`` as its
-        own: not copied, and read-only from here on. It is validated as by
-        the public constructor, unless the caller passes ``structural_zeros``
-        after checking the diagonal and counting the finite entries itself.
-        """
-        if structural_zeros is None:
-            structural_zeros = _validated_zeros(log_entries)
+        own: not copied, and read-only from here on; see ``_set``."""
         matrix = cls.__new__(cls)
-        matrix._derive(log_entries, structural_zeros)
+        matrix._set(log_entries, row_scales)
         return matrix
 
-    def _derive(self, log_entries, structural_zeros):
-        """Set every field from validated log-weights, taking ownership of
-        them."""
-        self._set(log_entries, _row_scales(log_entries), structural_zeros)
-
-    def _set(self, log_entries, row_scales, structural_zeros):
+    def _set(self, log_entries, row_scales=None):
+        """Set every field, taking ownership of ``log_entries``. They are
+        validated as by the public constructor unless their ``row_scales``
+        are given, which a caller does only for log-weights it has checked
+        to hold no non-finite entry off a -inf diagonal (a checked fill,
+        ``models._checked_rows``, or a flip patch of such weights)."""
+        if row_scales is None:
+            structural_zeros = _validated_zeros(log_entries)
+            row_scales = _row_scales(log_entries)
+        else:
+            structural_zeros = False
         log_entries.setflags(write=False)
         row_scales.setflags(write=False)
         self.log_entries = log_entries
@@ -206,13 +206,8 @@ class OutTree:
             raise ValueError("exactly one node may lack a parent")
         if np.any((parent < -1) | (parent >= size)):
             raise ValueError("parent indices out of range")
-        for start in range(size):
-            node, steps = start, 0
-            while node != self.root:
-                node = int(parent[node])
-                steps += 1
-                if steps > size:
-                    raise ValueError("parent links contain a cycle")
+        if not _reaches_root(parent, self.root):
+            raise ValueError("parent links contain a cycle")
 
     @property
     def size(self):
@@ -267,8 +262,8 @@ def _validated_zeros(log_entries):
     return _has_log_zeros(log_entries, log_entries.shape[0])
 
 
-# The O(T^2) passes over a weight matrix (the model's log-conditionals, the
-# finite count, the row scales and exp) run over blocks of whole rows of
+# The O(T^2) passes over a weight matrix (the model's log-conditionals and
+# their check, the row scales and exp) run over blocks of whole rows of
 # about this many bytes of float64, so each block's temporaries stay in
 # cache and no T x T temporary is made. Every matrix of up to 181 rows is
 # one block, so the semi-supervised (T=90) and VB (T=70) weights take one
@@ -324,19 +319,6 @@ def _scaled_rows(log_rows, scales, out):
     return np.exp(out, out=out)
 
 
-def _count_finite(a):
-    """Number of finite entries of ``a``, counted a row block at a time."""
-    step = _block_rows(a.shape[-1]) if a.ndim == 2 else len(a)
-    if step >= len(a):
-        return np.count_nonzero(np.isfinite(a))
-    mask = np.empty((min(step, len(a)), a.shape[1]), dtype=bool)
-    count = 0
-    for start in range(0, len(a), step):
-        block = a[start:start + step]
-        count += np.count_nonzero(np.isfinite(block, out=mask[:len(block)]))
-    return count
-
-
 def _has_log_zeros(a, known=0):
     """Whether ``a`` holds a -inf beyond the ``known`` -inf entries already
     checked; NaN and +inf raise ``ValueError``.
@@ -344,7 +326,7 @@ def _has_log_zeros(a, known=0):
     One finite count settles the common case: only an array with more
     non-finite entries than the known ones is searched for NaN and +inf.
     """
-    zeros = a.size - _count_finite(a) - known
+    zeros = a.size - np.count_nonzero(np.isfinite(a)) - known
     if zeros and (np.isnan(a).any() or (a == np.inf).any()):
         raise ValueError("log-weights must be < +inf and not NaN")
     return zeros > 0
@@ -486,8 +468,7 @@ class _Bordered:
         moved = row_scales != self.beta.row_scales
         moved[node] = True
         rows = np.flatnonzero(moved)
-        beta = WeightMatrix.__new__(WeightMatrix)
-        beta._set(log_entries, row_scales, False)
+        beta = WeightMatrix._owning(log_entries, row_scales)
         record = _Bordered.__new__(_Bordered)
         record.matrix = self.matrix.copy()
         core = record.matrix[1:, 1:]
@@ -731,7 +712,9 @@ def enumerate_out_trees(size: int) -> list[OutTree]:
 
 
 def _reaches_root(parent, root):
-    size = parent.shape[0]
+    """Whether the parent links of every node lead to ``root``."""
+    parent = parent.tolist()  # Python ints walk faster than numpy scalars
+    size = len(parent)
     for start in range(size):
         node, steps = start, 0
         while node != root:

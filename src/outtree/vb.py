@@ -28,7 +28,7 @@ import numpy as np
 
 from . import treemath
 from .errors import DataError, NumericalFaultError
-from .models import tabular_counts
+from .models import _checked_weights, _table_rows, tabular_counts
 from .treemath import WeightMatrix, _logsumexp
 
 # digamma's asymptotic series: the coefficients -B_2n / 2n (Bernoulli
@@ -136,14 +136,9 @@ def _expected_log_table(big_a):
 
 
 def _log_weights(data, elogs):
-    """Weight matrix whose (i, j) log-entry sums elogs[d][x_id, x_jd] over d."""
-    size = data.shape[0]
-    log_beta = np.zeros((size, size))
-    for d, elog in enumerate(elogs):
-        values = data[:, d]
-        log_beta += elog[values][:, values]
-    np.fill_diagonal(log_beta, -np.inf)
-    return WeightMatrix._owning(log_beta)
+    """Weight matrix whose (i, j) log-entry sums elogs[d][x_id, x_jd] over d,
+    filled and checked as ``build_beta``'s."""
+    return _checked_weights(_table_rows(data, elogs), data.shape[0])
 
 
 def expected_log_weights(data, counts_cond):

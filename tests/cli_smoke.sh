@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke run of the command line: every subcommand that writes an
 # artifact, a resumed VB fit, config files, and the exit code and JSON
-# error record of a usage error and of a malformed checkpoint.
+# error record of a usage error, of a malformed checkpoint and of a
+# labelled row whose weights overflow.
 # Run from the root of a checkout: bash tests/cli_smoke.sh
 set -euo pipefail
 dir=$(mktemp -d)
@@ -23,6 +24,12 @@ outtree fit --input "$dir/train.csv" --output "$dir/k.model" --model-family kern
 outtree eval --input "$dir/train.csv" --test "$dir/test.csv" \
   --model "$dir/k.model" --output "$dir/kscore.tsv"
 rows "$dir/kscore.tsv" 1
+# semi-supervised labels under the stored model: every third label hidden
+awk -F, 'NR == 1 { print $0 ",y"; next } { print $0 "," (NR % 3 ? NR % 2 : "") }' \
+  "$dir/test.csv" > "$dir/labeled.csv"
+outtree semisup --input "$dir/labeled.csv" --label-column y --model "$dir/m.model" \
+  --seed 4 --output "$dir/labels.csv"
+rows "$dir/labels.csv" 10
 outtree sample --model "$dir/m.model" --rows 15 --seed 3 --output "$dir/draw.csv"
 rows "$dir/draw.csv" 15
 printf 'a,b\n0,1\n1,1\n2,0\n0,0\n1,2\n2,2\n' > "$dir/cats.csv"
@@ -51,3 +58,9 @@ expect_error 2 spiral --noise abc --seed 1 --output "$dir/c.csv"
 head -n 4 "$dir/state.ckpt" > "$dir/truncated.ckpt"
 expect_error 3 vb --input "$dir/cats.csv" --resume "$dir/truncated.ckpt" \
   --output "$dir/never.ckpt"
+# a labelled row of 1e200 overflows the weights: one JSON line, no warning
+awk -F, -v OFS=, 'NR == 5 { $1 = $2 = $3 = "1e200" } 1' "$dir/labeled.csv" \
+  > "$dir/overflow.csv"
+expect_error 3 semisup --input "$dir/overflow.csv" --label-column y \
+  --model "$dir/m.model" --seed 4 --output "$dir/never.csv"
+test "$(wc -l < "$dir/err")" -eq 1

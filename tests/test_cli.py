@@ -101,16 +101,6 @@ class TestSpiral:
             cli.SpiralSpec(count=5)
 
 
-class TestPca:
-    def test_projects_to_top_components(self):
-        rng = np.random.default_rng(4)
-        base = rng.normal(size=(200, 2)) @ np.array([[3.0, 0.0], [0.0, 1.0]])
-        lifted = np.hstack([base, 1e-3 * rng.normal(size=(200, 5))])
-        projected = cli.pca_project(lifted, components=2)
-        assert projected.shape == (200, 2)
-        assert projected[:, 0].std() > projected[:, 1].std()
-
-
 class TestParzen:
     def test_single_train_point_is_one_gaussian(self):
         train = np.array([[0.5, -1.0]])
@@ -196,15 +186,6 @@ class TestModelDocuments:
         assert np.array_equal(back.anchors, model.anchors)
         assert back.gamma == model.gamma
         assert back.kernel == model.kernel
-
-    def test_matrix_tsv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(11)
-        matrix = rng.normal(size=(4, 4))
-        path = str(tmp_path / "m.tsv")
-        otio.write_matrix_tsv(path, matrix)
-        assert np.array_equal(otio.read_matrix_tsv(path), matrix)
-        with open(path) as handle:
-            assert handle.readline().strip() == "# outtree-matrix T=4"
 
     def test_checkpoint_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -470,6 +451,34 @@ class TestCommands:
         record = json.loads(lines[0])
         assert record == {"error": "DataError", "exit_code": 3,
                           "message": "non-finite log conditional for pair (9, 0)"}
+
+    def test_overflowing_labelled_row_writes_one_line(self, tmp_path):
+        # the semi-supervised weights are checked as the likelihood's are: a
+        # row of 1e200 overflows, and the run ends with the JSON record
+        # naming the pair, and no warning before it
+        rng = np.random.default_rng(14)
+        data = rng.normal(size=(8, 2))
+        model = models.gaussian_init_iid(data)
+        data[5] = 1e200
+        labels = ["0", "1", "", "0", "", "1", "", "1"]
+        path, model_path = str(tmp_path / "labeled.csv"), str(tmp_path / "m.model")
+        write(path, "x0,x1,y\n" + "".join(f"{a!r},{b!r},{y}\n"
+                                          for (a, b), y in zip(data.tolist(), labels)))
+        otio.write_model(model_path, model)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "outtree.cli", "semisup", "--input", path,
+             "--label-column", "y", "--model", model_path, "--seed", "1",
+             "--output", str(tmp_path / "labels.csv")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                p for p in [src, os.environ.get("PYTHONPATH")] if p)})
+        assert done.returncode == 3
+        lines = done.stderr.split("\n")
+        assert len(lines) == 2 and lines[1] == "", done.stderr
+        record = json.loads(lines[0])
+        assert record == {"error": "DataError", "exit_code": 3,
+                          "message": "non-finite log conditional for pair (5, 0)"}
 
 
 class TestSemisupBenchmark:

@@ -73,8 +73,8 @@ def fd_gradient_check(model, data, rtol=1e-4, step=1e-5):
         hi = model.with_params(vec + bump)
         lo = model.with_params(vec - bump)
         with np.errstate(invalid="ignore"):
-            fd_beta[i] = (hi.log_conditional_matrix(data)
-                          - lo.log_conditional_matrix(data)) / (2 * step)
+            fd_beta[i] = (models.build_beta(data, hi)[0].log_entries
+                          - models.build_beta(data, lo)[0].log_entries) / (2 * step)
         fd_roots[i] = (hi.log_marginal_vector(data) - lo.log_marginal_vector(data)) / (2 * step)
     d_beta = np.zeros_like(fd_beta)
     for u, v in zip(*np.nonzero(off)):
@@ -273,7 +273,7 @@ def _kernel_outputs(model, data, rng):
     W = rng.uniform(0.0, 1.0, (size, size))
     np.fill_diagonal(W, 0.0)
     rho = rng.dirichlet(np.ones(size))
-    return (model.log_conditional_matrix(data).tobytes(),
+    return (models.build_beta(data, model)[0].log_entries.tobytes(),
             model.grad_from_marginals(data, W, rho).tobytes())
 
 
@@ -327,7 +327,7 @@ class TestAnchorDistances:
     def test_stored_distances_are_shared_and_read_only(self, sq_dist_calls):
         model = random_kernel(np.random.default_rng(20), size=25)
         derived = model.with_params(model.param_vector() + 0.1)
-        derived.log_conditional_matrix(model.anchors)
+        models.build_beta(model.anchors, derived)
         stored = derived._anchor_sq["sq"]
         assert model._anchor_sq is derived._anchor_sq
         assert derived.with_params(derived.param_vector())._anchor_sq is model._anchor_sq
@@ -339,7 +339,7 @@ class TestAnchorDistances:
         assert sq_dist_calls == [25, 25]  # the stored one, then the check above
 
     def test_anchor_features_are_kept_per_model(self, monkeypatch):
-        # the fill, the matrix and the gradient at the anchors share one RBF
+        # the fill, the weights and the gradient at the anchors share one RBF
         # evaluation; a derived model, with another bandwidth, makes its own
         calls = []
         rbf = models.KernelModel._rbf
@@ -355,7 +355,7 @@ class TestAnchorDistances:
         W, rho = np.ones((30, 30)) - np.eye(30), np.full(30, 1 / 30)
         monkeypatch.setattr(models.KernelModel, "_rbf", counted)
         models._build_bordered(anchors, model)
-        model.log_conditional_matrix(anchors)
+        models.build_beta(anchors, model)
         model.grad_from_marginals(anchors, W, rho)
         assert calls == [(30, 30)]
         stored = model._anchor_features
@@ -449,6 +449,38 @@ def _reference_log_conditionals(model, data):
     return out
 
 
+def _kernel_log_conditionals(model, data):
+    """The model's row-block kernel run over the whole matrix, unchecked,
+    with a -inf diagonal."""
+    size = len(data)
+    out = np.empty((size, size))
+    fill = model._conditional_rows(data)
+    blocks = treemath._row_blocks(size)
+    work = np.empty((blocks[0].stop, size))
+    for rows in blocks:
+        fill(rows, out[rows], work[:rows.stop - rows.start])
+    np.fill_diagonal(out, -np.inf)
+    return out
+
+
+def _spoil_kernel(monkeypatch, pairs, value):
+    """Make the Gaussian kernel write ``value`` at the pairs (u, v) that
+    ``pairs(rows)`` lists, in whichever block holds row u."""
+    base = models.GaussianModel._conditional_rows
+
+    def spoiled(self, data):
+        fill = base(self, data)
+
+        def spoiled_fill(rows, out, work):
+            fill(rows, out, work)
+            for u, v in pairs(rows):
+                if rows.start <= u < rows.stop:
+                    out[u - rows.start, v] = value
+        return spoiled_fill
+
+    monkeypatch.setattr(models.GaussianModel, "_conditional_rows", spoiled)
+
+
 def _reference_weights(log_entries):
     """Weights and their rescaled matrix, derived from log-weights in
     whole-matrix expressions."""
@@ -456,9 +488,7 @@ def _reference_weights(log_entries):
     row_scales[row_scales == -np.inf] = 0.0
     with np.errstate(under="ignore"):
         scaled = np.exp(log_entries - row_scales[:, None])
-    beta = treemath.WeightMatrix.__new__(treemath.WeightMatrix)
-    beta._set(log_entries, row_scales, False)
-    return beta, scaled
+    return treemath.WeightMatrix._owning(log_entries, row_scales), scaled
 
 
 def _reference_posterior_weights(record):
@@ -514,7 +544,7 @@ class TestBlockedWeights:
         model = models.gaussian_init_iid(data)
         data[-1] = 1e200
         with np.errstate(over="ignore", invalid="ignore"):
-            log_cond = model.log_conditional_matrix(data)
+            log_cond = _kernel_log_conditionals(model, data)
             want = _reference_log_conditionals(model, data)
             u, v = np.argwhere(~np.eye(size, dtype=bool) & ~np.isfinite(want))[0]
             assert log_cond[u, v] == -np.inf
@@ -524,31 +554,33 @@ class TestBlockedWeights:
 
     @pytest.mark.parametrize("diagonal", [np.nan, 0.0])
     def test_model_diagonal_must_be_minus_inf(self, monkeypatch, diagonal):
-        conditionals = models.GaussianModel.log_conditional_matrix
-
-        def faulty(self, data):
-            out = conditionals(self, data)
-            np.fill_diagonal(out, diagonal)
-            return out
-
-        monkeypatch.setattr(models.GaussianModel, "log_conditional_matrix", faulty)
+        # whatever the kernel writes on the diagonal, the weights hold -inf
         rng = np.random.default_rng(51)
-        with pytest.raises(ValueError, match="diagonal log-weights must be -inf"):
-            models.build_beta(rng.normal(size=(5, 2)), random_gaussian(rng))
+        data, model = rng.normal(size=(5, 2)), random_gaussian(rng)
+        want = models.build_beta(data, model)[0].log_entries
+        _spoil_kernel(monkeypatch, lambda rows: [(u, u) for u in range(rows.start, rows.stop)],
+                      diagonal)
+        got = models.build_beta(data, model)[0].log_entries
+        assert np.all(np.diag(got) == -np.inf) and got.tobytes() == want.tobytes()
 
     def test_weights_own_the_model_array(self, monkeypatch):
-        conditionals = models.GaussianModel.log_conditional_matrix
-        returned = []
+        # the blocks the model's kernel fills are the weights' own memory
+        blocks = []
+        conditionals = models.GaussianModel._conditional_rows
 
         def kept(self, data):
-            returned.append(conditionals(self, data))
-            return returned[-1]
+            fill = conditionals(self, data)
 
-        monkeypatch.setattr(models.GaussianModel, "log_conditional_matrix", kept)
+            def kept_fill(rows, out, work):
+                blocks.append(out)
+                fill(rows, out, work)
+            return kept_fill
+
+        monkeypatch.setattr(models.GaussianModel, "_conditional_rows", kept)
         rng = np.random.default_rng(52)
         beta, _ = models.build_beta(rng.normal(size=(7, 2)), random_gaussian(rng))
-        assert beta.log_entries is returned[0]
-        assert np.shares_memory(beta.log_entries, returned[0])
+        assert len(blocks) == 1 and beta.log_entries.flags.owndata
+        assert np.shares_memory(beta.log_entries, blocks[0])
         assert not beta.log_entries.flags.writeable
 
     def test_public_constructor_copies(self):
@@ -561,22 +593,26 @@ class TestBlockedWeights:
         assert not np.shares_memory(beta.log_entries, log)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "diagonal"])
-    def test_owning_callers_keep_the_checks(self, bad):
+    def test_owning_callers_keep_the_checks(self, bad, monkeypatch):
+        # the joint and VB weights are checked as build_beta's are: a bad
+        # conditional names its pair, a bad diagonal entry is not a weight
         rng = np.random.default_rng(54)
-        log = rng.normal(size=(5, 5))
-        np.fill_diagonal(log, -np.inf)
-        if bad == "diagonal":
-            log[2, 2] = 0.0
-        else:
-            log[1, 3] = float(bad)
+        data, model = rng.normal(size=(5, 2)), random_gaussian(rng)
         label_model = semisup.LabelModel(alpha=0.9, n_classes=2)
-        with pytest.raises(ValueError):
-            semisup._joint_weights(log, np.zeros(5), np.array([0, 1, 0, 1, 1]), label_model)
+        labels = np.array([0, 1, 0, 1, 1])
+        pair = (2, 2) if bad == "diagonal" else (1, 3)
+        _spoil_kernel(monkeypatch, lambda rows: [pair], 0.0 if bad == "diagonal" else float(bad))
+        if bad == "diagonal":
+            beta, _ = semisup.build_joint_beta(data, labels, model, label_model)
+            assert np.all(np.diag(beta.log_entries) == -np.inf)
+        else:
+            with pytest.raises(DataError, match=r"pair \(1, 3\)"):
+                semisup.build_joint_beta(data, labels, model, label_model)
         table = rng.normal(size=(3, 3))
         table[0, 1] = np.nan if bad == "nan" else np.inf
         data = np.array([[0], [1], [2], [1]])
         if bad != "diagonal":
-            with pytest.raises(ValueError, match="log-weights"):
+            with pytest.raises(DataError, match=r"pair \(0, 1\)"):
                 vb._log_weights(data, [table])
 
 

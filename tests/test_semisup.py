@@ -1,5 +1,7 @@
 """Joint input/label weights and greedy label inference."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -94,13 +96,13 @@ class TestJointBeta:
     def test_session_start_reads_the_conditionals_once(self, monkeypatch):
         X, _, truth, model = synthetic_problem(9, size=12)
         calls = []
-        method = type(model).log_conditional_matrix
+        method = type(model)._conditional_rows
 
         def counted(self, data):
             calls.append(1)
             return method(self, data)
 
-        monkeypatch.setattr(type(model), "log_conditional_matrix", counted)
+        monkeypatch.setattr(type(model), "_conditional_rows", counted)
         lm = semisup.LabelModel(alpha=0.8, n_classes=2)
         state = semisup.LabelInference(X, truth, model, lm)
         assert len(calls) == 1
@@ -108,6 +110,26 @@ class TestJointBeta:
         assert state.session.beta.log_entries.tobytes() == beta.log_entries.tobytes()
         assert state.session._record.roots.log_values.tobytes() \
             == roots.log_values.tobytes()
+
+    def test_overflow_raises_the_text_of_build_beta(self):
+        # the joint weights start from build_beta's checked weights, so a
+        # row that overflows names the same pair on every path, unwarned
+        rng = np.random.default_rng(15)
+        X = rng.normal(size=(200, 2))
+        model = models.gaussian_init_iid(X)
+        X[180] = 1e200  # in the second row block
+        labels = rng.integers(0, 2, 200)
+        lm = semisup.LabelModel(alpha=0.8, n_classes=2)
+        with pytest.raises(DataError) as raised:
+            models.build_beta(X, model)
+        want = str(raised.value)
+        assert want.startswith("non-finite log conditional for pair (180, ")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (semisup.LabelInference, semisup.build_joint_beta):
+                with pytest.raises(DataError) as raised:
+                    build(X, labels, model, lm)
+                assert str(raised.value) == want
 
     def test_rejects_missing_labels(self):
         rng = np.random.default_rng(2)
