@@ -114,9 +114,10 @@ class LabelInference:
     def _ascend(self, steps):
         """``steps`` gradient steps on the model parameters, started from the
         session's record; the session goes on from the accepted record."""
-        self.model, record = _ascend_theta(self.X, self.labels, self.model,
-                                           self.label_model, steps, self.session._record)
-        self._log_cond = build_beta(self.X, self.model)[0].log_entries
+        self.model, record, log_cond = _ascend_theta(
+            self.X, self.labels, self.model, self.label_model, steps, self.session._record)
+        if log_cond is not None:
+            self._log_cond = log_cond
         self._previewed = None
         self.session._commit(record)
 
@@ -285,10 +286,11 @@ def _ascend_theta(X, y, model, label_model, steps, record):
     ``fit_ml``, and each step runs the same line search (``_line_search``):
     the first trial at min(1, 1/|g|_2), later ones warm-started from the
     last accepted step. Stops early at a zero gradient or a failed search.
-    Returns the last accepted model and the record of its joint weights,
-    whose ln Z is the unpenalized joint ln Z. Each step's gradient is read
-    off the record its value came from: the start's, then the accepted
-    trial's, so no weights are factored twice.
+    Returns the last accepted model, the record of its joint weights, whose
+    ln Z is the unpenalized joint ln Z, and its attribute log-weights (None
+    when no step was accepted). Each step's gradient is read off the record
+    its value came from: the start's, then the accepted trial's, so no
+    weights are factored or filled twice.
     """
     X = model.validate_data(X)
     vector = model.param_vector()
@@ -296,10 +298,12 @@ def _ascend_theta(X, y, model, label_model, steps, record):
 
     def evaluate(trial_vector):
         trial = model.with_params(trial_vector)
-        trial_record = treemath._Bordered(*build_joint_beta(X, y, trial, label_model))
-        return trial_record.log_z + trial.penalty(trial_vector)[0], (trial, trial_record)
+        beta, roots = build_beta(X, trial)
+        trial_record = treemath._Bordered(*_joint_weights(beta, roots, y, label_model))
+        return (trial_record.log_z + trial.penalty(trial_vector)[0],
+                (trial, trial_record, beta.log_entries))
 
-    last = None
+    last, log_cond = None, None
     for _ in range(steps):
         grad = _partition_gradient(X, model, record) + model.penalty(vector)[1]
         if not grad.any():
@@ -307,8 +311,8 @@ def _ascend_theta(X, y, model, label_model, steps, record):
         last = _line_search(evaluate, vector, value, grad, last)
         if last is None:
             break
-        vector, value, (model, record) = last.vector, last.value, last.payload
-    return model, record
+        vector, value, (model, record, log_cond) = last.vector, last.value, last.payload
+    return model, record, log_cond
 
 
 def cross_validate_alpha(X, y, model: MutationModel, alpha_grid, *, n_classes=None,

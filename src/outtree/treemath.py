@@ -206,7 +206,7 @@ class OutTree:
             raise ValueError("exactly one node may lack a parent")
         if np.any((parent < -1) | (parent >= size)):
             raise ValueError("parent indices out of range")
-        if not _reaches_root(parent, self.root):
+        if not _reaches_root(parent.tolist(), self.root):
             raise ValueError("parent links contain a cycle")
 
     @property
@@ -532,7 +532,7 @@ class _Bordered:
 # 2.4-3.1 ms against 5.4-6.9 ms at dimension 301 (leaves of 75), 0.46-0.75
 # against 1.1-1.3 ms at 151. Leaves of 150 took 3.2-4.1 ms at 301, and
 # blocking gained only 20-25 % at 91, so the bound sits in [91, 149]; 128
-# keeps the semisup (T+1 = 91) and VB (71) benchmark sizes on LAPACK's bytes.
+# keeps the semisup benchmark size (T+1 = 91) on LAPACK's bytes.
 _BLOCK_LEAF = 128
 
 
@@ -695,25 +695,40 @@ def log_partition(beta: WeightMatrix, roots: RootWeights) -> LogPartition:
 
 def enumerate_out_trees(size: int) -> list[OutTree]:
     """Every out-tree on ``size`` labeled nodes (there are size**(size-1))."""
+    trees = []
+    for root, others, parents in _out_tree_parents(size):
+        parent = np.full(size, -1, dtype=np.int64)
+        for combo in parents.tolist():
+            parent[others] = combo
+            trees.append(OutTree(root, parent.copy()))
+    return trees
+
+
+def _out_tree_parents(size):
+    """(root, others, parents) for every root: ``parents[t, i]`` is the
+    parent of node ``others[i]`` in the t-th out-tree rooted there, in
+    ``enumerate_out_trees``' order. The enumeration oracles read these
+    arrays instead of one validated ``OutTree`` per tree."""
     if size > MAX_ENUMERATION_NODES:
         raise ValueError(f"enumeration limited to T <= {MAX_ENUMERATION_NODES}")
     if size < 1:
         raise ValueError("need at least one node")
-    trees = []
     for root in range(size):
         others = [u for u in range(size) if u != root]
         candidates = [[v for v in range(size) if v != u] for u in others]
-        parent = np.full(size, -1, dtype=np.int64)
+        parent, valid = [-1] * size, []
         for combo in itertools.product(*candidates):
-            parent[others] = combo
+            for node, par in zip(others, combo):
+                parent[node] = par
             if _reaches_root(parent, root):
-                trees.append(OutTree(root, parent.copy()))
-    return trees
+                valid.append(combo)
+        yield root, np.array(others, dtype=np.int64), \
+            np.array(valid, dtype=np.int64).reshape(len(valid), size - 1)
 
 
 def _reaches_root(parent, root):
-    """Whether the parent links of every node lead to ``root``."""
-    parent = parent.tolist()  # Python ints walk faster than numpy scalars
+    """Whether the parent links of every node, a list of ints, lead to
+    ``root``."""
     size = len(parent)
     for start in range(size):
         node, steps = start, 0
@@ -731,12 +746,9 @@ def brute_force_log_partition(beta: WeightMatrix, roots: RootWeights) -> LogPart
     Exact (in log domain) but exponential; guarded at T <= 7.
     """
     _check_sizes(beta, roots)
-    per_root_terms = [[] for _ in range(beta.size)]
-    for tree in enumerate_out_trees(beta.size):
-        children = [t for t in range(beta.size) if t != tree.root]
-        log_weight = beta.log_entries[children, tree.parent[children]].sum()
-        per_root_terms[tree.root].append(log_weight)
-    per_root = np.array([_logsumexp(terms) for terms in per_root_terms])
+    per_root = np.empty(beta.size)
+    for root, others, parents in _out_tree_parents(beta.size):
+        per_root[root] = _logsumexp(beta.log_entries[others, parents].sum(axis=1))
     log_z = float(_logsumexp(roots.log_values + per_root))
     if not np.isfinite(log_z):
         raise ZeroPartitionError("no out-tree has positive weight")

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke run of the command line: every subcommand that writes an
-# artifact, a resumed VB fit, config files, and the exit code and JSON
-# error record of a usage error, of a malformed checkpoint and of a
-# labelled row whose weights overflow.
+# artifact, a resumed VB fit, a VB fit of equal rows, config files, and the
+# exit code and JSON error record of a usage error, of a malformed
+# checkpoint and of a labelled row whose weights overflow.
 # Run from the root of a checkout: bash tests/cli_smoke.sh
 set -euo pipefail
 dir=$(mktemp -d)
@@ -38,6 +38,10 @@ rows "$dir/state.ckpt.trace.tsv" 3
 outtree vb --input "$dir/cats.csv" --max-rounds 2 --resume "$dir/state.ckpt" \
   --output "$dir/resumed.ckpt"
 rows "$dir/resumed.ckpt.trace.tsv" 5
+# every row equal: one row type, whose structure step is in closed form
+printf 'a,b\n1,2\n1,2\n1,2\n1,2\n' > "$dir/same.csv"
+outtree vb --input "$dir/same.csv" --max-rounds 2 --output "$dir/same.ckpt"
+rows "$dir/same.ckpt.trace.tsv" 3
 printf 'rows = 20\n' > "$dir/c.cfg"
 outtree spiral --config "$dir/c.cfg" --row 50 --seed 1 --output "$dir/a.csv"
 rows "$dir/a.csv" 50

@@ -366,6 +366,31 @@ class TestGreedyInference:
         assert bordered_counts["set-up"] == 1 + len(trials)
         assert bordered_counts["patch"] == len(previews)
 
+    def test_each_theta_trial_fills_the_attribute_weights_once(self, monkeypatch):
+        # the session's start fills the attribute log-conditionals once and
+        # every line-search trial once; the accepted trial's are kept for
+        # the flips that follow, not filled again
+        X, y, _, model = synthetic_problem(8, size=16, min_minority=0.2)
+        fills, trials = [], []
+        conditional_rows = models.GaussianModel._conditional_rows
+        with_params = models.GaussianModel.with_params
+
+        def counted_rows(self, data):
+            fills.append(1)
+            return conditional_rows(self, data)
+
+        def counted_params(self, vector):
+            trials.append(1)
+            return with_params(self, vector)
+
+        monkeypatch.setattr(models.GaussianModel, "_conditional_rows", counted_rows)
+        monkeypatch.setattr(models.GaussianModel, "with_params", counted_params)
+        lm = semisup.LabelModel(alpha=0.9, n_classes=2)
+        result = semisup.greedy_label_inference(X, y, model, lm, rng=3,
+                                                theta_steps_per_sweep=2)
+        assert result.sweeps >= 2 and result.model is not model
+        assert len(fills) == 1 + len(trials)
+
     def test_a_screened_record_is_inverted_once(self, monkeypatch, bordered_counts):
         # a theta step right after screens reads the inverse they kept; every
         # inverted record is a distinct session record (each commit and each
@@ -473,7 +498,9 @@ class TestGreedyInference:
         grad = likelihood._partition_gradient(X, model, start) + penalty_grad
         assert np.abs(penalty_grad).max() > 0.1 * np.abs(grad).max()
         for steps in (1, 3):
-            fitted, record = semisup._ascend_theta(X, labels, model, lm, steps, start)
+            fitted, record, log_cond = semisup._ascend_theta(X, labels, model, lm, steps,
+                                                             start)
+            assert log_cond.tobytes() == models.build_beta(X, fitted)[0].log_entries.tobytes()
             fitted_vector = fitted.param_vector()
             value = record.log_z + fitted.penalty(fitted_vector)[0]
             assert record.log_z == semisup._full_log_partition(X, labels, fitted, lm)
@@ -499,7 +526,7 @@ class TestGreedyInference:
         start = treemath._Bordered(*semisup.build_joint_beta(X, labels, model, lm))
         monkeypatch.setattr(semisup, "_partition_gradient",
                             lambda X, model, record: np.zeros(len(model.param_vector())))
-        assert semisup._ascend_theta(X, labels, model, lm, 3, start) == (model, start)
+        assert semisup._ascend_theta(X, labels, model, lm, 3, start) == (model, start, None)
 
 
 def scoring_every_node(X, y, model, label_model, *, restarts=1, max_sweeps=50,

@@ -192,6 +192,23 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             tm.enumerate_out_trees(8)
 
+    @pytest.mark.parametrize("size", range(2, 7))
+    def test_brute_force_matches_one_tree_at_a_time(self, size):
+        # the oracle as it summed one validated OutTree at a time
+        rng = np.random.default_rng(size)
+        beta, roots = random_instance(size, rng)
+        beta = tm.WeightMatrix(log_entries=beta.log_entries * rng.uniform(1.0, 40.0))
+        per_root_terms = [[] for _ in range(size)]
+        for tree in tm.enumerate_out_trees(size):
+            children = [t for t in range(size) if t != tree.root]
+            per_root_terms[tree.root].append(
+                beta.log_entries[children, tree.parent[children]].sum())
+        per_root = np.array([logsumexp(terms) for terms in per_root_terms])
+        log_z = logsumexp(roots.log_values + per_root)
+        got = tm.brute_force_log_partition(beta, roots)
+        assert abs(got.log_z - log_z) <= 1e-12 * abs(log_z)
+        assert np.all(np.abs(got.per_root_log_z - per_root) <= 1e-12 * np.abs(per_root))
+
 
 class TestRootPosterior:
     def test_symmetric_uniform(self):

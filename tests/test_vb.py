@@ -197,6 +197,27 @@ class TestElbo:
             for value in state.elbo_trace:
                 assert value <= exact + 1e-9
 
+    @pytest.mark.parametrize("rows", range(2, 7))
+    def test_exact_evidence_matches_one_tree_at_a_time(self, rows):
+        # the oracle as it tallied one validated OutTree at a time
+        rng = np.random.default_rng(110 + rows)
+        data = random_data(rng, rows, dims=2, k=3)
+        prior = random_prior(rng, dims=2, k=3)
+        root_log_m = vb.root_log_evidence(data, prior)
+        terms = []
+        for tree in treemath.enumerate_out_trees(rows):
+            value = root_log_m[tree.root]
+            for d, big_a0 in enumerate(prior.cond):
+                counts = np.zeros((3, 3))
+                for child, parent in tree.edges():
+                    counts[data[child, d], data[parent, d]] += 1.0
+                total = big_a0 + counts
+                value += float((gammaln(big_a0.sum(axis=0)) - gammaln(total.sum(axis=0))).sum()
+                               + (gammaln(total) - gammaln(big_a0)).sum())
+            terms.append(value)
+        want = logsumexp(terms) - (rows - 1) * np.log(rows)
+        assert abs(vb.exact_log_evidence(data, prior) - want) <= 1e-12 * abs(want)
+
     def test_dirichlet_kl_against_monte_carlo(self):
         rng = np.random.default_rng(6)
         a = rng.uniform(0.5, 4.0, 3)
@@ -436,22 +457,28 @@ class TestBorderedRounds:
         monkeypatch.setattr(vb, "_structure_step", counted)
         rng = np.random.default_rng(74)
         data = random_data(rng, 9, dims=2, k=3)
+        # the record is the type graph's, one node per distinct row
+        distinct = len(np.unique(data, axis=0))
+        assert distinct < len(data)
         state = vb.vb_fit(data, random_prior(rng, dims=2, k=3), max_rounds=5, tol=0.0)
         assert len(steps) == len(state.elbo_trace) == 6
         assert bordered_counts["set-up"] == len(steps)
-        assert bordered_counts["slogdet", 10] == len(steps)
-        assert bordered_counts["inv", 10] == len(steps)
+        assert bordered_counts["slogdet", distinct + 1] == len(steps)
+        assert bordered_counts["inv", distinct + 1] == len(steps)
+        assert sum(bordered_counts.values()) == 3 * len(steps)
 
     def test_negative_marginal_roundoff_raises(self, monkeypatch):
-        posterior_weights = treemath._Bordered.posterior_weights
+        # the masses the fit clips are the type graph's plus the within-type
+        # terms, which could mask a negative entry of the record's alone
+        type_posterior = vb._type_posterior
 
-        def tilted(record):
-            w, rho = posterior_weights(record)
+        def tilted(*args):
+            beta, log_z, w, rho = type_posterior(*args)
             w = w.copy()
             w[1, 0] = -1e-6
-            return w, rho
+            return beta, log_z, w, rho
 
-        monkeypatch.setattr(treemath._Bordered, "posterior_weights", tilted)
+        monkeypatch.setattr(vb, "_type_posterior", tilted)
         rng = np.random.default_rng(72)
         data = random_data(rng, 5)
         with pytest.raises(NumericalFaultError):
@@ -470,3 +497,169 @@ class TestBorderedRounds:
         finally:
             tracemalloc.stop()
         assert peak < 16 * size * size * 8
+
+
+def ungrouped_fit(data, prior, rounds, init_state=None):
+    """vb_fit's rounds with every structure step over the T rows themselves:
+    one bordered Laplacian of dimension T + 1 per step, as before rows were
+    grouped. Returns the trace, q(r), W, both count lists and the last
+    step's expected-log weights."""
+    data = np.asarray(data, dtype=np.int64)
+    size = len(data)
+    if init_state is None:
+        counts_root, counts_cond, trace = prior.root, prior.cond, None
+    else:
+        counts_root, counts_cond = init_state.counts_root, init_state.counts_cond
+        trace = list(init_state.elbo_trace)
+    roots = treemath.RootWeights(log_values=vb.root_log_evidence(data, prior))
+
+    def step(counts_cond):
+        tables = [vb._expected_log_table(big_a) for big_a in counts_cond]
+        beta = vb.expected_log_weights(data, counts_cond)
+        record = treemath._Bordered(beta, roots)
+        w, q_root = record.posterior_weights()
+        w = treemath._clip_probabilities(w, "VB edge marginals")
+        q_root = treemath._clip_probabilities(q_root, "VB root posterior")
+        return w, q_root, record.log_z - vb._kl_and_tree_prior(prior, tables, size), beta
+
+    w, q_root, value, beta = step(counts_cond)
+    trace = trace or [value]
+    for _ in range(rounds):
+        counts_root, counts_cond = vb.update_q_c(data, prior, q_root, w)
+        w, q_root, value, beta = step(counts_cond)
+        trace.append(value)
+    return trace, q_root, w, counts_root, counts_cond, beta
+
+
+def scaled_prior(prior, scale):
+    return vb.DirichletPrior(root=tuple(scale * a for a in prior.root),
+                             cond=tuple(scale * a for a in prior.cond))
+
+
+def all_values(dims, k):
+    """Every row of ``dims`` values in [0, k), in a fixed order."""
+    grids = np.meshgrid(*[np.arange(k)] * dims, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def grouping_case(name):
+    """(data, prior) of one named input of the grouped-rows checks."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "one type":
+        return np.tile([1, 2], (7, 1)), random_prior(rng, dims=2, k=3)
+    if name == "two equal rows":
+        return np.array([[1], [1]]), random_prior(rng)
+    if name == "one repeated pair":
+        rows = rng.permutation(all_values(3, 3))[:6]
+        return rows[[0, 1, 2, 3, 2, 4, 5]], random_prior(rng, dims=3, k=3)
+    if name == "heavy duplication":
+        return random_data(rng, 200, dims=2, k=3), random_prior(rng, dims=2, k=3)
+    if name == "pseudo-counts 1e6":
+        data = random_data(rng, 40, dims=2, k=3)
+        return data, scaled_prior(random_prior(rng, dims=2, k=3), 1e6)
+    raise KeyError(name)
+
+
+GROUPING_CASES = ["one type", "two equal rows", "one repeated pair", "heavy duplication",
+                  "pseudo-counts 1e6"]
+
+
+def assert_matches_ungrouped(state, want):
+    trace, q_root, w, counts_root, counts_cond, _ = want
+    scale = np.maximum(1.0, np.abs(trace))
+    assert np.all(np.abs(np.array(state.elbo_trace) - trace) <= 1e-10 * scale)
+    assert np.abs(state.q_root - q_root).max() <= 1e-10
+    assert np.abs(state.edge_marginals.W - w).max() <= 1e-10
+    for got, expected in zip(state.counts_cond + state.counts_root, counts_cond + counts_root):
+        assert np.abs(got - expected).max() <= 1e-10
+    rows_sum = state.edge_marginals.W.sum(axis=1)
+    assert np.abs(rows_sum - (1.0 - state.q_root)).max() <= 1e-9
+
+
+class TestGroupedRows:
+    """Every round runs over the distinct rows; the ungrouped rounds are the
+    oracle."""
+
+    def test_distinct_rows_give_the_ungrouped_bytes(self):
+        rng = np.random.default_rng(90)
+        data = rng.permutation(all_values(3, 3))[:25]
+        prior = random_prior(rng, dims=3, k=3)
+        state = vb.vb_fit(data, prior, max_rounds=5, tol=-np.inf)
+        trace, q_root, w, counts_root, counts_cond, beta = ungrouped_fit(data, prior, 5)
+        assert state.elbo_trace == trace
+        assert state.q_root.tobytes() == q_root.tobytes()
+        assert state.edge_marginals.W.tobytes() == w.tobytes()
+        for got, want in zip(state.counts_cond + state.counts_root, counts_cond + counts_root):
+            assert got.tobytes() == want.tobytes()
+        assert state.beta_tilde.log_entries.tobytes() == beta.log_entries.tobytes()
+
+    @pytest.mark.parametrize("name", GROUPING_CASES)
+    def test_matches_the_ungrouped_fit(self, name):
+        data, prior = grouping_case(name)
+        state = vb.vb_fit(data, prior, max_rounds=6, tol=-np.inf)
+        assert len(state.elbo_trace) == 7
+        want = ungrouped_fit(data, prior, 6)
+        assert_matches_ungrouped(state, want)
+        off = ~np.eye(len(data), dtype=bool)
+        assert np.abs(state.beta_tilde.log_entries[off] - want[5].log_entries[off]).max() \
+            <= 1e-10
+
+    def test_a_resumed_fit_matches_the_ungrouped_fit(self):
+        data, prior = grouping_case("heavy duplication")
+        start = vb.vb_fit(data, prior, max_rounds=2, tol=-np.inf)
+        resumed = vb.vb_fit(data, prior, max_rounds=3, tol=-np.inf, init_state=start)
+        assert len(resumed.elbo_trace) == 6
+        assert_matches_ungrouped(resumed, ungrouped_fit(data, prior, 3, init_state=start))
+
+    def test_one_type_is_the_closed_form(self):
+        # T equal rows: T^(T-2) trees per root, each of T - 1 edges of weight
+        # beta_aa, so Z = T m (T^(T-2) beta_aa^(T-1)) = m (T beta_aa)^(T-1)
+        data, prior = grouping_case("one type")
+        size = len(data)
+        state = vb.vb_fit(data, prior, max_rounds=0)
+        beta = vb.expected_log_weights(data, prior.cond)
+        log_m = vb.root_log_evidence(data, prior)[0]
+        want = log_m + (size - 1) * (np.log(size) + beta.log_entries[1, 0]) \
+            - (size - 1) * np.log(size)
+        assert state.elbo_trace[0] == pytest.approx(want, rel=1e-13)
+        assert np.all(state.q_root == 1.0 / size)
+        assert np.allclose(state.edge_marginals.W[~np.eye(size, dtype=bool)],
+                           1.0 / size, rtol=1e-13)
+
+    def test_group_rows_keeps_the_order_of_first_occurrence(self):
+        data = np.array([[2, 0], [1, 1], [2, 0], [0, 2], [1, 1], [2, 0]])
+        rows, inverse, counts = vb._group_rows(data)
+        assert rows.tolist() == [[2, 0], [1, 1], [0, 2]]
+        assert inverse.tolist() == [0, 1, 0, 2, 1, 0]
+        assert counts.tolist() == [3.0, 2.0, 1.0]
+        assert np.array_equal(rows[inverse], data)
+
+    def test_many_rows_over_few_values_factor_small_matrices(self, monkeypatch,
+                                                             bordered_counts):
+        # 2000 rows over a 3 x 3 alphabet: at most 9 distinct rows, so every
+        # structure step factors a bordered matrix of dimension at most 10
+        steps = []
+        structure_step = vb._structure_step
+
+        def counted(*args):
+            steps.append(1)
+            return structure_step(*args)
+
+        monkeypatch.setattr(vb, "_structure_step", counted)
+        rng = np.random.default_rng(75)
+        size = 2000
+        data = random_data(rng, size, dims=2, k=3)
+        prior = random_prior(rng, dims=2, k=3)
+        state = vb.vb_fit(data, prior, max_rounds=5, tol=0.0)
+        assert len(steps) == len(state.elbo_trace) == 6
+        assert bordered_counts["set-up"] == len(steps)
+        factored = [key[1] for key in bordered_counts if key[0] in ("slogdet", "inv")]
+        assert factored and max(factored) <= 10
+        w = state.edge_marginals.W
+        assert w.shape == (size, size)
+        assert np.abs(w.sum(axis=1) - (1.0 - state.q_root)).max() <= 1e-9
+        for d in range(2):
+            gained = state.counts_cond[d].sum() - prior.cond[d].sum()
+            rooted = state.counts_root[d].sum() - prior.root[d].sum()
+            assert abs(gained - (size - 1)) <= 1e-9 * size
+            assert abs(rooted - 1.0) <= 1e-9
