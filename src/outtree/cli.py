@@ -22,7 +22,7 @@ import numpy as np
 from . import io as otio
 from . import likelihood, sampler, semisup, vb
 from .errors import ConfigError, DataError, OutTreeError
-from .models import (GaussianModel, gaussian_init_iid, kernel_init_iid,
+from .models import (GaussianModel, TabularModel, gaussian_init_iid, kernel_init_iid,
                      tabular_init_iid)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -92,12 +92,13 @@ def ingest_csv(path, label_column=None, missing_token="", categorical=False,
                                     f"unknown category {cell!r}") from None
     X = np.array(data, dtype=float)
     if categorical:
-        as_int = X.astype(np.int64)
-        if not np.array_equal(as_int, X) or as_int.min() < 0:
-            bad = np.argwhere(as_int.astype(float) != X)
-            where = f"row {bad[0][0] + 2}, column {attribute_columns[bad[0][1]]!r}" \
-                if len(bad) else "some cell"
-            raise DataError(f"{path}: {where}: not a small nonnegative integer")
+        # NaN and huge cells cast to garbage, which the comparison catches
+        with np.errstate(invalid="ignore"):
+            as_int = X.astype(np.int64)
+        bad = np.argwhere((as_int != X) | (X < 0))
+        if len(bad):
+            raise DataError(f"{path}: row {bad[0][0] + 2}, column "
+                            f"{attribute_columns[bad[0][1]]!r}: not a small nonnegative integer")
         X = as_int
     y = np.array(labels, dtype=np.int64) if label_idx is not None else None
     return Dataset(X=X, y=y, columns=attribute_columns, label_column=label_column)
@@ -327,19 +328,24 @@ def nn_regression_seed(train) -> GaussianModel:
                          sigma_cc=noise, sigma_pipi=base.sigma_pipi)
 
 
+# the spiral benchmark's EM mixtures have 1 to this many components
+_GMM_MAX_K = 5
+
+
 def run_spiral_benchmark(*, count=600, noise=0.5, turns=3.0, folds=10, seed=0,
-                         splits=(0.8, 0.1, 0.1), max_iters=60, gmm_max_k=5,
-                         restarts=10, bandwidths=None, patience=10):
+                         splits=(0.8, 0.1, 0.1), max_iters=60, restarts=10,
+                         bandwidths=None):
     """Density-estimation comparison on generated spiral data.
 
     Per fold: standardize by the training moments, fit the out-tree
     Gaussian (nearest-neighbor seeded, early-stopped on the validation
-    score), Parzen with validated bandwidth, and EM mixtures. Returns one
-    row per fold with all test scores plus the run's config hash.
+    score with ``fit_ml``'s patience), Parzen with validated bandwidth, and
+    EM mixtures of 1 to ``_GMM_MAX_K`` components. Returns one row per fold
+    with all test scores plus the run's config hash.
     """
     config = dict(count=count, noise=noise, turns=turns, folds=folds, seed=seed,
-                  splits=list(splits), max_iters=max_iters, gmm_max_k=gmm_max_k,
-                  restarts=restarts, bandwidths=bandwidths, patience=patience)
+                  splits=list(splits), max_iters=max_iters, restarts=restarts,
+                  bandwidths=bandwidths)
     digest = config_hash(config)
     if bandwidths is None:
         bandwidths = np.geomspace(0.02, 2.0, 13).tolist()
@@ -353,12 +359,10 @@ def run_spiral_benchmark(*, count=600, noise=0.5, turns=3.0, folds=10, seed=0,
         train_idx, val_idx, test_idx = split_indices(count, splits, rng)
         train, val, test = standardize(data[train_idx], data[val_idx], data[test_idx])
         seed_model = nn_regression_seed(train)
-        report = likelihood.fit_ml(train, seed_model, max_iters=max_iters,
-                                   holdout=val, patience=patience)
+        report = likelihood.fit_ml(train, seed_model, max_iters=max_iters, holdout=val)
         tdid_score = likelihood.test_log_likelihood(train, test, report.model).score
         parzen = baseline_parzen(train, test, bandwidths, val)
-        gmm = baseline_gmm(train, test, list(range(1, gmm_max_k + 1)), restarts,
-                           val, rng)
+        gmm = baseline_gmm(train, test, list(range(1, _GMM_MAX_K + 1)), restarts, val, rng)
         rows.append({"fold": fold, "seed": seed, "config": digest,
                      "tdid": tdid_score, "parzen": parzen.test_log_likelihood,
                      "gmm_1": gmm.test_by_k[1], "gmm_best_k": gmm.best_k,
@@ -596,10 +600,10 @@ def cmd_fit(args):
 
 
 def cmd_eval(args):
-    categorical = args.model_family == "tabular"
+    model = otio.read_model(args.model)
+    categorical = isinstance(model, TabularModel)
     train = ingest_csv(args.input, categorical=categorical)
     test = ingest_csv(args.test, categorical=categorical)
-    model = otio.read_model(args.model)
     score = likelihood.test_log_likelihood(train.X, test.X, model)
     row = {"score": score.score, "log_z_union": score.log_z_union,
            "log_z_train": score.log_z_train, "correction": score.correction,
@@ -664,9 +668,8 @@ def cmd_vb(args):
         prior, counts_root, counts_cond, q_root, trace = \
             otio.read_checkpoint(args.resume)
         init = vb.VariationalState(
-            counts_root=counts_root, counts_cond=counts_cond, beta_tilde=None,
-            q_root=q_root, edge_marginals=None, elbo=float(trace[-1]),
-            elbo_trace=list(trace))
+            counts_root=counts_root, counts_cond=counts_cond, q_root=q_root,
+            edge_marginals=None, elbo=float(trace[-1]), elbo_trace=list(trace))
     else:
         sizes = [int(data.X[:, d].max()) + 1 for d in range(data.X.shape[1])]
         prior = vb.DirichletPrior.uniform(sizes, args.prior_count)
@@ -757,8 +760,6 @@ def build_parser():
     common(p, "input", "test", "model")
     p.add_argument("--test", default=None)
     p.add_argument("--model", default=None)
-    p.add_argument("--model-family", choices=["gaussian", "tabular", "kernel"],
-                   default="gaussian")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sample", help="draw a dataset from a stored model")

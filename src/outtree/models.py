@@ -440,18 +440,7 @@ class TabularModel(MutationModel):
         self._cond_cdf = [np.cumsum(t, axis=0) for t in self.cond_tables]
 
     def validate_data(self, data):
-        data = np.atleast_2d(np.asarray(data))
-        if data.shape[1] != self.dim:
-            raise DataError(f"expected {self.dim} attribute columns, got {data.shape[1]}")
-        if not np.issubdtype(data.dtype, np.integer):
-            as_int = data.astype(np.int64)
-            if not np.array_equal(as_int, data):
-                raise DataError("tabular attributes must be integers")
-            data = as_int
-        for d, k in enumerate(self.alphabet_sizes):
-            if data[:, d].min() < 0 or data[:, d].max() >= k:
-                raise DataError(f"column {d} has values outside [0, {k})")
-        return data
+        return _tabular_values(data, self.alphabet_sizes)
 
     def log_marginal(self, x):
         return float(sum(self._log_root[d][x[d]] for d in range(self.dim)))
@@ -513,6 +502,22 @@ class TabularModel(MutationModel):
              for d in range(self.dim)], dtype=np.int64)
 
 
+def _tabular_values(data, alphabet_sizes):
+    """``data`` as int64 rows of one value in [0, k) per dimension of an
+    alphabet of k letters; anything else, NaN and infinities included,
+    raises ``DataError`` before a cast could warn."""
+    data = np.atleast_2d(np.asarray(data))
+    if data.shape[1] != len(alphabet_sizes):
+        raise DataError(f"expected {len(alphabet_sizes)} attribute columns, "
+                        f"got {data.shape[1]}")
+    if not np.issubdtype(data.dtype, np.integer) and not np.all(np.floor(data) == data):
+        raise DataError("tabular attributes must be integers")
+    for d, k in enumerate(alphabet_sizes):
+        if data[:, d].min() < 0 or data[:, d].max() >= k:
+            raise DataError(f"column {d} has values outside [0, {k})")
+    return data.astype(np.int64, copy=False)
+
+
 def _table_rows(data, tables):
     """Row-block kernel (see ``MutationModel._conditional_rows``) of the
     log-weights sum_d tables[d][x_ud, x_vd] of integer ``data`` whose
@@ -538,13 +543,14 @@ def _softmax_with_reference(logits):
     return exp / exp.sum()
 
 
-def tabular_init_iid(data, alphabet_sizes, pseudocount=1.0) -> TabularModel:
-    """Seed tabular model: empirical marginals, conditional columns all equal
-    to the marginal (so the out-tree likelihood matches iid exactly)."""
+def tabular_init_iid(data, alphabet_sizes) -> TabularModel:
+    """Seed tabular model: empirical marginals with one pseudo-count per
+    value, conditional columns all equal to the marginal (so the out-tree
+    likelihood matches iid exactly)."""
     data = np.atleast_2d(np.asarray(data, dtype=np.int64))
     root_tables, cond_tables = [], []
     for d, k in enumerate(alphabet_sizes):
-        counts = np.bincount(data[:, d], minlength=k).astype(float) + pseudocount
+        counts = np.bincount(data[:, d], minlength=k).astype(float) + 1.0
         marginal = counts / counts.sum()
         root_tables.append(marginal)
         cond_tables.append(np.tile(marginal[:, None], (1, k)))

@@ -316,11 +316,10 @@ def _ascend_theta(X, y, model, label_model, steps, record):
 
 
 def cross_validate_alpha(X, y, model: MutationModel, alpha_grid, *, n_classes=None,
-                         folds=3, holdout_frac=0.5, restarts=3, max_sweeps=50,
-                         rng=None) -> float:
+                         folds=3, restarts=3, max_sweeps=50, rng=None) -> float:
     """Pick the stickiness maximizing held-out label accuracy.
 
-    Each fold masks ``holdout_frac`` of the observed labels, runs inference
+    Each fold masks half of the observed labels, runs inference
     per grid value, and scores accuracy on the masked entries. Ties go to
     the alpha nearest 0.5.
     """
@@ -333,7 +332,7 @@ def cross_validate_alpha(X, y, model: MutationModel, alpha_grid, *, n_classes=No
     observed_idx = np.flatnonzero(y >= 0)
     if len(alpha_grid) == 1:
         return float(alpha_grid[0])
-    n_mask = int(round(holdout_frac * observed_idx.size))
+    n_mask = int(round(0.5 * observed_idx.size))
     if n_mask < 1 or n_mask >= observed_idx.size:
         raise DataError("not enough observed labels to hold some out")
     rng = np.random.default_rng(rng)

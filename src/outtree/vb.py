@@ -17,11 +17,12 @@ Kemeny & Snell 1960), so every round runs over the k distinct rows of the
 data with their multiplicities n: the bordered Laplacian of the type
 graph has dimension k + 1, and each row type adds one closed-form term
 (``_type_posterior``). A round costs O(T D + k^3) for T rows of D
-attributes instead of O(T^3), and the returned state is expanded to the T
-rows once, at the end. Categorical data with repeated rows gain: 61 of the
-70 rows of the ``vb`` benchmark repeat one of 9 distinct rows. With all
-rows distinct the type graph is the data's, and the fit is the ungrouped
-one, with nothing to expand.
+attributes instead of O(T^3), and the returned q(r) and W are expanded to
+the T rows once, at the end; no T x T expected-log weights are made.
+Categorical data with repeated rows gain: 61 of the 70 rows of the ``vb``
+benchmark repeat one of 9 distinct rows. With all rows distinct the type
+graph is the data's, and the fit is the ungrouped one, with nothing to
+expand.
 
 The root-table integral is kept exact against its prior (only one node is
 the root, so no variational distribution is introduced for the root
@@ -39,8 +40,8 @@ import numpy as np
 
 from . import treemath
 from .errors import DataError, NumericalFaultError
-from .models import _checked_weights, _table_rows, tabular_counts
-from .treemath import WeightMatrix, _logsumexp
+from .models import _checked_weights, _table_rows, _tabular_values, tabular_counts
+from .treemath import _logsumexp
 
 # digamma's asymptotic series: the coefficients -B_2n / 2n (Bernoulli
 # numbers) of y^-2n, n = 1..7, and the powers -2n
@@ -110,27 +111,14 @@ class VariationalState:
 
     counts_root: list
     counts_cond: list
-    beta_tilde: WeightMatrix
     q_root: np.ndarray
     edge_marginals: treemath.EdgeMarginals
     elbo: float
     elbo_trace: list = field(default_factory=list)
 
 
-def _check_values(data, prior):
-    """Integer rows with one value in range per dimension of ``prior``."""
-    data = np.atleast_2d(np.asarray(data, dtype=np.int64))
-    sizes = prior.alphabet_sizes
-    if data.shape[1] != len(sizes):
-        raise DataError(f"expected {len(sizes)} attribute columns, got {data.shape[1]}")
-    for d, k in enumerate(sizes):
-        if data[:, d].min() < 0 or data[:, d].max() >= k:
-            raise DataError(f"column {d} has values outside [0, {k})")
-    return data
-
-
 def _check_data(data, prior):
-    data = _check_values(data, prior)
+    data = _tabular_values(data, prior.alphabet_sizes)
     if data.shape[0] < 2:
         raise DataError("need at least 2 rows")
     return data
@@ -186,7 +174,7 @@ def expected_log_weights(data, counts_cond):
     E[ln theta_{a|b}] = digamma(A[a, b]) - digamma(sum_a A[a, b]), summed
     over dimensions.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=np.int64))
+    data = _tabular_values(data, [big_a.shape[0] for big_a in counts_cond])
     return _log_weights(data, [_expected_log_table(big_a)[0] for big_a in counts_cond])
 
 
@@ -250,7 +238,7 @@ def update_q_c(data, prior: DirichletPrior, q_root, W):
     The statistics are linear in W and q(r), so ``data`` may also be the
     distinct rows with W and q(r) summed over the rows equal to each.
     """
-    data = _check_values(data, prior)
+    data = _tabular_values(data, prior.alphabet_sizes)
     counts_root, counts_cond = [], []
     for d, (a0, big_a0) in enumerate(zip(prior.root, prior.cond)):
         counts, root_counts = tabular_counts(data[:, d], a0.shape[0], W, q_root)
@@ -305,11 +293,9 @@ def elbo(data, prior: DirichletPrior, counts_cond, q_root, beta_tilde) -> float:
 
 
 def _type_posterior(rows, counts, elogs, roots):
-    """(type weights, ln Z, W, rho) of the T rows from their k distinct
-    ``rows``, with ``counts`` rows of each type, expected-log tables
-    ``elogs`` and type root weights ``roots``: W and rho summed over the
-    rows of each type, and the type graph's ``WeightMatrix`` (None for a
-    single type).
+    """(ln Z, W, rho) of the T rows from their k distinct ``rows``, with
+    ``counts`` rows of each type, expected-log tables ``elogs`` and type
+    root weights ``roots``: W and rho summed over the rows of each type.
 
     A row of type a weights each row of type b by exp(l_ab), l_aa between
     two rows of type a. The type graph has log-weights
@@ -325,7 +311,7 @@ def _type_posterior(rows, counts, elogs, roots):
     log_counts = np.log(counts)
     repeated = np.flatnonzero(counts > 1.0)
     if len(rows) == 1:
-        beta, log_z, w, rho = None, float(roots.log_values[0]), np.zeros((1, 1)), np.ones(1)
+        log_z, w, rho = float(roots.log_values[0]), np.zeros((1, 1)), np.ones(1)
     else:
         beta = _log_weights(rows, elogs, log_counts if repeated.size else None)
         record = treemath._Bordered(beta, roots)
@@ -343,26 +329,25 @@ def _type_posterior(rows, counts, elogs, roots):
         extra = counts[repeated] - 1.0
         log_z += float(extra @ (top + np.log(total)) - log_counts.sum())
         w[repeated] += extra[:, None] * share
-    return beta, log_z, w, rho
+    return log_z, w, rho
 
 
 def _structure_step(rows, counts, roots, prior: DirichletPrior, counts_cond, size):
     """The structure half of a round, a pure function of ``counts_cond``,
     over the distinct ``rows`` of the T = ``size`` rows (``_type_posterior``).
 
-    Returns (type weights, W, q(r), ELBO): q(r) proportional to m(X_r) Z_r
+    Returns (W, q(r), ELBO): q(r) proportional to m(X_r) Z_r
     and W = sum_r q(r) P_r, the root posterior and edge marginals of the T
     rows summed over the rows of each type; with that q(r) the ELBO is
     ln Z_m - KL - (T - 1) ln T. The weights and the KL share one digamma
     evaluation per dimension.
     """
     tables = [_expected_log_table(big_a) for big_a in counts_cond]
-    beta, log_z, w, q_root = _type_posterior(rows, counts, [elog for elog, _ in tables],
-                                             roots)
+    log_z, w, q_root = _type_posterior(rows, counts, [elog for elog, _ in tables], roots)
     w = treemath._clip_probabilities(w, "VB edge marginals")
     q_root = treemath._clip_probabilities(q_root, "VB root posterior")
     value = log_z - _kl_and_tree_prior(prior, tables, size)
-    return beta, w, q_root, value
+    return w, q_root, value
 
 
 def _per_row(w, q_root, inverse, counts):
@@ -384,14 +369,13 @@ def vb_fit(data, prior: DirichletPrior, *, max_rounds=200, tol=1e-8,
     A round updates q_c from the current W, then runs the structure step
     (``_structure_step``). Both run over the k distinct rows of ``data``
     with their multiplicities, so a round costs O(T D + k^3) for T rows of
-    D attributes; when rows repeat, the returned q(r), W and expected-log
-    weights are expanded to the T rows once, at the end. The fit starts with the
-    structure step on the prior's counts; a resumed fit starts with it on
-    ``init_state``'s counts and keeps its ELBO trace, and reads nothing
-    else from the state: a round's q(r) and W are a pure function of its
-    counts, so a resumed fit repeats the straight run bit for bit. A
-    decrease beyond roundoff raises, since exactly evaluated coordinate
-    ascent cannot go down.
+    D attributes; when rows repeat, the returned q(r) and W are expanded to
+    the T rows once, at the end. The fit starts with the structure step on
+    the prior's counts; a resumed fit starts with it on ``init_state``'s
+    counts and keeps its ELBO trace, and reads nothing else from the state:
+    a round's q(r) and W are a pure function of its counts, so a resumed
+    fit repeats the straight run bit for bit. A decrease beyond roundoff
+    raises, since exactly evaluated coordinate ascent cannot go down.
     """
     data = _check_data(data, prior)
     size = data.shape[0]
@@ -405,8 +389,7 @@ def vb_fit(data, prior: DirichletPrior, *, max_rounds=200, tol=1e-8,
         trace = [float(v) for v in init_state.elbo_trace]
     rows, inverse, counts = _group_rows(data)
     roots = treemath.RootWeights(log_values=_root_log_m(rows, prior) + np.log(counts))
-    beta_tilde, w, q_root, start = _structure_step(rows, counts, roots, prior, counts_cond,
-                                                   size)
+    w, q_root, start = _structure_step(rows, counts, roots, prior, counts_cond, size)
     trace = trace or [start]
     current = trace[-1]
     # the KL terms cancel gammaln values of magnitude ~ count * log(count),
@@ -416,8 +399,7 @@ def vb_fit(data, prior: DirichletPrior, *, max_rounds=200, tol=1e-8,
     slack = 1e-10 + 4e-15 * biggest * np.log(biggest + 2.0) * data.shape[1]
     for _ in range(max_rounds):
         counts_root, counts_cond = update_q_c(rows, prior, q_root, w)
-        beta_tilde, w, q_root, value = _structure_step(rows, counts, roots, prior,
-                                                       counts_cond, size)
+        w, q_root, value = _structure_step(rows, counts, roots, prior, counts_cond, size)
         if value < current - slack:
             raise NumericalFaultError(
                 f"ELBO decreased from {current} to {value}; coordinate ascent "
@@ -429,11 +411,9 @@ def vb_fit(data, prior: DirichletPrior, *, max_rounds=200, tol=1e-8,
             break
     if len(rows) < size:  # else the type graph is the data's
         w, q_root = _per_row(w, q_root, inverse, counts)
-        beta_tilde = expected_log_weights(data, counts_cond)
     return VariationalState(counts_root=counts_root, counts_cond=counts_cond,
-                            beta_tilde=beta_tilde, q_root=q_root,
-                            edge_marginals=treemath.EdgeMarginals(W=w), elbo=current,
-                            elbo_trace=trace)
+                            q_root=q_root, edge_marginals=treemath.EdgeMarginals(W=w),
+                            elbo=current, elbo_trace=trace)
 
 
 def exact_log_evidence(data, prior: DirichletPrior) -> float:

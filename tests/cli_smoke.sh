@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke run of the command line: every subcommand that writes an
-# artifact, a resumed VB fit, a VB fit of equal rows, config files, and the
-# exit code and JSON error record of a usage error, of a malformed
-# checkpoint and of a labelled row whose weights overflow.
+# artifact, a resumed VB fit, a VB fit of equal rows, a tabular fit scored
+# by eval, config files, and the exit code and JSON error record of a usage
+# error, of a malformed checkpoint, of a labelled row whose weights overflow
+# and of a non-integer cell scored under a tabular model.
 # Run from the root of a checkout: bash tests/cli_smoke.sh
 set -euo pipefail
 dir=$(mktemp -d)
@@ -42,6 +43,13 @@ rows "$dir/resumed.ckpt.trace.tsv" 5
 printf 'a,b\n1,2\n1,2\n1,2\n1,2\n' > "$dir/same.csv"
 outtree vb --input "$dir/same.csv" --max-rounds 2 --output "$dir/same.ckpt"
 rows "$dir/same.ckpt.trace.tsv" 3
+# eval takes the row format from the model: a tabular model's rows are
+# categorical with no family flag
+outtree fit --input "$dir/cats.csv" --output "$dir/cats.model" --model-family tabular \
+  --max-iters 3
+outtree eval --input "$dir/cats.csv" --test "$dir/cats.csv" --model "$dir/cats.model" \
+  --output "$dir/cscore.tsv"
+rows "$dir/cscore.tsv" 1
 printf 'rows = 20\n' > "$dir/c.cfg"
 outtree spiral --config "$dir/c.cfg" --row 50 --seed 1 --output "$dir/a.csv"
 rows "$dir/a.csv" 50
@@ -68,3 +76,7 @@ awk -F, -v OFS=, 'NR == 5 { $1 = $2 = $3 = "1e200" } 1' "$dir/labeled.csv" \
 expect_error 3 semisup --input "$dir/overflow.csv" --label-column y \
   --model "$dir/m.model" --seed 4 --output "$dir/never.csv"
 test "$(wc -l < "$dir/err")" -eq 1
+printf 'a,b\n0,1\n1.5,2\n' > "$dir/halves.csv"
+expect_error 3 eval --input "$dir/cats.csv" --test "$dir/halves.csv" \
+  --model "$dir/cats.model"
+grep -q "row 3, column 'a'" "$dir/err"

@@ -237,6 +237,25 @@ class TestCommands:
         score = float(cli._read_tsv(out)[0]["score"])
         assert abs(score - likelihood.iid_log_likelihood(data, model)) < 1e-9
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cell", ["1.5", "nan", "1e30", "-1"])
+    def test_eval_reads_tabular_rows_for_a_tabular_model(self, tmp_path, capsys, cell):
+        # the model, not a flag, says the rows are categorical: a non-integer
+        # cell is named by file, row and column, with no warning
+        data = np.array([[0, 1], [1, 2], [2, 0], [1, 1]])
+        train, test = str(tmp_path / "train.csv"), str(tmp_path / "test.csv")
+        model_path = str(tmp_path / "m.model")
+        otio.write_sample_csv(train, data)
+        otio.write_model(model_path, models.tabular_init_iid(data, [3, 3]))
+        out = str(tmp_path / "score.tsv")
+        assert cli.main(["eval", "--input", train, "--test", train,
+                         "--model", model_path, "--output", out]) == 0
+        write(test, f"x0,x1\n0,1\n{cell},2\n")
+        assert cli.main(["eval", "--input", train, "--test", test,
+                         "--model", model_path]) == 3
+        assert error_record(capsys, 3)["message"] == \
+            f"{test}: row 3, column 'x0': not a small nonnegative integer"
+
     def test_sample_reproducible_bit_identical(self, tmp_path):
         rng = np.random.default_rng(4)
         model_path = str(tmp_path / "m.model")

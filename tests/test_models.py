@@ -215,6 +215,17 @@ class TestTabular:
         with pytest.raises(DataError):
             model.validate_data(np.array([[0], [2]]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value, message", [(0.7, "must be integers"),
+                                                (np.nan, "must be integers"),
+                                                (1e30, "outside")])
+    def test_rejects_what_a_cast_would_truncate(self, value, message):
+        model = random_tabular(np.random.default_rng(12), dims=2, k=3)
+        data = np.array([[0.0, 1.0], [value, 2.0], [1.0, 1.0]])
+        with pytest.raises(DataError, match=message):
+            model.validate_data(data)
+        assert model.validate_data(np.array([[0.0, 1.0], [2.0, 2.0]])).dtype == np.int64
+
 
 class TestKernel:
     def test_zero_alpha_ignores_parent(self):

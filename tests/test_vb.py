@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma, gammaln, logsumexp
 
-from outtree import treemath, vb
-from outtree.errors import NumericalFaultError
+from outtree import models, treemath, vb
+from outtree.errors import DataError, NumericalFaultError
 
 
 def random_prior(rng, dims=1, k=2, low=0.5, high=3.0):
@@ -26,6 +26,34 @@ SPECIAL_TOL = 4e-15
 
 def special_error(got, want):
     return np.abs(got - want) / np.maximum(1.0, np.abs(want))
+
+
+# rows that no 3 x 3 alphabet holds; a check that casts them first warns
+# and truncates
+NON_TABULAR_ROWS = {
+    "non-integer": [[0.7, 1.2], [2.9, 0.0], [1.0, 2.0]],
+    "NaN": [[0.0, 1.0], [np.nan, 2.0], [1.0, 1.0]],
+    "1e30": [[0.0, 1.0], [1e30, 2.0], [1.0, 1.0]],
+}
+
+
+class TestRowCheck:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", NON_TABULAR_ROWS)
+    def test_every_entry_point_rejects_rows_outside_the_alphabet(self, name):
+        data = np.array(NON_TABULAR_ROWS[name])
+        prior = vb.DirichletPrior.uniform([3, 3])
+        q_root, w = np.full(3, 1.0 / 3.0), np.full((3, 3), 1.0 / 3.0)
+        beta = vb.expected_log_weights(np.array([[0, 1], [2, 2], [1, 1]]), prior.cond)
+        calls = [lambda: vb.vb_fit(data, prior),
+                 lambda: vb.update_q_c(data, prior, q_root, w),
+                 lambda: vb.root_log_evidence(data, prior),
+                 lambda: vb.elbo(data, prior, prior.cond, q_root, beta),
+                 lambda: vb.exact_log_evidence(data, prior),
+                 lambda: vb.expected_log_weights(data, prior.cond)]
+        for call in calls:
+            with pytest.raises(DataError):
+                call()
 
 
 class TestSpecialFunctions:
@@ -328,7 +356,8 @@ class TestVbFit:
         roots = treemath.RootWeights(log_values=np.log(marginal)[data[:, 0]])
         assert np.abs(state.q_root - treemath.root_posterior(beta, roots)).max() < 1e-4
         off = ~np.eye(5, dtype=bool)
-        assert np.abs(state.beta_tilde.log_entries[off] - plugin_beta[off]).max() < 1e-4
+        beta_tilde = vb.expected_log_weights(data, state.counts_cond)
+        assert np.abs(beta_tilde.log_entries[off] - plugin_beta[off]).max() < 1e-4
 
     def test_state_invariants(self):
         rng = np.random.default_rng(52)
@@ -473,10 +502,10 @@ class TestBorderedRounds:
         type_posterior = vb._type_posterior
 
         def tilted(*args):
-            beta, log_z, w, rho = type_posterior(*args)
+            log_z, w, rho = type_posterior(*args)
             w = w.copy()
             w[1, 0] = -1e-6
-            return beta, log_z, w, rho
+            return log_z, w, rho
 
         monkeypatch.setattr(vb, "_type_posterior", tilted)
         rng = np.random.default_rng(72)
@@ -591,7 +620,8 @@ class TestGroupedRows:
         assert state.edge_marginals.W.tobytes() == w.tobytes()
         for got, want in zip(state.counts_cond + state.counts_root, counts_cond + counts_root):
             assert got.tobytes() == want.tobytes()
-        assert state.beta_tilde.log_entries.tobytes() == beta.log_entries.tobytes()
+        beta_tilde = vb.expected_log_weights(data, state.counts_cond)
+        assert beta_tilde.log_entries.tobytes() == beta.log_entries.tobytes()
 
     @pytest.mark.parametrize("name", GROUPING_CASES)
     def test_matches_the_ungrouped_fit(self, name):
@@ -601,8 +631,8 @@ class TestGroupedRows:
         want = ungrouped_fit(data, prior, 6)
         assert_matches_ungrouped(state, want)
         off = ~np.eye(len(data), dtype=bool)
-        assert np.abs(state.beta_tilde.log_entries[off] - want[5].log_entries[off]).max() \
-            <= 1e-10
+        beta_tilde = vb.expected_log_weights(data, state.counts_cond)
+        assert np.abs(beta_tilde.log_entries[off] - want[5].log_entries[off]).max() <= 1e-10
 
     def test_a_resumed_fit_matches_the_ungrouped_fit(self):
         data, prior = grouping_case("heavy duplication")
@@ -625,6 +655,24 @@ class TestGroupedRows:
         assert np.all(state.q_root == 1.0 / size)
         assert np.allclose(state.edge_marginals.W[~np.eye(size, dtype=bool)],
                            1.0 / size, rtol=1e-13)
+
+    def test_fills_no_weights_of_more_rows_than_types(self, monkeypatch):
+        # one fill of the type graph's weights per structure step, and none
+        # of the 2000 rows
+        sizes = []
+        checked_weights = models._checked_weights
+
+        def counted(fill, size):
+            sizes.append(size)
+            return checked_weights(fill, size)
+
+        monkeypatch.setattr(models, "_checked_weights", counted)
+        monkeypatch.setattr(vb, "_checked_weights", counted)
+        rng = np.random.default_rng(76)
+        data = random_data(rng, 2000, dims=2, k=3)
+        state = vb.vb_fit(data, random_prior(rng, dims=2, k=3), max_rounds=5, tol=0.0)
+        assert len(sizes) == len(state.elbo_trace) == 6
+        assert max(sizes) <= len(np.unique(data, axis=0))
 
     def test_group_rows_keeps_the_order_of_first_occurrence(self):
         data = np.array([[2, 0], [1, 1], [2, 0], [0, 2], [1, 1], [2, 0]])
