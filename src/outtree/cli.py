@@ -42,13 +42,13 @@ class Dataset:
     label_column: str | None = None
 
 
-def ingest_csv(path, label_column=None, missing_token="", categorical=False,
-               attribute_columns=None) -> Dataset:
+def ingest_csv(path, label_column=None, categorical=False) -> Dataset:
     """Parse a headered CSV into attributes and (optionally) labels.
 
-    Attribute cells must be numeric (or small nonnegative integers with
-    ``categorical``); the label column may contain the missing token.
-    Errors carry row and column coordinates.
+    Every column but the label column is an attribute. Attribute cells must
+    be numeric (or small nonnegative integers with ``categorical``); an
+    empty label cell marks a missing label. Errors carry row and column
+    coordinates.
     """
     try:
         with open(path, newline="") as handle:
@@ -60,11 +60,7 @@ def ingest_csv(path, label_column=None, missing_token="", categorical=False,
     header = rows[0]
     if label_column is not None and label_column not in header:
         raise DataError(f"{path}: no column named {label_column!r}")
-    if attribute_columns is None:
-        attribute_columns = [c for c in header if c != label_column]
-    missing_cols = [c for c in attribute_columns if c not in header]
-    if missing_cols:
-        raise DataError(f"{path}: no column named {missing_cols[0]!r}")
+    attribute_columns = [c for c in header if c != label_column]
     attr_idx = [header.index(c) for c in attribute_columns]
     label_idx = header.index(label_column) if label_column is not None else None
     data, labels = [], []
@@ -82,7 +78,7 @@ def ingest_csv(path, label_column=None, missing_token="", categorical=False,
         data.append(values)
         if label_idx is not None:
             cell = row[label_idx].strip()
-            if cell == missing_token:
+            if not cell:
                 labels.append(semisup.MISSING)
             else:
                 try:

@@ -27,7 +27,8 @@ block of rows into a caller's contiguous block. One check,
 T x T ``WeightMatrix`` (the semi-supervised joint weights start from it,
 and VB's expected-log weights run the tabular kernel ``_table_rows``
 through the same check); ``_build_bordered`` rescales them straight into
-the bordered Laplacian, so the likelihood makes no T x T log-weights.
+the bordered Laplacian, so the likelihood makes no T x T log-weights, and
+VB's type graph is set up the same way.
 """
 
 from __future__ import annotations
@@ -199,6 +200,17 @@ def _build_bordered(data, model: MutationModel):
     return record
 
 
+def _continuous_values(data, dim):
+    """``data`` as float rows of ``dim`` finite attributes; anything else
+    raises ``DataError``."""
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    if data.shape[1] != dim:
+        raise DataError(f"expected {dim} attribute columns, got {data.shape[1]}")
+    if not np.all(np.isfinite(data)):
+        raise DataError("attributes must be finite")
+    return data
+
+
 # ---------------------------------------------------------------------------
 # Cholesky packing shared by the Gaussian family
 
@@ -267,12 +279,7 @@ class GaussianModel(MutationModel):
         self._logdet_pipi = 2.0 * np.log(np.diag(self._chol_pipi)).sum()
 
     def validate_data(self, data):
-        data = np.atleast_2d(np.asarray(data, dtype=float))
-        if data.shape[1] != self.dim:
-            raise DataError(f"expected {self.dim} attribute columns, got {data.shape[1]}")
-        if not np.all(np.isfinite(data)):
-            raise DataError("attributes must be finite")
-        return data
+        return _continuous_values(data, self.dim)
 
     def _log_normal(self, resid, inv, logdet):
         maha = resid @ inv @ resid
@@ -606,12 +613,7 @@ class KernelModel(MutationModel):
         self._anchor_features = None
 
     def validate_data(self, data):
-        data = np.atleast_2d(np.asarray(data, dtype=float))
-        if data.shape[1] != self.dim:
-            raise DataError(f"expected {self.dim} attribute columns, got {data.shape[1]}")
-        if not np.all(np.isfinite(data)):
-            raise DataError("attributes must be finite")
-        return data
+        return _continuous_values(data, self.dim)
 
     def _sq_dists(self, points):
         """Squared distances from each row of ``points`` to each anchor."""

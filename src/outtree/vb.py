@@ -17,12 +17,13 @@ Kemeny & Snell 1960), so every round runs over the k distinct rows of the
 data with their multiplicities n: the bordered Laplacian of the type
 graph has dimension k + 1, and each row type adds one closed-form term
 (``_type_posterior``). A round costs O(T D + k^3) for T rows of D
-attributes instead of O(T^3), and the returned q(r) and W are expanded to
-the T rows once, at the end; no T x T expected-log weights are made.
-Categorical data with repeated rows gain: 61 of the 70 rows of the ``vb``
-benchmark repeat one of 9 distinct rows. With all rows distinct the type
-graph is the data's, and the fit is the ungrouped one, with nothing to
-expand.
+attributes instead of O(T^3), and the constants of a fit (the grouping,
+the type root weights, the prior's ln Gamma terms) are made once, before
+its rounds. The returned q(r) is expanded to the T rows at the end, and W
+only when it is first read, so a fit holds O(T + k^2) numbers. Categorical
+data with repeated rows gain: 61 of the 70 rows of the ``vb`` benchmark
+repeat one of 9 distinct rows. With all rows distinct the type graph is
+the data's, and the fit is the ungrouped one, with nothing to expand.
 
 The root-table integral is kept exact against its prior (only one node is
 the root, so no variational distribution is introduced for the root
@@ -35,12 +36,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import treemath
 from .errors import DataError, NumericalFaultError
-from .models import _checked_weights, _table_rows, _tabular_values, tabular_counts
+from .models import (_checked_rows, _checked_weights, _table_rows, _tabular_values,
+                     tabular_counts)
 from .treemath import _logsumexp
 
 # digamma's asymptotic series: the coefficients -B_2n / 2n (Bernoulli
@@ -107,7 +110,8 @@ class DirichletPrior:
 
 @dataclass
 class VariationalState:
-    """One snapshot of the variational fit."""
+    """One snapshot of the variational fit. A fit's ``edge_marginals``
+    expand W to the T rows on first read (``_RowEdgeMarginals``)."""
 
     counts_root: list
     counts_cond: list
@@ -125,16 +129,22 @@ def _check_data(data, prior):
 
 
 def _group_rows(data):
-    """(rows, inverse, counts): the distinct rows of ``data`` in order of
-    first occurrence, the index among them of every row, and how many rows
-    equal each."""
-    distinct, first, inverse, counts = np.unique(
-        data, axis=0, return_index=True, return_inverse=True, return_counts=True)
+    """(rows, inverse, counts): the distinct rows of integer ``data`` in
+    order of first occurrence, the index among them of every row, and how
+    many rows equal each."""
+    data = np.ascontiguousarray(data)
+    # each row as one opaque record: equal rows are equal bytes, so sorting
+    # the records groups them, in an order that is not the numeric one but
+    # that the first occurrences undo. This unique took 24 us on the ``vb``
+    # benchmark's 70 rows against 80 us for numpy's unique over axis 0 (one
+    # core of a shared 2-core Xeon VM)
+    records = data.view(np.dtype((np.void, data.itemsize * data.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(
+        records, return_index=True, return_inverse=True, return_counts=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    # numpy 2.0 shapes the inverse of a multi-dimensional unique differently
-    return distinct[order], rank[np.ravel(inverse)], counts[order].astype(float)
+    return data[first[order]], rank[inverse], counts[order].astype(float)
 
 
 def _with_sums(big_a):
@@ -142,30 +152,26 @@ def _with_sums(big_a):
     return np.concatenate([big_a, big_a.sum(axis=0, keepdims=True)])
 
 
-def _expected_log_table(big_a):
-    """E[ln theta_{a|b}] = digamma(A[a, b]) - digamma(sum_a A[a, b]) of one
-    table of pseudo-counts, from one digamma call, and ``_with_sums(A)``."""
-    big_a = np.asarray(big_a, dtype=float)
-    if not big_a.min() > 0:
+def _expected_log_tables(tables):
+    """E[ln theta_{a|b}] = digamma(A[a, b]) - digamma(sum_a A[a, b]) of every
+    table A of pseudo-counts, with ``_with_sums(A)``: a list of (E[ln theta],
+    counts) pairs, from one digamma call over all the tables."""
+    counts = [_with_sums(np.asarray(big_a, dtype=float)) for big_a in tables]
+    flat = np.concatenate([table.ravel() for table in counts])
+    if not flat.min() > 0:
         raise ValueError("pseudo-counts must be strictly positive")
-    counts = _with_sums(big_a)
-    psi = _digamma(counts)
-    return psi[:-1] - psi[-1], counts
+    psi, start, out = _digamma(flat), 0, []
+    for table in counts:
+        block = psi[start:start + table.size].reshape(table.shape)
+        start += table.size
+        out.append((block[:-1] - block[-1], table))
+    return out
 
 
-def _log_weights(data, elogs, log_counts=None):
+def _log_weights(data, elogs):
     """Weight matrix whose (i, j) log-entry sums elogs[d][x_id, x_jd] over d,
-    plus log_counts[i] + log_counts[j] when given, filled and checked as
-    ``build_beta``'s."""
-    fill = _table_rows(data, elogs)
-    if log_counts is not None:
-        table_fill = fill
-
-        def fill(rows, out, work):
-            table_fill(rows, out, work)
-            out += log_counts[rows, None]
-            out += log_counts
-    return _checked_weights(fill, data.shape[0])
+    filled and checked as ``build_beta``'s."""
+    return _checked_weights(_table_rows(data, elogs), data.shape[0])
 
 
 def expected_log_weights(data, counts_cond):
@@ -175,7 +181,7 @@ def expected_log_weights(data, counts_cond):
     over dimensions.
     """
     data = _tabular_values(data, [big_a.shape[0] for big_a in counts_cond])
-    return _log_weights(data, [_expected_log_table(big_a)[0] for big_a in counts_cond])
+    return _log_weights(data, [elog for elog, _ in _expected_log_tables(counts_cond)])
 
 
 def root_log_evidence(data, prior: DirichletPrior) -> np.ndarray:
@@ -247,14 +253,20 @@ def update_q_c(data, prior: DirichletPrior, q_root, W):
     return counts_root, counts_cond
 
 
-def _kl_columns(elog, counts, prior_counts):
+def _prior_terms(prior: DirichletPrior):
+    """The per-fit constants of the KL: every conditional prior table with
+    its column sums (``_with_sums``) and their ln Gamma, as a list of
+    (counts, ln Gamma) pairs."""
+    return [(counts, _gammaln(counts)) for counts in map(_with_sums, prior.cond)]
+
+
+def _kl_columns(elog, counts, prior_counts, prior_log_gamma):
     """KL(Dirichlet(A[:, b]) || Dirichlet(A0[:, b])) of every column b, from
-    A's ``_expected_log_table`` (elog, counts) and prior_counts =
-    ``_with_sums(A0)``. ln Gamma is differenced entry by entry before
+    A's ``_expected_log_tables`` pair (elog, counts) and A0's
+    ``_prior_terms`` pair. ln Gamma is differenced entry by entry before
     summing: at pseudo-counts near 1e6 its values reach 1e7, and summing
     each table first keeps their roundoff in the KL."""
-    log_gamma = _gammaln(np.stack([counts, prior_counts]))
-    diff = log_gamma[0] - log_gamma[1]
+    diff = _gammaln(counts) - prior_log_gamma
     return (diff[-1] - diff[:-1].sum(axis=0)
             + ((counts[:-1] - prior_counts[:-1]) * elog).sum(axis=0))
 
@@ -262,14 +274,15 @@ def _kl_columns(elog, counts, prior_counts):
 def dirichlet_kl(a, b) -> float:
     """KL divergence between Dirichlet(a) and Dirichlet(b)."""
     b = _with_sums(np.asarray(b, dtype=float)[:, None])
-    return float(_kl_columns(*_expected_log_table(np.asarray(a)[:, None]), b)[0])
+    [table] = _expected_log_tables([np.asarray(a)[:, None]])
+    return float(_kl_columns(*table, b, _gammaln(b))[0])
 
 
-def _kl_and_tree_prior(prior: DirichletPrior, tables, size) -> float:
+def _kl_and_tree_prior(prior_terms, tables, size) -> float:
     """KL(q_c || prior) plus the uniform tree prior's (T - 1) ln T, given
-    the ``_expected_log_table`` of every table of q_c."""
-    kl = sum(float(_kl_columns(elog, counts, _with_sums(big_a0)).sum())
-             for (elog, counts), big_a0 in zip(tables, prior.cond))
+    the prior's ``_prior_terms`` and the ``_expected_log_tables`` of q_c."""
+    kl = sum(float(_kl_columns(elog, counts, *terms).sum())
+             for (elog, counts), terms in zip(tables, prior_terms))
     return kl + (size - 1) * math.log(size)
 
 
@@ -287,15 +300,60 @@ def elbo(data, prior: DirichletPrior, counts_cond, q_root, beta_tilde) -> float:
     held = q_root > 0.0
     q = q_root[held]
     logits = root_log_evidence(data, prior)[held] + per_root_log_z[held]
-    tables = [_expected_log_table(big_a) for big_a in counts_cond]
-    return float(q @ (logits - np.log(q))) \
-        - _kl_and_tree_prior(prior, tables, data.shape[0])
+    return float(q @ (logits - np.log(q))) - _kl_and_tree_prior(
+        _prior_terms(prior), _expected_log_tables(counts_cond), data.shape[0])
 
 
-def _type_posterior(rows, counts, elogs, roots):
-    """(ln Z, W, rho) of the T rows from their k distinct ``rows``, with
-    ``counts`` rows of each type, expected-log tables ``elogs`` and type
-    root weights ``roots``: W and rho summed over the rows of each type.
+class _RowTypes:
+    """The distinct rows of a fit's data and the constants of its rounds.
+
+    ``rows``, ``inverse`` and ``counts`` are ``_group_rows(data)``;
+    ``roots`` are the type root weights m(x_a) n_a; ``log_counts``,
+    ``repeated`` (the types of more than one row), ``extra`` (their
+    n_a - 1), ``log_count_total`` and ``pairs`` (per dimension, the flat
+    index of (x_a, x_b) into its table at [b, a], for a repeated and b any)
+    are ``_type_posterior``'s invariants, and ``prior_terms`` the KL's
+    (``_prior_terms``).
+    """
+
+    def __init__(self, data, prior: DirichletPrior):
+        self.size = data.shape[0]
+        self.rows, self.inverse, self.counts = _group_rows(data)
+        self.log_counts = np.log(self.counts)
+        self.log_count_total = self.log_counts.sum()
+        self.repeated = np.flatnonzero(self.counts > 1.0)
+        self.extra = self.counts[self.repeated] - 1.0
+        self.pairs = [column[self.repeated] * k + column[:, None]
+                      for column, k in zip(self.rows.T, prior.alphabet_sizes)]
+        self.roots = treemath.RootWeights(
+            log_values=_root_log_m(self.rows, prior) + self.log_counts)
+        self.prior_terms = _prior_terms(prior)
+
+
+def _type_graph(types: _RowTypes, elogs):
+    """The bordered record of the type graph, set up as
+    ``models._build_bordered`` sets up a model's: the log-weights
+    l_ab + ln n_a + ln n_b are checked a row block at a time
+    (``models._checked_rows``) and rescaled into the bordered matrix, with no
+    weight matrix behind it."""
+    table_fill, log_counts = _table_rows(types.rows, elogs), types.log_counts
+
+    def fill(rows, out, work):
+        table_fill(rows, out, work)
+        out += log_counts[rows, None]
+        out += log_counts
+
+    size = len(types.rows)
+    row_scales = np.empty(size)
+    record = treemath._Bordered._from_rows(size, _checked_rows(fill, size, row_scales))
+    record._border(row_scales, float(row_scales.sum()), types.roots)
+    return record
+
+
+def _type_posterior(types: _RowTypes, elogs):
+    """(ln Z, W, rho) of the T rows from their k distinct rows ``types``
+    under expected-log tables ``elogs``: W and rho summed over the rows of
+    each type.
 
     A row of type a weights each row of type b by exp(l_ab), l_aa between
     two rows of type a. The type graph has log-weights
@@ -308,58 +366,67 @@ def _type_posterior(rows, counts, elogs, roots):
     mass from type b to type a gains (n_a - 1) n_b exp(l_ab) / s_a, within
     a type too. A single type is a one-node graph: Z_types = n m(x_a).
     """
-    log_counts = np.log(counts)
-    repeated = np.flatnonzero(counts > 1.0)
-    if len(rows) == 1:
-        log_z, w, rho = float(roots.log_values[0]), np.zeros((1, 1)), np.ones(1)
+    repeated = types.repeated
+    if len(types.rows) == 1:
+        log_z, w, rho = float(types.roots.log_values[0]), np.zeros((1, 1)), np.ones(1)
     else:
-        beta = _log_weights(rows, elogs, log_counts if repeated.size else None)
-        record = treemath._Bordered(beta, roots)
+        record = _type_graph(types, elogs)
         w, rho = record.posterior_weights()
         log_z = record.log_z
     if repeated.size:
-        # l_ab + ln n_b of every repeated type a; ln s_a is their logsumexp
-        terms = log_counts + sum(elog[column[repeated]][:, column]
-                                 for elog, column in zip(elogs, rows.T))
+        # l_ab + ln n_b of every repeated type a; ln s_a is their logsumexp.
+        # The terms are gathered at [b, a] and transposed: the layout sets
+        # the order in which the sums over b add, and so the bytes
+        terms = types.log_counts + sum(elog.take(pairs).T
+                                       for elog, pairs in zip(elogs, types.pairs))
         top = terms.max(axis=1)
         with np.errstate(under="ignore"):
             share = np.exp(terms - top[:, None])
         total = share.sum(axis=1)
         share /= total[:, None]
-        extra = counts[repeated] - 1.0
-        log_z += float(extra @ (top + np.log(total)) - log_counts.sum())
-        w[repeated] += extra[:, None] * share
+        log_z += float(types.extra @ (top + np.log(total)) - types.log_count_total)
+        w[repeated] += types.extra[:, None] * share
     return log_z, w, rho
 
 
-def _structure_step(rows, counts, roots, prior: DirichletPrior, counts_cond, size):
+def _structure_step(types: _RowTypes, counts_cond):
     """The structure half of a round, a pure function of ``counts_cond``,
-    over the distinct ``rows`` of the T = ``size`` rows (``_type_posterior``).
+    over the distinct rows ``types`` of the T rows (``_type_posterior``).
 
     Returns (W, q(r), ELBO): q(r) proportional to m(X_r) Z_r
     and W = sum_r q(r) P_r, the root posterior and edge marginals of the T
     rows summed over the rows of each type; with that q(r) the ELBO is
     ln Z_m - KL - (T - 1) ln T. The weights and the KL share one digamma
-    evaluation per dimension.
+    call over every dimension's table.
     """
-    tables = [_expected_log_table(big_a) for big_a in counts_cond]
-    log_z, w, q_root = _type_posterior(rows, counts, [elog for elog, _ in tables], roots)
+    tables = _expected_log_tables(counts_cond)
+    log_z, w, q_root = _type_posterior(types, [elog for elog, _ in tables])
     w = treemath._clip_probabilities(w, "VB edge marginals")
     q_root = treemath._clip_probabilities(q_root, "VB root posterior")
-    value = log_z - _kl_and_tree_prior(prior, tables, size)
+    value = log_z - _kl_and_tree_prior(types.prior_terms, tables, types.size)
     return w, q_root, value
 
 
-def _per_row(w, q_root, inverse, counts):
-    """Edge marginals and root posterior of every row from those summed over
-    row types: a row of type a has q(r) rho_a / n_a, and an edge between
-    rows of types b and a has W_ab / (n_a n_b), W_aa / (n_a (n_a - 1))
-    within a type."""
-    pairs = counts[:, None] * counts
-    np.fill_diagonal(pairs, counts * np.maximum(counts - 1.0, 1.0))
-    w = (w / pairs)[np.ix_(inverse, inverse)]
-    np.fill_diagonal(w, 0.0)
-    return w, (q_root / counts)[inverse]
+class _RowEdgeMarginals:
+    """The ``treemath.EdgeMarginals`` of the T rows of a fit, held as the
+    edge masses summed over row types (``w``, k x k). ``W`` expands them on
+    first read and keeps the result: an edge between rows of types b and a
+    has W_ab / (n_a n_b), W_aa / (n_a (n_a - 1)) within a type. With all
+    rows distinct, W is ``w`` itself."""
+
+    def __init__(self, w, types: _RowTypes):
+        self._w, self._counts, self._inverse = w, types.counts, types.inverse
+
+    @cached_property
+    def W(self):
+        counts, inverse = self._counts, self._inverse
+        if len(counts) == len(inverse):  # the type graph is the data's
+            return self._w
+        pairs = counts[:, None] * counts
+        np.fill_diagonal(pairs, counts * np.maximum(counts - 1.0, 1.0))
+        w = (self._w / pairs)[np.ix_(inverse, inverse)]
+        np.fill_diagonal(w, 0.0)
+        return w
 
 
 def vb_fit(data, prior: DirichletPrior, *, max_rounds=200, tol=1e-8,
@@ -369,16 +436,19 @@ def vb_fit(data, prior: DirichletPrior, *, max_rounds=200, tol=1e-8,
     A round updates q_c from the current W, then runs the structure step
     (``_structure_step``). Both run over the k distinct rows of ``data``
     with their multiplicities, so a round costs O(T D + k^3) for T rows of
-    D attributes; when rows repeat, the returned q(r) and W are expanded to
-    the T rows once, at the end. The fit starts with the structure step on
-    the prior's counts; a resumed fit starts with it on ``init_state``'s
-    counts and keeps its ELBO trace, and reads nothing else from the state:
-    a round's q(r) and W are a pure function of its counts, so a resumed
-    fit repeats the straight run bit for bit. A decrease beyond roundoff
-    raises, since exactly evaluated coordinate ascent cannot go down.
+    D attributes. The returned q(r) is expanded to the T rows (a row of
+    type a has q(r) = rho_a / n_a), and W is expanded when it is first read
+    (``_RowEdgeMarginals``), so the fit holds O(T + k^2) numbers. The fit
+    starts with the structure step on the prior's counts; a resumed fit
+    starts with it on ``init_state``'s counts and keeps its ELBO trace, and
+    reads nothing else from the state: a round's q(r) and W are a pure
+    function of its counts, so a resumed fit repeats the straight run bit
+    for bit. The fit stops after a round that improves the bound by less
+    than ``tol``; a decrease within roundoff counts as no improvement, so
+    ``tol=0`` runs every round. A decrease beyond roundoff raises, since
+    exactly evaluated coordinate ascent cannot go down.
     """
     data = _check_data(data, prior)
-    size = data.shape[0]
     if init_state is None:
         counts_root = [a.copy() for a in prior.root]
         counts_cond = [big_a.copy() for big_a in prior.cond]
@@ -387,32 +457,31 @@ def vb_fit(data, prior: DirichletPrior, *, max_rounds=200, tol=1e-8,
         counts_root = [np.asarray(a, dtype=float).copy() for a in init_state.counts_root]
         counts_cond = [np.asarray(a, dtype=float).copy() for a in init_state.counts_cond]
         trace = [float(v) for v in init_state.elbo_trace]
-    rows, inverse, counts = _group_rows(data)
-    roots = treemath.RootWeights(log_values=_root_log_m(rows, prior) + np.log(counts))
-    w, q_root, start = _structure_step(rows, counts, roots, prior, counts_cond, size)
+    types = _RowTypes(data, prior)
+    w, q_root, start = _structure_step(types, counts_cond)
     trace = trace or [start]
     current = trace[-1]
-    # the KL terms cancel gammaln values of magnitude ~ count * log(count),
-    # so huge pseudo-counts carry proportionate roundoff; the decrease guard
-    # must not trip on that noise
-    biggest = max(float(np.max(big_a)) for big_a in prior.cond)
+    # the KL terms cancel ln Gamma values of magnitude ~ count * ln(count),
+    # so large counts carry proportionate roundoff, and the decrease guard
+    # must not trip on that noise. No count of q_c exceeds the prior's
+    # largest, column sums included, by more than the T - 1 edges
+    biggest = max(float(counts.max()) for counts, _ in types.prior_terms) + types.size - 1
     slack = 1e-10 + 4e-15 * biggest * np.log(biggest + 2.0) * data.shape[1]
     for _ in range(max_rounds):
-        counts_root, counts_cond = update_q_c(rows, prior, q_root, w)
-        w, q_root, value = _structure_step(rows, counts, roots, prior, counts_cond, size)
+        counts_root, counts_cond = update_q_c(types.rows, prior, q_root, w)
+        w, q_root, value = _structure_step(types, counts_cond)
         if value < current - slack:
             raise NumericalFaultError(
                 f"ELBO decreased from {current} to {value}; coordinate ascent "
                 "cannot do that, so this is a bug")
-        improvement = value - current
+        improvement = max(value - current, 0.0)
         current = value
         trace.append(current)
         if improvement < tol:
             break
-    if len(rows) < size:  # else the type graph is the data's
-        w, q_root = _per_row(w, q_root, inverse, counts)
     return VariationalState(counts_root=counts_root, counts_cond=counts_cond,
-                            q_root=q_root, edge_marginals=treemath.EdgeMarginals(W=w),
+                            q_root=(q_root / types.counts)[types.inverse],
+                            edge_marginals=_RowEdgeMarginals(w, types),
                             elbo=current, elbo_trace=trace)
 
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # End-to-end smoke run of the command line: every subcommand that writes an
-# artifact, a resumed VB fit, a VB fit of equal rows, a tabular fit scored
-# by eval, config files, and the exit code and JSON error record of a usage
-# error, of a malformed checkpoint, of a labelled row whose weights overflow
-# and of a non-integer cell scored under a tabular model.
+# artifact, a resumed VB fit, a VB fit of equal rows and one of 200 000
+# rows, a tabular fit scored by eval, config files, and the exit code and
+# JSON error record of a usage error, of a malformed checkpoint, of a
+# labelled row whose weights overflow and of a non-integer cell scored
+# under a tabular model.
 # Run from the root of a checkout: bash tests/cli_smoke.sh
 set -euo pipefail
 dir=$(mktemp -d)
@@ -43,6 +44,12 @@ rows "$dir/resumed.ckpt.trace.tsv" 5
 printf 'a,b\n1,2\n1,2\n1,2\n1,2\n' > "$dir/same.csv"
 outtree vb --input "$dir/same.csv" --max-rounds 2 --output "$dir/same.ckpt"
 rows "$dir/same.ckpt.trace.tsv" 3
+# 200 000 rows over a 3 x 3 alphabet: the rounds run over the 9 row types,
+# and the fit makes nothing of the rows squared (their W would take 320 GB)
+awk 'BEGIN { print "a,b"; for (i = 0; i < 200000; i++) print i % 3 "," int(i / 7) % 3 }' \
+  > "$dir/many.csv"
+outtree vb --input "$dir/many.csv" --max-rounds 3 --output "$dir/many.ckpt"
+rows "$dir/many.ckpt.trace.tsv" 4
 # eval takes the row format from the model: a tabular model's rows are
 # categorical with no family flag
 outtree fit --input "$dir/cats.csv" --output "$dir/cats.model" --model-family tabular \

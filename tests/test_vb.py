@@ -275,6 +275,34 @@ class TestVbFit:
             trace = np.array(state.elbo_trace)
             assert np.all(np.diff(trace) >= -1e-10)
 
+    def test_roundoff_of_large_counts_does_not_raise(self):
+        # 200 000 rows under prior counts of 1000: near convergence the
+        # ELBO, about -4.4e5, moves by a few units in the last place either
+        # way, and with tol=0 a decrease within roundoff does not stop the fit
+        data = np.random.default_rng(0).integers(0, 3, size=(200000, 2))
+        prior = vb.DirichletPrior.uniform([3, 3], 1000.0)
+        state = vb.vb_fit(data, prior, max_rounds=200, tol=0.0)
+        assert len(state.elbo_trace) == 201
+        assert np.diff(state.elbo_trace).min() > -1e-8
+
+    def test_a_real_decrease_raises(self, monkeypatch):
+        # the same fit with one late round's bound lowered by 1e-6, far
+        # above the roundoff there and far below the bound's magnitude
+        steps = []
+        structure_step = vb._structure_step
+
+        def lowered(*args):
+            w, q_root, value = structure_step(*args)
+            steps.append(1)
+            return w, q_root, value - 1e-6 * (len(steps) == 101)
+
+        monkeypatch.setattr(vb, "_structure_step", lowered)
+        data = np.random.default_rng(0).integers(0, 3, size=(200000, 2))
+        prior = vb.DirichletPrior.uniform([3, 3], 1000.0)
+        with pytest.raises(NumericalFaultError, match="ELBO decreased"):
+            vb.vb_fit(data, prior, max_rounds=200, tol=0.0)
+        assert len(steps) == 101
+
     def test_identical_rows_concentrate_self_transitions(self):
         data = np.zeros((6, 1), dtype=np.int64)
         prior = vb.DirichletPrior.uniform([2], 0.5)
@@ -542,14 +570,16 @@ def ungrouped_fit(data, prior, rounds, init_state=None):
         trace = list(init_state.elbo_trace)
     roots = treemath.RootWeights(log_values=vb.root_log_evidence(data, prior))
 
+    prior_terms = vb._prior_terms(prior)
+
     def step(counts_cond):
-        tables = [vb._expected_log_table(big_a) for big_a in counts_cond]
+        tables = vb._expected_log_tables(counts_cond)
         beta = vb.expected_log_weights(data, counts_cond)
         record = treemath._Bordered(beta, roots)
         w, q_root = record.posterior_weights()
         w = treemath._clip_probabilities(w, "VB edge marginals")
         q_root = treemath._clip_probabilities(q_root, "VB root posterior")
-        return w, q_root, record.log_z - vb._kl_and_tree_prior(prior, tables, size), beta
+        return w, q_root, record.log_z - vb._kl_and_tree_prior(prior_terms, tables, size), beta
 
     w, q_root, value, beta = step(counts_cond)
     trace = trace or [value]
@@ -657,22 +687,39 @@ class TestGroupedRows:
                            1.0 / size, rtol=1e-13)
 
     def test_fills_no_weights_of_more_rows_than_types(self, monkeypatch):
-        # one fill of the type graph's weights per structure step, and none
-        # of the 2000 rows
+        # one checked fill of the type graph's weights per structure step,
+        # and none of the 2000 rows
         sizes = []
-        checked_weights = models._checked_weights
+        checked_rows = models._checked_rows
 
-        def counted(fill, size):
+        def counted(fill, size, row_scales):
             sizes.append(size)
-            return checked_weights(fill, size)
+            return checked_rows(fill, size, row_scales)
 
-        monkeypatch.setattr(models, "_checked_weights", counted)
-        monkeypatch.setattr(vb, "_checked_weights", counted)
+        monkeypatch.setattr(models, "_checked_rows", counted)
+        monkeypatch.setattr(vb, "_checked_rows", counted)
         rng = np.random.default_rng(76)
         data = random_data(rng, 2000, dims=2, k=3)
         state = vb.vb_fit(data, random_prior(rng, dims=2, k=3), max_rounds=5, tol=0.0)
         assert len(sizes) == len(state.elbo_trace) == 6
         assert max(sizes) <= len(np.unique(data, axis=0))
+
+    def test_holds_nothing_of_rows_squared_until_w_is_read(self):
+        # 200 000 rows over a 3 x 3 alphabet, whose W would take 320 GB:
+        # the fit keeps the type-level masses, and q(r) of every row
+        import tracemalloc
+        rng = np.random.default_rng(77)
+        size = 200_000
+        data = random_data(rng, size, dims=2, k=3)
+        prior = random_prior(rng, dims=2, k=3)
+        tracemalloc.start()
+        try:
+            state = vb.vb_fit(data, prior, max_rounds=5, tol=0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(state.elbo_trace) == 6 and state.q_root.shape == (size,)
+        assert peak < 64 * 2**20
 
     def test_group_rows_keeps_the_order_of_first_occurrence(self):
         data = np.array([[2, 0], [1, 1], [2, 0], [0, 2], [1, 1], [2, 0]])
@@ -704,7 +751,7 @@ class TestGroupedRows:
         factored = [key[1] for key in bordered_counts if key[0] in ("slogdet", "inv")]
         assert factored and max(factored) <= 10
         w = state.edge_marginals.W
-        assert w.shape == (size, size)
+        assert w.shape == (size, size) and state.edge_marginals.W is w
         assert np.abs(w.sum(axis=1) - (1.0 - state.q_root)).max() <= 1e-9
         for d in range(2):
             gained = state.counts_cond[d].sum() - prior.cond[d].sum()
