@@ -61,6 +61,10 @@ def ingest_csv(path, label_column=None, categorical=False) -> Dataset:
     if label_column is not None and label_column not in header:
         raise DataError(f"{path}: no column named {label_column!r}")
     attribute_columns = [c for c in header if c != label_column]
+    if not attribute_columns:
+        raise DataError(f"{path}: no attribute columns")
+    if len(rows) < 2:
+        raise DataError(f"{path}: no data rows")
     attr_idx = [header.index(c) for c in attribute_columns]
     label_idx = header.index(label_column) if label_column is not None else None
     data, labels = [], []

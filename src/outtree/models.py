@@ -34,6 +34,7 @@ VB's type graph is set up the same way.
 from __future__ import annotations
 
 import abc
+import functools
 
 import numpy as np
 
@@ -215,18 +216,29 @@ def _continuous_values(data, dim):
 # Cholesky packing shared by the Gaussian family
 
 
+@functools.cache
+def _tril_slots(d):
+    """Row and column indices of a d x d lower triangle in packed (row-major)
+    order, and the packed slots of its diagonal; made once per dimension."""
+    rows, cols = np.tril_indices(d)
+    diag_slots = np.flatnonzero(rows == cols)
+    for index in (rows, cols, diag_slots):
+        index.setflags(write=False)
+    return rows, cols, diag_slots
+
+
 def _pack_chol(chol):
-    d = chol.shape[0]
-    packed = chol[np.tril_indices(d)].copy()
-    diag_slots = np.cumsum(np.arange(1, d + 1)) - 1
-    packed[diag_slots] = np.log(chol[np.diag_indices(d)])
-    return packed, diag_slots
+    rows, cols, diag_slots = _tril_slots(chol.shape[0])
+    packed = chol[rows, cols]
+    packed[diag_slots] = np.log(packed[diag_slots])
+    return packed
 
 
 def _unpack_chol(packed, d):
+    rows, cols, diag_slots = _tril_slots(d)
     chol = np.zeros((d, d))
-    chol[np.tril_indices(d)] = packed
-    chol[np.diag_indices(d)] = np.exp(np.diag(chol))
+    chol[rows, cols] = packed
+    np.fill_diagonal(chol, np.exp(packed[diag_slots]))
     return chol
 
 
@@ -239,12 +251,10 @@ def _chol_or_raise(sigma, name):
 
 def _chol_grad_block(sym_grads, chol):
     """Map d/dSigma gradients (stacked ..., D, D) to packed-Cholesky coords."""
-    d = chol.shape[0]
+    rows, cols, diag_slots = _tril_slots(chol.shape[0])
     full = 2.0 * sym_grads @ chol
-    rows, cols = np.tril_indices(d)
     block = full[..., rows, cols]
-    diag_slots = np.cumsum(np.arange(1, d + 1)) - 1
-    block[..., diag_slots] *= chol[np.diag_indices(d)]
+    block[..., diag_slots] *= np.diagonal(chol)
     return block
 
 
@@ -325,8 +335,8 @@ class GaussianModel(MutationModel):
         return fill
 
     def param_vector(self):
-        cc, _ = _pack_chol(self._chol_cc)
-        pipi, _ = _pack_chol(self._chol_pipi)
+        cc = _pack_chol(self._chol_cc)
+        pipi = _pack_chol(self._chol_pipi)
         return np.concatenate([self.mu_c, self.mu_pi,
                                self.sigma_c_given_pi.ravel(), cc, pipi])
 

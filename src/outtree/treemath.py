@@ -18,9 +18,11 @@ The likelihood's records come straight from a model instead
 block of log-weights from either a ``WeightMatrix`` or the model's
 row-block kernel, so no T x T log-weights are made on that path.
 Above dimension ``_BLOCK_LEAF`` the inverse is assembled by recursive block
-elimination on matrix products and kept only if it passes an O(T^2)
-residual certificate; otherwise, and at or below that dimension, it is
-numpy's ``inv``, bit for bit.
+elimination on matrix products, with LAPACK leaves of at most half that
+dimension, and kept only if it passes an O(T^2) residual certificate;
+otherwise, and at or below that dimension, it is numpy's ``inv``, bit for
+bit. The elimination runs in place in one array, the inverse followed by
+a scratch of about T^2 / 2 floats, so it makes no temporary per level.
 Weights built from a fresh array (``build_beta``, the semi-supervised joint
 weights, the VB expected-log weights) take it through the private
 ``WeightMatrix._owning``, which does not copy it and, given the row scales
@@ -532,7 +534,10 @@ class _Bordered:
 # 2.4-3.1 ms against 5.4-6.9 ms at dimension 301 (leaves of 75), 0.46-0.75
 # against 1.1-1.3 ms at 151. Leaves of 150 took 3.2-4.1 ms at 301, and
 # blocking gained only 20-25 % at 91, so the bound sits in [91, 149]; 128
-# keeps the semisup benchmark size (T+1 = 91) on LAPACK's bytes.
+# keeps the semisup benchmark size (T+1 = 91) on LAPACK's bytes. Inside the
+# recursion the leaves are at most half of it: 64 against 128 took a median
+# 2.02 against 2.22 ms at 301 and 0.46 against 0.57 ms at 151, faster in
+# 30 of 30 alternating blocks at each size on the same VM.
 _BLOCK_LEAF = 128
 
 
@@ -554,44 +559,106 @@ def _block_inverse(matrix):
     the certificate fails, or a leaf is singular, ``np.linalg.inv(matrix)``
     is returned (and its ``LinAlgError`` raised) exactly as without blocking.
     """
-    size = matrix.shape[0]
-    if size <= _BLOCK_LEAF:
-        return np.linalg.inv(matrix)
-    with np.errstate(all="ignore"):
-        try:
-            out = _block_recursion(matrix)
-        except np.linalg.LinAlgError:
-            out = None
-        else:
-            diagonal = np.einsum("ij,ji->i", matrix, out) - 1.0
-            probe = np.where(np.arange(size) % 2, -1.0, 1.0)
-            solved = out @ probe
-            backward = np.abs(matrix @ solved - probe).max() \
-                / (np.abs(matrix).sum(axis=1).max() * np.abs(solved).max())
-    if out is not None and np.isfinite(solved).all() and np.abs(diagonal).max() <= 1e-9 \
-            and backward <= 16 * size * np.finfo(float).eps:
-        return out
+    if matrix.shape[0] > _BLOCK_LEAF:
+        inverse = _certified_recursion(matrix)
+        if inverse is not None:
+            return inverse
     return np.linalg.inv(matrix)
 
 
-def _block_recursion(matrix):
-    """Uncertified block inverse of ``matrix``, split at n // 2 down to leaves
-    of at most ``_BLOCK_LEAF`` that ``np.linalg.inv`` inverts."""
+def _certified_recursion(matrix):
+    """``_block_recursion(matrix)`` if it passes ``_block_inverse``'s
+    certificate, else None. The certificate's row sums of |matrix| are
+    taken a block of rows at a time in the recursion's scratch."""
     size = matrix.shape[0]
-    if size <= _BLOCK_LEAF:
-        return np.linalg.inv(matrix)
-    h = size // 2
-    a_inv = _block_recursion(matrix[:h, :h])
-    a_inv_b = a_inv @ matrix[:h, h:]
-    c_a_inv = matrix[h:, :h] @ a_inv
-    # the blocks are written in place: np.block's copies cost 10 % at 301
-    out = np.empty_like(matrix)
-    s_inv = out[h:, h:]
-    s_inv[...] = _block_recursion(matrix[h:, h:] - matrix[h:, :h] @ a_inv_b)  # Schur complement
-    upper = np.negative(a_inv_b @ s_inv, out=out[:h, h:])
-    np.negative(s_inv @ c_a_inv, out=out[h:, :h])
-    np.subtract(a_inv, upper @ c_a_inv, out=out[:h, :h])
+    buffer = np.empty(_block_buffer_size(size))
+    scratch = buffer[size * size:]
+    with np.errstate(all="ignore"):
+        try:
+            out = _block_recursion(matrix, buffer)
+        except np.linalg.LinAlgError:
+            return None
+        # diag(matrix @ X): einsum's "ij,ji->i" copies X whole, and
+        # "ij,ij->i" against X.T gives the same bytes without the copy
+        diagonal = np.einsum("ij,ij->i", matrix, out.T) - 1.0
+        probe = np.where(np.arange(size) % 2, -1.0, 1.0)
+        solved = out @ probe
+        sums, step = np.empty(size), len(scratch) // size
+        for start in range(0, size, step):
+            rows = matrix[start:start + step]
+            absolute = np.abs(rows, out=scratch[:rows.size].reshape(rows.shape))
+            np.add.reduce(absolute, axis=1, out=sums[start:start + step])
+        backward = np.abs(matrix @ solved - probe).max() / (sums.max() * np.abs(solved).max())
+    if np.isfinite(solved).all() and np.abs(diagonal).max() <= 1e-9 \
+            and backward <= 16 * size * np.finfo(float).eps:
+        return out
+    return None
+
+
+def _recursion_leaf():
+    """Largest block the recursion hands to ``np.linalg.inv``: half of
+    ``_BLOCK_LEAF`` (see there), at least 1."""
+    return max(1, _BLOCK_LEAF // 2)
+
+
+def _block_buffer_size(size):
+    """Floats of the one array ``_block_recursion`` works in at dimension
+    n = ``size``: X, then a scratch of k n floats, k = n - n // 2. A level
+    keeps A^-1 B (h k floats) while the Schur complement's recursion runs
+    in the k^2 after it, which by induction is enough."""
+    return size * size + (size - size // 2) * size
+
+
+def _block_recursion(matrix, buffer=None):
+    """Uncertified block inverse of ``matrix``, split at n // 2 down to leaves
+    of at most ``_recursion_leaf()`` that ``np.linalg.inv`` inverts.
+
+    X is the leading n x n of ``buffer``, a flat array of at least
+    ``_block_buffer_size(n)`` floats (allocated when not given), and the
+    rest is the scratch: X starts as a copy of ``matrix`` and is inverted
+    in place, every product written into a view of X or of the scratch, so
+    no array is made per level. One allocation rather than two also keeps
+    a fit's heap in place: it is half as large again as the T x T arrays a
+    fit frees, and glibc trims its heap only when more than twice the
+    largest block it has unmapped is free at the top (see the README's
+    numerical notes). A kept X keeps its scratch too.
+    """
+    size = matrix.shape[0]
+    if buffer is None:
+        buffer = np.empty(_block_buffer_size(size))
+    out = buffer[:size * size].reshape(size, size)
+    np.copyto(out, matrix)
+    _invert_in_place(out, buffer[size * size:], _recursion_leaf())
     return out
+
+
+def _invert_in_place(block, scratch, leaf):
+    """Overwrite the square view ``block`` with its block inverse (see
+    ``_block_recursion``), working in the flat array ``scratch`` and
+    inverting blocks of at most ``leaf`` with LAPACK.
+
+    With blocks [[A, B], [C, D]] and S = D - C A^-1 B, the inverse is
+    [[A^-1 - U C A^-1, U], [-S^-1 C A^-1, S^-1]], U = -A^-1 B S^-1. Each
+    quadrant is read for the last time before its result is written there:
+    A^-1 overwrites A, S and then S^-1 overwrite D, and U and the lower left
+    overwrite B and C once A^-1 B and C A^-1 are in the scratch.
+    """
+    size = block.shape[0]
+    if size <= leaf:
+        block[...] = np.linalg.inv(block)
+        return
+    h, k = size // 2, size - size // 2
+    a, b, c, d = block[:h, :h], block[:h, h:], block[h:, :h], block[h:, h:]
+    _invert_in_place(a, scratch, leaf)
+    a_inv_b = np.matmul(a, b, out=scratch[:h * k].reshape(h, k))
+    rest = scratch[h * k:]
+    np.subtract(d, np.matmul(c, a_inv_b, out=rest[:k * k].reshape(k, k)), out=d)
+    _invert_in_place(d, rest, leaf)
+    c_a_inv = np.matmul(c, a, out=rest[:k * h].reshape(k, h))
+    np.negative(np.matmul(a_inv_b, d, out=b), out=b)
+    np.negative(np.matmul(d, c_a_inv, out=c), out=c)
+    # A^-1 - U C A^-1, the product in the space A^-1 B has left
+    np.subtract(a, np.matmul(b, c_a_inv, out=scratch[:h * h].reshape(h, h)), out=a)
 
 
 def _logdet_nonneg(matrix, what):

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end smoke run of the command line: every subcommand that writes an
-# artifact, a resumed VB fit, a VB fit of equal rows and one of 200 000
-# rows, a tabular fit scored by eval, config files, and the exit code and
-# JSON error record of a usage error, of a malformed checkpoint, of a
-# labelled row whose weights overflow and of a non-integer cell scored
-# under a tabular model.
+# artifact, a fit of 300 rows, a resumed VB fit, a VB fit of equal rows and
+# one of 200 000 rows, a tabular fit scored by eval, config files, and the
+# exit code and JSON error record of a usage error, of a malformed
+# checkpoint, of a labelled row whose weights overflow, of a non-integer
+# cell scored under a tabular model and of inputs with no attribute columns
+# or no rows.
 # Run from the root of a checkout: bash tests/cli_smoke.sh
 set -euo pipefail
 dir=$(mktemp -d)
@@ -15,6 +16,10 @@ rows() { test "$(($(wc -l < "$1") - 1))" -eq "$2"; }
 outtree spiral --rows 40 --seed 1 --output "$dir/train.csv"
 rows "$dir/train.csv" 40
 outtree spiral --rows 10 --seed 2 --output "$dir/test.csv"
+# 300 rows: the gradient's bordered inverse (dimension 301) is assembled by
+# block elimination, its matrix products written into views of one buffer
+outtree spiral --rows 300 --seed 3 --output "$dir/big.csv"
+outtree fit --input "$dir/big.csv" --output "$dir/big.model" --max-iters 3
 outtree fit --input "$dir/train.csv" --output "$dir/m.model" --max-iters 3
 outtree eval --input "$dir/train.csv" --test "$dir/test.csv" \
   --model "$dir/m.model" --output "$dir/score.tsv"
@@ -87,3 +92,8 @@ printf 'a,b\n0,1\n1.5,2\n' > "$dir/halves.csv"
 expect_error 3 eval --input "$dir/cats.csv" --test "$dir/halves.csv" \
   --model "$dir/cats.model"
 grep -q "row 3, column 'a'" "$dir/err"
+# a file of blank lines has no attribute columns, a header alone no rows
+printf '\n\n\n' > "$dir/blank.csv"
+expect_error 3 fit --input "$dir/blank.csv" --output "$dir/never.model"
+printf 'a,b\n' > "$dir/header.csv"
+expect_error 3 vb --input "$dir/header.csv" --output "$dir/never.ckpt"

@@ -52,6 +52,19 @@ class TestIngest:
         with pytest.raises(DataError, match="maybe"):
             cli.ingest_csv(str(path), label_column="y")
 
+    @pytest.mark.parametrize("text, what", [("\n\n\n", "no attribute columns"),
+                                            ("a,b\n", "no data rows")])
+    @pytest.mark.parametrize("command", ["vb", "fit"])
+    def test_no_attributes_or_no_rows_exit_3(self, tmp_path, capsys, text, what, command):
+        # a file of blank lines reads as rows of no cells, and a header alone
+        # as no rows: both are one DataError record naming the file
+        path = tmp_path / "d.csv"
+        write(path, text)
+        assert cli.main([command, "--input", str(path),
+                         "--output", str(tmp_path / "out")]) == 3
+        message = error_record(capsys, 3)["message"]
+        assert str(path) in message and what in message
+
     def test_round_trip_full_precision(self, tmp_path):
         rng = np.random.default_rng(0)
         data = rng.normal(size=(5, 3)) * np.pi

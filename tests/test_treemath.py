@@ -977,8 +977,54 @@ def spiral_record(count, model_of):
     return tm._Bordered(*models.build_beta(data, model_of(data)))
 
 
+def fresh_recursion(matrix, leaf):
+    """The block recursion with a fresh array for every product and level,
+    as it was first written: the reference for the bytes of the in-place
+    one."""
+    size = matrix.shape[0]
+    if size <= leaf:
+        return np.linalg.inv(matrix)
+    h = size // 2
+    a_inv = fresh_recursion(matrix[:h, :h], leaf)
+    a_inv_b = a_inv @ matrix[:h, h:]
+    c_a_inv = matrix[h:, :h] @ a_inv
+    s_inv = fresh_recursion(matrix[h:, h:] - matrix[h:, :h] @ a_inv_b, leaf)
+    upper = -(a_inv_b @ s_inv)
+    return np.block([[a_inv - upper @ c_a_inv, upper], [-(s_inv @ c_a_inv), s_inv]])
+
+
 class TestBlockInverse:
     """``_block_inverse`` against LAPACK's inverse and the exact one."""
+
+    @pytest.mark.parametrize("count", [150, 300])
+    @pytest.mark.parametrize("block_leaf", [None, 256])
+    def test_in_place_recursion_has_the_bytes_of_fresh_products(self, monkeypatch, count,
+                                                                 block_leaf):
+        # the products, differences and leaves are the same arithmetic on
+        # the same operands, only written into views of X and the scratch;
+        # 256 gives the recursion leaves of at most 128, the block path's
+        # first leaf
+        matrix = spiral_record(count, models.gaussian_init_iid).matrix
+        if block_leaf is not None:
+            monkeypatch.setattr(tm, "_BLOCK_LEAF", block_leaf)
+        want = fresh_recursion(matrix, tm._recursion_leaf())
+        assert same_bits(tm._block_recursion(matrix), want)
+        if block_leaf is None:
+            assert same_bits(tm._block_inverse(matrix), want)
+
+    def test_peak_is_the_inverse_and_its_scratch(self, bordered_counts):
+        # X and a scratch of about n^2 / 2 floats in one allocation, plus
+        # LAPACK's leaf inverses: no temporary per level and no n x n |M|
+        matrix = spiral_record(300, models.gaussian_init_iid).matrix
+        tm._block_inverse(matrix)  # warm every code path
+        tracemalloc.start()
+        try:
+            tm._block_inverse(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bordered_counts["inv", 301] == 0  # certified, no fallback
+        assert peak <= 2.2 * matrix.size * 8
 
     @settings(max_examples=150, deadline=None)
     @given(case=block_cases())
@@ -1040,8 +1086,8 @@ class TestBlockInverse:
         assert bordered_counts["inv", 151] == 1
 
     def test_weights_as_accurate_as_lapacks(self, monkeypatch, bordered_counts):
-        # W and rho from the block path (leaf 8, so three levels at T = 40)
-        # and from LAPACK's inverse, each against those from an mpmath
+        # W and rho from the block path (leaf 8, so LAPACK leaves of at most
+        # 4 at T = 40) and from LAPACK's inverse, each against those from an mpmath
         # inverse of the same float64 matrix, on a fitted spiral model
         # (condition 1.4e3) and on semi-supervised joint weights (5.8e5)
         def fitted(data):
