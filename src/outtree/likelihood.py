@@ -96,10 +96,18 @@ _TRIAL_ERRORS = (ZeroPartitionError, NumericalFaultError, DataError, ValueError,
                 np.linalg.LinAlgError)
 
 
+# a fit steps along a gradient only if the inverse X of the bordered
+# Laplacian M that it was read off has max |diag(M X) - 1| at most this, the
+# bound the block inverse's certificate holds X to
+_GRADIENT_RESIDUAL = 1e-9
+
+
 def _objective(data, model, vector):
     """Penalized log-likelihood of validated data, and the bordered-Laplacian
-    record it was read from."""
+    record it was read from, factored once for the value and the gradient
+    (``_Bordered.factor``)."""
     record = _build_bordered(data, model)
+    record.factor()
     size = len(data)
     value = record.log_z - (size - 1) * np.log(size)
     return float(value) + model.penalty(vector)[0], record
@@ -167,13 +175,21 @@ def fit_ml(data, model0: MutationModel, *, max_iters=500, grad_tol=1e-5,
     penalized log-likelihood; most accept their first trial. Only steps
     that pass its Armijo test are accepted, so the reported trace is
     nondecreasing. Stops on a small gradient sup-norm, the iteration cap,
-    or a failed line search at the step floor 1e-12 (recorded as the
-    convergence reason, not an error). Whenever a holdout set is given,
-    fitting stops once the held-out score has not improved for
-    ``patience`` accepted steps and the best-scoring model is returned; the
-    score's training ln Z is read off the accepted record. The gradient is
-    read off the accepted trial's bordered Laplacian, so each evaluation
-    sets that matrix up once.
+    a failed line search at the step floor 1e-12, or a gradient read off an
+    inverse X of the bordered Laplacian M whose diagonal of M X misses 1 by
+    more than 1e-9 (reason ``inaccurate_gradient``: the fit does not step
+    along it); each is recorded as the convergence reason, not an error.
+    Whenever a holdout set is given, fitting stops once the held-out score
+    has not improved for ``patience`` accepted steps and the best-scoring
+    model is returned; the score's training ln Z is read off the accepted
+    record. The gradient is read off the accepted trial's bordered
+    Laplacian, so each evaluation sets that matrix up once. Above dimension
+    128 each evaluation factors it once too (``_Bordered.factor``): the
+    trial's ln Z is read off the certified block recursion whose inverse
+    the gradient then reads, and ``slogdet`` runs only where the
+    certificate fails. Against mpmath at 30 digits that ln Z was within
+    2.1e-11 at T=300 and 2.7e-12 at T=150, LU's within 3.0e-12 and
+    1.9e-12. The inverse is dropped once the gradient is read.
     """
     if max_iters < 0 or grad_tol <= 0:
         raise ValueError("max_iters must be >= 0 and grad_tol positive")
@@ -196,7 +212,11 @@ def fit_ml(data, model0: MutationModel, *, max_iters=500, grad_tol=1e-5,
 
     last = None
     for index in range(1, max_iters + 1):
+        if not record.residual <= _GRADIENT_RESIDUAL:
+            report.reason = "inaccurate_gradient"
+            break
         grad = _partition_gradient(data, model, record) + model.penalty(vector)[1]
+        record.release()
         grad_norm = float(np.abs(grad).max())
         if grad_norm < grad_tol:
             report.reason = "gradient_tolerance"

@@ -23,6 +23,13 @@ dimension, and kept only if it passes an O(T^2) residual certificate;
 otherwise, and at or below that dimension, it is numpy's ``inv``, bit for
 bit. The elimination runs in place in one array, the inverse followed by
 a scratch of about T^2 / 2 floats, so it makes no temporary per level.
+It gives ln det too, as the sum of its leaves' log-determinants: a record
+whose gradient will follow (``fit_ml``'s line-search trials, the
+semi-supervised theta step's) is factored once by ``_Bordered.factor``
+and reads ln Z off the certified recursion, while the paths that read no
+inverse (``log_partition``, ``tdid_log_likelihood``, the held-out score,
+the label flips) and every matrix at or below ``_BLOCK_LEAF`` read it off
+numpy's ``slogdet``.
 Weights built from a fresh array (``build_beta``, the semi-supervised joint
 weights, the VB expected-log weights) take it through the private
 ``WeightMatrix._owning``, which does not copy it and, given the row scales
@@ -369,9 +376,19 @@ class _Bordered:
     of a model's row-block kernel (``_from_rows``; ``beta`` is then None),
     so 0 - Q off the diagonal is the scaled weights exactly, and the record
     is their only home.
-    ``logdet`` and ``inverse`` are computed on first read and kept; the
-    inverse is ``_block_inverse``'s, which is numpy's ``inv`` up to
-    dimension ``_BLOCK_LEAF`` and wherever its certificate fails. Weights
+    ``logdet`` and ``inverse`` are computed on first read and kept: the
+    determinant by ``_augmented_logdet`` (numpy's ``slogdet``), the inverse
+    by ``_block_factor``, which is numpy's ``inv`` up to dimension
+    ``_BLOCK_LEAF`` and wherever its certificate fails. ``factor`` reads
+    both off one certified block recursion instead, for a record whose
+    gradient will follow (the trials of ``fit_ml`` and of the
+    semi-supervised theta step). The paths that read no inverse
+    (``log_partition``, ``tdid_log_likelihood``, the held-out score, the
+    label flips) keep ``slogdet``: an inverse at dimension 1001 costs about
+    2.3 of them. Against mpmath at 30 digits the recursion's ln Z was
+    within 2.1e-11 at T=300 and 2.7e-12 at T=150, LU's within 3.0e-12 and
+    1.9e-12 (spiral rows under ``gaussian_init_iid``); on the benchmark
+    fits' records the two agreed within 5.4e-14 relative. Weights
     with structural zeros are first checked for an out-tree over their
     support: where none exists Z = 0 exactly, but the LU can still return a
     small positive determinant made of roundoff, so this raises
@@ -491,23 +508,54 @@ class _Bordered:
     def log_z(self) -> float:
         return self.offset + self.logdet
 
-    def _invert(self) -> np.ndarray:
-        """Explicit inverse of ``matrix`` (do not mutate), by ``_block_inverse``."""
+    def factor(self):
+        """Above dimension ``_BLOCK_LEAF``, invert ``matrix`` once for both
+        the value and the gradient: keep the inverse and, when it is the
+        certified recursion's, its ``residual`` and, if finite, its
+        log-determinant as ``logdet``. Where the certificate fails the
+        inverse is LAPACK's and ``logdet`` stays ``_augmented_logdet``'s,
+        computed on first read; at or below that dimension this does
+        nothing."""
+        if self.matrix.shape[0] > _BLOCK_LEAF:
+            self.inverse, residual, logdet = self._invert()
+            if residual is not None:
+                self.residual = float(residual)
+            if np.isfinite(logdet):
+                self.logdet = float(logdet)
+
+    def _invert(self):
+        """``_block_factor(matrix)``: the inverse (do not mutate), and the
+        certified recursion's residual and log-determinant."""
         try:
-            return _block_inverse(self.matrix)
+            return _block_factor(self.matrix)
         except np.linalg.LinAlgError as exc:
             raise ZeroPartitionError("no out-tree has positive weight") from exc
 
-    inverse = cached_property(_invert)  # kept for repeated reads
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """The inverse of ``matrix``, kept for repeated reads."""
+        return self._invert()[0]
+
+    @cached_property
+    def residual(self) -> float:
+        """max |diag(matrix @ X) - 1| of the kept ``inverse`` X: the
+        certificate's when ``factor`` kept the recursion's, else one O(T^2)
+        product; NaN if X holds a NaN."""
+        with np.errstate(all="ignore"):
+            return float(_diagonal_residual(self.matrix, self.inverse))
+
+    def release(self):
+        """Drop the kept inverse, if any, and with it its scratch."""
+        self.__dict__.pop("inverse", None)
 
     def posterior_weights(self):
-        """(W, rho) read off the kept ``inverse`` when a screen has already
-        read it, else off an inverse that is not kept, so a record held on
-        after its one gradient does not hold a (T+1)^2 inverse too; see
-        ``posterior_weights``."""
+        """(W, rho) read off the kept ``inverse`` when a screen, ``factor``
+        or ``residual`` has already made it, else off an inverse that is not
+        kept, so a record held on after its one gradient does not hold a
+        (T+1)^2 inverse too; see ``posterior_weights``."""
         inv = self.__dict__.get("inverse")
         if inv is None:
-            inv = self._invert()
+            inv = self._invert()[0]
         core = inv[1:, 1:]
         # W = the gain d ln Z / d scaled, times the scaled weights read back
         # from the bordered matrix as 0 - Q off the diagonal (exact to the
@@ -541,9 +589,11 @@ class _Bordered:
 _BLOCK_LEAF = 128
 
 
-def _block_inverse(matrix):
-    """Inverse of a square ``matrix``, by recursive 2 x 2 block elimination
-    when it is larger than ``_BLOCK_LEAF``.
+def _block_factor(matrix):
+    """(X, r, ln det) of a square ``matrix``: its inverse X and, when X came
+    from recursive 2 x 2 block elimination (above ``_BLOCK_LEAF``), the
+    residual r = max |diag(matrix @ X) - 1| of its certificate and the
+    log-determinant that the elimination gives with it; else None and NaN.
 
     The leading half is inverted by recursion, then its Schur complement,
     and the four blocks are assembled with matrix products (Strassen 1969),
@@ -551,36 +601,45 @@ def _block_inverse(matrix):
     leading block is pivoted across, so the result X must pass an O(n^2)
     certificate (Demmel, Higham & Schreiber 1995): every entry finite,
     every diagonal entry of ``matrix @ X`` within 1e-9 of 1, and y = X v
-    for v of alternating signs solving ``matrix @ y = v`` with a normwise
-    backward error of at most 16 n eps. For the bordered Laplacian the
-    diagonal is the residual of "each non-root row of W sums to 1 - rho";
-    the probe catches a wrong off-diagonal that the diagonal misses. Every
-    entry of X enters y with weight +-1, so y is finite only if X is. When
-    the certificate fails, or a leaf is singular, ``np.linalg.inv(matrix)``
-    is returned (and its ``LinAlgError`` raised) exactly as without blocking.
+    for v of alternating signs solving ``matrix @ y = v`` to within 1e-9 in
+    every entry and with a normwise backward error of at most 16 n eps. For
+    the bordered Laplacian the diagonal is the residual of "each non-root
+    row of W sums to 1 - rho"; the probe catches a wrong off-diagonal that
+    the diagonal misses, and its absolute bound a huge wrong X that the
+    normwise error, divided by max |y|, lets pass. Every entry of X enters
+    y with weight +-1, so y is finite only if X is. When the certificate
+    fails, or a leaf is singular, X is ``np.linalg.inv(matrix)`` (and its
+    ``LinAlgError`` raised) exactly as without blocking.
     """
     if matrix.shape[0] > _BLOCK_LEAF:
-        inverse = _certified_recursion(matrix)
-        if inverse is not None:
-            return inverse
-    return np.linalg.inv(matrix)
+        certified = _certified_recursion(matrix)
+        if certified is not None:
+            return certified
+    return np.linalg.inv(matrix), None, np.nan
+
+
+def _diagonal_residual(matrix, inverse):
+    """max |diag(matrix @ inverse) - 1|, NaN if either holds a NaN. The
+    einsum "ij,ji->i" copies the inverse whole; "ij,ij->i" against its
+    transpose gives the same bytes without the copy."""
+    return np.abs(np.einsum("ij,ij->i", matrix, inverse.T) - 1.0).max()
 
 
 def _certified_recursion(matrix):
-    """``_block_recursion(matrix)`` if it passes ``_block_inverse``'s
-    certificate, else None. The certificate's row sums of |matrix| are
-    taken a block of rows at a time in the recursion's scratch."""
+    """``_block_recursion(matrix)``'s inverse, the diagonal residual of its
+    certificate and its log-determinant, if the inverse passes
+    ``_block_factor``'s certificate, else None. The certificate's row sums
+    of |matrix| are taken a block of rows at a time in the recursion's
+    scratch."""
     size = matrix.shape[0]
     buffer = np.empty(_block_buffer_size(size))
     scratch = buffer[size * size:]
     with np.errstate(all="ignore"):
         try:
-            out = _block_recursion(matrix, buffer)
+            out, logdet = _block_recursion(matrix, buffer)
         except np.linalg.LinAlgError:
             return None
-        # diag(matrix @ X): einsum's "ij,ji->i" copies X whole, and
-        # "ij,ij->i" against X.T gives the same bytes without the copy
-        diagonal = np.einsum("ij,ij->i", matrix, out.T) - 1.0
+        residual = _diagonal_residual(matrix, out)
         probe = np.where(np.arange(size) % 2, -1.0, 1.0)
         solved = out @ probe
         sums, step = np.empty(size), len(scratch) // size
@@ -588,10 +647,11 @@ def _certified_recursion(matrix):
             rows = matrix[start:start + step]
             absolute = np.abs(rows, out=scratch[:rows.size].reshape(rows.shape))
             np.add.reduce(absolute, axis=1, out=sums[start:start + step])
-        backward = np.abs(matrix @ solved - probe).max() / (sums.max() * np.abs(solved).max())
-    if np.isfinite(solved).all() and np.abs(diagonal).max() <= 1e-9 \
+        missed = np.abs(matrix @ solved - probe).max()
+        backward = missed / (sums.max() * np.abs(solved).max())
+    if np.isfinite(solved).all() and residual <= 1e-9 and missed <= 1e-9 \
             and backward <= 16 * size * np.finfo(float).eps:
-        return out
+        return out, residual, logdet
     return None
 
 
@@ -610,8 +670,9 @@ def _block_buffer_size(size):
 
 
 def _block_recursion(matrix, buffer=None):
-    """Uncertified block inverse of ``matrix``, split at n // 2 down to leaves
-    of at most ``_recursion_leaf()`` that ``np.linalg.inv`` inverts.
+    """Uncertified block inverse of ``matrix`` and its log-determinant, split
+    at n // 2 down to leaves of at most ``_recursion_leaf()`` that
+    ``np.linalg.inv`` inverts.
 
     X is the leading n x n of ``buffer``, a flat array of at least
     ``_block_buffer_size(n)`` floats (allocated when not given), and the
@@ -621,44 +682,52 @@ def _block_recursion(matrix, buffer=None):
     a fit's heap in place: it is half as large again as the T x T arrays a
     fit frees, and glibc trims its heap only when more than twice the
     largest block it has unmapped is free at the top (see the README's
-    numerical notes). A kept X keeps its scratch too.
+    numerical notes). A kept X keeps its scratch too. The log-determinant
+    is ``_invert_in_place``'s sum over the leaves.
     """
     size = matrix.shape[0]
     if buffer is None:
         buffer = np.empty(_block_buffer_size(size))
     out = buffer[:size * size].reshape(size, size)
     np.copyto(out, matrix)
-    _invert_in_place(out, buffer[size * size:], _recursion_leaf())
-    return out
+    logdet = _invert_in_place(out, buffer[size * size:], _recursion_leaf())
+    return out, logdet
 
 
 def _invert_in_place(block, scratch, leaf):
     """Overwrite the square view ``block`` with its block inverse (see
     ``_block_recursion``), working in the flat array ``scratch`` and
-    inverting blocks of at most ``leaf`` with LAPACK.
+    inverting blocks of at most ``leaf`` with LAPACK, and return ln det of
+    ``block``: NaN if a leaf's determinant is not positive.
 
     With blocks [[A, B], [C, D]] and S = D - C A^-1 B, the inverse is
-    [[A^-1 - U C A^-1, U], [-S^-1 C A^-1, S^-1]], U = -A^-1 B S^-1. Each
-    quadrant is read for the last time before its result is written there:
-    A^-1 overwrites A, S and then S^-1 overwrite D, and U and the lower left
+    [[A^-1 - U C A^-1, U], [-S^-1 C A^-1, S^-1]], U = -A^-1 B S^-1, and
+    ln det = ln det A + ln det S, so the log-determinant is the sum of the
+    leaves'. Each leaf runs ``slogdet`` before ``inv``. The leading blocks
+    and Schur complements of the bordered Laplacian have positive
+    determinants, so a leaf of another sign is roundoff. Each quadrant is
+    read for the last time before its result is written there: A^-1
+    overwrites A, S and then S^-1 overwrite D, and U and the lower left
     overwrite B and C once A^-1 B and C A^-1 are in the scratch.
     """
     size = block.shape[0]
     if size <= leaf:
+        sign, logdet = np.linalg.slogdet(block)
         block[...] = np.linalg.inv(block)
-        return
+        return logdet if sign == 1.0 else np.nan
     h, k = size // 2, size - size // 2
     a, b, c, d = block[:h, :h], block[:h, h:], block[h:, :h], block[h:, h:]
-    _invert_in_place(a, scratch, leaf)
+    logdet = _invert_in_place(a, scratch, leaf)
     a_inv_b = np.matmul(a, b, out=scratch[:h * k].reshape(h, k))
     rest = scratch[h * k:]
     np.subtract(d, np.matmul(c, a_inv_b, out=rest[:k * k].reshape(k, k)), out=d)
-    _invert_in_place(d, rest, leaf)
+    logdet += _invert_in_place(d, rest, leaf)
     c_a_inv = np.matmul(c, a, out=rest[:k * h].reshape(k, h))
     np.negative(np.matmul(a_inv_b, d, out=b), out=b)
     np.negative(np.matmul(d, c_a_inv, out=c), out=c)
     # A^-1 - U C A^-1, the product in the space A^-1 B has left
     np.subtract(a, np.matmul(b, c_a_inv, out=scratch[:h * h].reshape(h, h)), out=a)
+    return logdet
 
 
 def _logdet_nonneg(matrix, what):

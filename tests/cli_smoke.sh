@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end smoke run of the command line: every subcommand that writes an
-# artifact, a fit of 300 rows, a resumed VB fit, a VB fit of equal rows and
-# one of 200 000 rows, a tabular fit scored by eval, config files, and the
-# exit code and JSON error record of a usage error, of a malformed
-# checkpoint, of a labelled row whose weights overflow, of a non-integer
-# cell scored under a tabular model and of inputs with no attribute columns
-# or no rows.
+# artifact, a fit of 300 rows checked against a fresh likelihood, a resumed
+# VB fit, a VB fit of equal rows and one of 200 000 rows, a tabular fit
+# scored by eval, config files, and the exit code and JSON error record of
+# a usage error, of a malformed checkpoint, of a labelled row whose weights
+# overflow, of a non-integer cell scored under a tabular model and of
+# inputs with no attribute columns or no rows.
 # Run from the root of a checkout: bash tests/cli_smoke.sh
 set -euo pipefail
 dir=$(mktemp -d)
@@ -20,6 +20,20 @@ outtree spiral --rows 10 --seed 2 --output "$dir/test.csv"
 # block elimination, its matrix products written into views of one buffer
 outtree spiral --rows 300 --seed 3 --output "$dir/big.csv"
 outtree fit --input "$dir/big.csv" --output "$dir/big.model" --max-iters 3
+# the objective column of its log never decreases, and its last value, read
+# off the block elimination's ln Z, is a fresh LU ln Z of the written model
+# plus its penalty to within 1e-9 of its size
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python - "$dir/big.csv" "$dir/big.model" <<'PY'
+import sys
+from outtree import cli, io, likelihood
+data, path = cli.ingest_csv(sys.argv[1]).X, sys.argv[2]
+with open(path + ".log") as log:
+    trace = [float(line.split("\t")[1]) for line in log if line[0].isdigit()]
+assert len(trace) > 1 and all(b >= a for a, b in zip(trace, trace[1:])), trace
+model = io.read_model(path)
+fresh = likelihood.tdid_log_likelihood(data, model) + model.penalty(model.param_vector())[0]
+assert abs(trace[-1] - fresh) <= 1e-9 * abs(fresh), (trace[-1], fresh)
+PY
 outtree fit --input "$dir/train.csv" --output "$dir/m.model" --max-iters 3
 outtree eval --input "$dir/train.csv" --test "$dir/test.csv" \
   --model "$dir/m.model" --output "$dir/score.tsv"

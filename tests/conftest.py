@@ -14,7 +14,8 @@ def bordered_counts(monkeypatch):
     model (key "set-up": fills of a fresh matrix), of records that
     ``_Bordered._crossed`` patched from a copy of the current matrix rather
     than set up afresh (key "patch"), and of ``np.linalg.slogdet``/``inv``
-    calls keyed by (name, matrix dimension)."""
+    calls and certified block recursions (name "recursion") keyed by
+    (name, matrix dimension)."""
     counts = Counter()
     fill, crossed = treemath._Bordered._fill, treemath._Bordered._crossed
 
@@ -38,4 +39,6 @@ def bordered_counts(monkeypatch):
     monkeypatch.setattr(treemath._Bordered, "_crossed", counted_crossed)
     for name in ("slogdet", "inv"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(treemath, "_certified_recursion",
+                        counted("recursion", treemath._certified_recursion))
     return counts

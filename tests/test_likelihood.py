@@ -294,15 +294,39 @@ class TestFit:
         assert bordered_counts["inv", 13] == 5
 
     def test_gradient_inverts_by_blocks(self, bordered_counts):
-        # at T + 1 = 301 each gradient's inverse is assembled from LAPACK
-        # inverses of blocks no larger than the leaf; none of the whole matrix
+        # at T + 1 = 301 each evaluation runs one certified block recursion,
+        # which gives both its ln Z and the inverse its gradient reads,
+        # from LAPACK leaves no larger than the leaf: no determinant and no
+        # inverse of the whole matrix
         data = cli.standardize(cli.gen_spiral(cli.SpiralSpec(count=300), 83117))[0]
         report = lk.fit_ml(data, models.gaussian_init_iid(data), max_iters=3,
                            grad_tol=1e-12)
         assert len(report.iterations) == 3
-        inverted = [key[1] for key in bordered_counts if key[0] == "inv"]
-        assert inverted and max(inverted) <= treemath._BLOCK_LEAF
-        assert bordered_counts["slogdet", 301] == report.evaluations
+        factored = [key[1] for key in bordered_counts if key[0] in ("slogdet", "inv")]
+        assert factored and max(factored) <= treemath._BLOCK_LEAF
+        assert bordered_counts["recursion", 301] == report.evaluations
+
+    def test_stops_before_stepping_along_an_inaccurate_gradient(self):
+        # F1: at the nearest-neighbour seed of 150 standardized spiral rows
+        # the bordered matrix M is near-singular; the certificate fails and
+        # LAPACK's inverse X misses diag(M X) = 1 by about 4, so the first
+        # gradient is not stepped along
+        data = cli.standardize(cli.gen_spiral(cli.SpiralSpec(count=150), 121))[0]
+        seed_model = cli.nn_regression_seed(data)
+        report = lk.fit_ml(data, seed_model, max_iters=3)
+        assert report.reason == "inaccurate_gradient"
+        assert report.iterations == [] and report.evaluations == 1
+        assert report.model is seed_model
+
+    def test_inaccurate_gradient_bound_holds_at_or_below_the_leaf(self, monkeypatch):
+        # at T + 1 = 13 the residual is read off LAPACK's inverse, 3.7e-15
+        # here: a bound below it stops the fit before its first step
+        data = np.random.default_rng(26).normal(size=(12, 2))
+        model = models.gaussian_init_iid(data)
+        assert lk.fit_ml(data, model, max_iters=2).reason == "max_iterations"
+        monkeypatch.setattr(lk, "_GRADIENT_RESIDUAL", 1e-15)
+        report = lk.fit_ml(data, model, max_iters=2)
+        assert report.reason == "inaccurate_gradient" and report.iterations == []
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_most_line_searches_accept_their_first_trial(self, seed):

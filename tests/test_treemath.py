@@ -759,7 +759,7 @@ def rescaled_copy_record(beta, roots):
 
     def weights():
         try:
-            inv = tm._block_inverse(matrix)
+            inv = tm._block_factor(matrix)[0]
         except np.linalg.LinAlgError:
             return ZeroPartitionError
         core = inv[1:, 1:]
@@ -813,7 +813,7 @@ class TestFillFromLogWeights:
         record = tm._Bordered(beta, roots)
         w, _ = record.posterior_weights()  # read back from the matrix
         zero = (beta.scaled == 0.0) & ~np.eye(400, dtype=bool)
-        core = record._invert()[1:, 1:]
+        core = record._invert()[0][1:, 1:]
         gain = np.diag(core)[:, None] - core.T
         assert zero.sum() > 1000
         assert same_bits(np.signbit(w[zero]), np.signbit(gain[zero]))
@@ -928,16 +928,41 @@ class TestInvariants:
 def certified(matrix, x):
     """The block inverse's certificate, written out: finite entries, a
     diagonal of ``matrix @ x`` within 1e-9 of 1, and an alternating-sign
-    probe solved with a normwise backward error of at most 16 n eps."""
+    probe solved to within 1e-9 in every entry and with a normwise backward
+    error of at most 16 n eps."""
     size = matrix.shape[0]
     probe = np.where(np.arange(size) % 2, -1.0, 1.0)
     with np.errstate(all="ignore"):
         diagonal = np.einsum("ij,ji->i", matrix, x)
         solved = x @ probe
-        backward = np.max(np.abs(matrix @ solved - probe)) \
-            / (np.max(np.abs(matrix).sum(axis=1)) * np.max(np.abs(solved)))
+        missed = np.max(np.abs(matrix @ solved - probe))
+        backward = missed / (np.max(np.abs(matrix).sum(axis=1)) * np.max(np.abs(solved)))
     return bool(np.isfinite(x).all() and np.max(np.abs(diagonal - 1.0)) <= 1e-9
-                and backward <= 16 * size * np.finfo(float).eps)
+                and missed <= 1e-9 and backward <= 16 * size * np.finfo(float).eps)
+
+
+def block_case(size, seed, spans, duplicates, blocks, zeros, empty_row, dead_root):
+    """Weights and root weights of one ``block_cases`` draw: T = ``size``,
+    the entries drawn from ``seed``, each regime on when its flag is."""
+    rng = np.random.default_rng(seed)
+    log = rng.normal(size=(size, size))
+    if spans:
+        log *= 500.0
+        log[np.arange(size), (np.arange(size) + 1) % size] = -1.5e3
+    if duplicates:
+        log = log[rng.integers(size, size=size)]
+    if blocks:
+        block = np.arange(size) < rng.integers(1, size + 1)
+        log[block[:, None] != block[None, :]] -= rng.uniform(20.0, 60.0)
+    if zeros:
+        log[rng.random((size, size)) < 0.3] = -np.inf
+        if empty_row:
+            log[rng.integers(size)] = -np.inf
+    np.fill_diagonal(log, -np.inf)
+    log_roots = rng.normal(scale=3.0, size=size)
+    if dead_root:
+        log_roots[rng.integers(size)] = -np.inf
+    return tm.WeightMatrix(log_entries=log), tm.RootWeights(log_values=log_roots)
 
 
 @st.composite
@@ -949,26 +974,11 @@ def block_cases(draw):
     down), structural zeros with possibly a node that no edge reaches, and a
     -inf root weight. All off is the dense regime.
     """
-    size = draw(st.integers(2, 40))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    log = rng.normal(size=(size, size))
-    if draw(st.booleans()):
-        log *= 500.0
-        log[np.arange(size), (np.arange(size) + 1) % size] = -1.5e3
-    if draw(st.booleans()):
-        log = log[rng.integers(size, size=size)]
-    if draw(st.booleans()):
-        block = np.arange(size) < rng.integers(1, size + 1)
-        log[block[:, None] != block[None, :]] -= rng.uniform(20.0, 60.0)
-    if draw(st.booleans()):
-        log[rng.random((size, size)) < 0.3] = -np.inf
-        if draw(st.booleans()):
-            log[rng.integers(size)] = -np.inf
-    np.fill_diagonal(log, -np.inf)
-    log_roots = rng.normal(scale=3.0, size=size)
-    if draw(st.booleans()):
-        log_roots[rng.integers(size)] = -np.inf
-    return (tm.WeightMatrix(log_entries=log), tm.RootWeights(log_values=log_roots),
+    size, seed = draw(st.integers(2, 40)), draw(st.integers(0, 2 ** 32 - 1))
+    spans, duplicates, blocks, zeros = (draw(st.booleans()) for _ in range(4))
+    empty_row = zeros and draw(st.booleans())
+    dead_root = draw(st.booleans())
+    return (*block_case(size, seed, spans, duplicates, blocks, zeros, empty_row, dead_root),
             draw(st.integers(1, 5)))
 
 
@@ -994,7 +1004,7 @@ def fresh_recursion(matrix, leaf):
 
 
 class TestBlockInverse:
-    """``_block_inverse`` against LAPACK's inverse and the exact one."""
+    """``_block_factor``'s inverse against LAPACK's inverse and the exact one."""
 
     @pytest.mark.parametrize("count", [150, 300])
     @pytest.mark.parametrize("block_leaf", [None, 256])
@@ -1008,18 +1018,18 @@ class TestBlockInverse:
         if block_leaf is not None:
             monkeypatch.setattr(tm, "_BLOCK_LEAF", block_leaf)
         want = fresh_recursion(matrix, tm._recursion_leaf())
-        assert same_bits(tm._block_recursion(matrix), want)
+        assert same_bits(tm._block_recursion(matrix)[0], want)
         if block_leaf is None:
-            assert same_bits(tm._block_inverse(matrix), want)
+            assert same_bits(tm._block_factor(matrix)[0], want)
 
     def test_peak_is_the_inverse_and_its_scratch(self, bordered_counts):
         # X and a scratch of about n^2 / 2 floats in one allocation, plus
         # LAPACK's leaf inverses: no temporary per level and no n x n |M|
         matrix = spiral_record(300, models.gaussian_init_iid).matrix
-        tm._block_inverse(matrix)  # warm every code path
+        tm._block_factor(matrix)  # warm every code path
         tracemalloc.start()
         try:
-            tm._block_inverse(matrix)
+            tm._block_factor(matrix)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1040,12 +1050,12 @@ class TestBlockInverse:
                 want = np.linalg.inv(matrix)
             except np.linalg.LinAlgError:
                 try:
-                    got = tm._block_inverse(matrix)
+                    got = tm._block_factor(matrix)[0]
                 except np.linalg.LinAlgError:
                     return
                 assert certified(matrix, got)
                 return
-            got = tm._block_inverse(matrix)
+            got = tm._block_factor(matrix)[0]
         if same_bits(got, want):
             return  # the fallback, or the block path to the last bit
         assert certified(matrix, got)
@@ -1064,9 +1074,47 @@ class TestBlockInverse:
         half = size // 2
         matrix = np.zeros((size, size))
         matrix[:half, half:] = matrix[half:, :half] = np.eye(half)
-        assert same_bits(tm._block_inverse(matrix), np.linalg.inv(matrix))
+        assert same_bits(tm._block_factor(matrix)[0], np.linalg.inv(matrix))
         with pytest.raises(np.linalg.LinAlgError):
-            tm._block_inverse(np.zeros((size, size)))
+            tm._block_factor(np.zeros((size, size)))
+
+    def test_huge_wrong_inverse_falls_back(self, monkeypatch):
+        # leaf 1, a condition of 1.5e17: the block inverse's largest entry
+        # is 1e31 where LAPACK's is 5.5e23, yet its diagonal misses 1 by
+        # 1e-16 and the probe's normwise backward error, divided by
+        # max |y|, is 9e-22. The probe's absolute residual, 2.8e10, sends
+        # it to LAPACK's bytes
+        beta, roots = block_case(14, 1559, True, True, True, True, True, False)
+        matrix = tm._Bordered(beta, roots).matrix
+        monkeypatch.setattr(tm, "_BLOCK_LEAF", 1)
+        with np.errstate(all="ignore"):
+            blocked = tm._block_recursion(matrix)[0]
+        assert np.abs(blocked).max() > 1e6 * np.abs(np.linalg.inv(matrix)).max()
+        assert tm._certified_recursion(matrix) is None
+        assert same_bits(tm._block_factor(matrix)[0], np.linalg.inv(matrix))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=block_cases())
+    def test_certified_log_det_is_lus(self, case):
+        # the sum of the leaves' log-determinants against LU's, on the
+        # recursions that pass the certificate: within the perturbation
+        # bound n cond eps that a backward-stable ln det may move by (in
+        # 6000 examples the largest error was 5 % of it, 2.3e-10 at a
+        # condition of 1.3e7)
+        beta, roots, leaf = case
+        try:
+            record = tm._Bordered(beta, roots)
+            want = tm._augmented_logdet(record.matrix, record.normalized)
+        except (ZeroPartitionError, NumericalFaultError):
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tm, "_BLOCK_LEAF", leaf)
+            certified_result = tm._certified_recursion(record.matrix)
+        if certified_result is None or not np.isfinite(certified_result[2]):
+            return
+        size = record.matrix.shape[0]
+        bound = max(1e-10, size * np.linalg.cond(record.matrix) * np.finfo(float).eps)
+        assert abs(certified_result[2] - want) <= bound
 
     def test_uncertified_result_is_lapacks_bytes(self, monkeypatch, bordered_counts):
         # F1: the nearest-neighbour seed of 150 standardized spiral rows,
@@ -1074,7 +1122,7 @@ class TestBlockInverse:
         # garbage; the block path's diagonal misses 1 by about 3
         record = spiral_record(150, cli.nn_regression_seed)
         with np.errstate(all="ignore"):
-            assert not certified(record.matrix, tm._block_recursion(record.matrix))
+            assert not certified(record.matrix, tm._block_recursion(record.matrix)[0])
         with monkeypatch.context() as patch:
             patch.setattr(tm, "_BLOCK_LEAF", 151)
             want = tm._Bordered(record.beta, record.roots)
@@ -1122,3 +1170,57 @@ class TestBlockInverse:
                 assert bordered_counts["inv", 41] == 0
             for got, lap, want in zip(blocked, lapack, exact):
                 assert np.abs(got - want).max() <= max(1e-13, 10 * np.abs(lap - want).max())
+
+
+def fitted_gaussian(data):
+    return likelihood.fit_ml(data, models.gaussian_init_iid(data), max_iters=20,
+                             grad_tol=1e-12).model
+
+
+class TestFactor:
+    """``_Bordered.factor``: above ``_BLOCK_LEAF`` one certified block
+    recursion gives ln Z and the inverse; where it fails, LAPACK's bytes."""
+
+    @pytest.mark.parametrize("count", [150, 300])
+    @pytest.mark.parametrize("model_of", [models.gaussian_init_iid, fitted_gaussian])
+    def test_log_z_off_the_recursion_is_lus(self, bordered_counts, count, model_of):
+        record = spiral_record(count, model_of)
+        want = tm._augmented_logdet(record.matrix, record.normalized)
+        bordered_counts.clear()
+        record.factor()
+        record.log_z, record.posterior_weights()
+        assert bordered_counts["recursion", count + 1] == 1
+        assert bordered_counts["slogdet", count + 1] == bordered_counts["inv", count + 1] == 0
+        assert abs(record.logdet - want) <= 1e-10
+        assert same_bits(record.inverse, tm._block_recursion(record.matrix)[0])
+        assert record.residual == tm._diagonal_residual(record.matrix, record.inverse)
+        assert record.residual <= 1e-9
+
+    def test_uncertified_factor_keeps_lapacks_bytes(self, bordered_counts):
+        # F1: at the nearest-neighbour seed of 150 spiral rows the
+        # certificate fails; the inverse is LAPACK's, its residual read off
+        # it, and ln det is ``_augmented_logdet``'s, taken on first read
+        record = spiral_record(150, cli.nn_regression_seed)
+        fresh = tm._Bordered(record.beta, record.roots)
+        record.factor()
+        assert "logdet" not in vars(record)
+        assert bordered_counts["recursion", 151] == bordered_counts["inv", 151] == 1
+        want = np.linalg.inv(record.matrix)
+        assert same_bits(record.inverse, want)
+        assert record.residual == tm._diagonal_residual(record.matrix, want) > 1.0
+        assert same_bits(record.logdet, fresh.logdet)
+
+    @pytest.mark.parametrize("count", [20, tm._BLOCK_LEAF - 1])
+    def test_does_nothing_at_or_below_the_leaf(self, bordered_counts, count):
+        record = spiral_record(count, models.gaussian_init_iid)
+        bordered_counts.clear()
+        record.factor()
+        assert vars(record).keys().isdisjoint({"inverse", "logdet", "residual"})
+        assert not bordered_counts
+        # the residual is read off LAPACK's inverse, which is kept for the
+        # weights
+        want = np.linalg.inv(record.matrix)
+        assert record.residual == tm._diagonal_residual(record.matrix, want)
+        assert same_bits(record.inverse, want)
+        record.posterior_weights()
+        assert bordered_counts["inv", count + 1] == 2  # the residual's and the test's
