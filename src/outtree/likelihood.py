@@ -71,15 +71,18 @@ def iid_log_likelihood(data, model: MutationModel) -> float:
     return float(model.log_marginal_vector(data).sum())
 
 
-def _partition_gradient(data, model, record):
+def _partition_gradient(data, model, record, release=False):
     """d ln Z / d theta from the bordered-Laplacian ``record`` of validated data.
 
     ln Z is the log of a sum over trees, so its gradient is the posterior
     expectation of the tree's log-likelihood gradient: the model contracts
     its log-weight derivatives against the edge marginals and the root
-    posterior, both from the record's one inverse.
+    posterior, both from the record's one inverse. With ``release`` the
+    record's kept inverse is dropped before that contraction.
     """
     W, rho = record.posterior_weights()
+    if release:
+        record.release()
     return model.grad_from_marginals(data, W, rho)
 
 
@@ -107,9 +110,8 @@ def _objective(data, model, vector):
     record it was read from, factored once for the value and the gradient
     (``_Bordered.factor``)."""
     record = _build_bordered(data, model)
-    record.factor()
     size = len(data)
-    value = record.log_z - (size - 1) * np.log(size)
+    value = record.factor() - (size - 1) * np.log(size)
     return float(value) + model.penalty(vector)[0], record
 
 
@@ -182,14 +184,16 @@ def fit_ml(data, model0: MutationModel, *, max_iters=500, grad_tol=1e-5,
     Whenever a holdout set is given, fitting stops once the held-out score
     has not improved for ``patience`` accepted steps and the best-scoring
     model is returned; the score's training ln Z is read off the accepted
-    record. The gradient is read off the accepted trial's bordered
-    Laplacian, so each evaluation sets that matrix up once. Above dimension
-    128 each evaluation factors it once too (``_Bordered.factor``): the
-    trial's ln Z is read off the certified block recursion whose inverse
-    the gradient then reads, and ``slogdet`` runs only where the
-    certificate fails. Against mpmath at 30 digits that ln Z was within
-    2.1e-11 at T=300 and 2.7e-12 at T=150, LU's within 3.0e-12 and
-    1.9e-12. The inverse is dropped once the gradient is read.
+    record with ``slogdet``, as its union's is. The gradient is read off
+    the accepted trial's bordered Laplacian, so each evaluation sets that
+    matrix up once. Above dimension 128 each evaluation factors it once
+    too (``_Bordered.factor``): the trial's value is read off the certified
+    block recursion whose inverse the gradient then reads, and ``slogdet``
+    runs only where the certificate fails. Against mpmath at 30 digits
+    that ln Z was within 2.1e-11 at T=300 and 2.7e-12 at T=150, LU's within
+    3.0e-12 and 1.9e-12. The inverse is dropped once the gradient has its
+    edge marginals, before the model contracts them and before the
+    held-out score.
     """
     if max_iters < 0 or grad_tol <= 0:
         raise ValueError("max_iters must be >= 0 and grad_tol positive")
@@ -199,10 +203,6 @@ def fit_ml(data, model0: MutationModel, *, max_iters=500, grad_tol=1e-5,
     objective, record = _objective(data, model, vector)
     report = FitReport(initial_objective=objective, final_objective=objective,
                        model=model, evaluations=1)
-    if holdout is not None:
-        holdout = model.validate_data(holdout)
-        best_holdout = _conditional_score(data, holdout, model, record.log_z).score
-        best_model, best_objective, since_best = model, objective, 0
 
     def evaluate(trial_vector):
         report.evaluations += 1
@@ -210,13 +210,27 @@ def fit_ml(data, model0: MutationModel, *, max_iters=500, grad_tol=1e-5,
         value, trial_record = _objective(data, trial, trial_vector)
         return value, (trial, trial_record)
 
-    last = None
+    def gradient():
+        # the penalized gradient at the accepted point, or None when the
+        # inverse it would be read off is inaccurate; either way the record
+        # keeps no inverse after
+        if record.residual <= _GRADIENT_RESIDUAL:
+            return (_partition_gradient(data, model, record, release=True)
+                    + model.penalty(vector)[1])
+        record.release()
+        return None
+
+    # each gradient is read before the held-out score, so the score does not
+    # run while the record keeps its inverse
+    grad, last = (gradient() if max_iters else None), None
+    if holdout is not None:
+        holdout = model.validate_data(holdout)
+        best_holdout = _conditional_score(data, holdout, model, record.log_z).score
+        best_model, best_objective, since_best = model, objective, 0
     for index in range(1, max_iters + 1):
-        if not record.residual <= _GRADIENT_RESIDUAL:
+        if grad is None:
             report.reason = "inaccurate_gradient"
             break
-        grad = _partition_gradient(data, model, record) + model.penalty(vector)[1]
-        record.release()
         grad_norm = float(np.abs(grad).max())
         if grad_norm < grad_tol:
             report.reason = "gradient_tolerance"
@@ -227,6 +241,10 @@ def fit_ml(data, model0: MutationModel, *, max_iters=500, grad_tol=1e-5,
             break
         vector, objective, (model, record) = last.vector, last.value, last.payload
         report.iterations.append(FitIteration(index, objective, last.step, grad_norm))
+        if index < max_iters:
+            grad = gradient()
+        else:
+            record.release()
         if holdout is not None:
             holdout_score = _conditional_score(data, holdout, model, record.log_z).score
             if holdout_score > best_holdout:

@@ -290,14 +290,7 @@ def _ascend_theta(X, y, model, label_model, steps, record):
     ln Z is the unpenalized joint ln Z, and its attribute log-weights (None
     when no step was accepted). Each step's gradient is read off the record
     its value came from: the start's, then the accepted trial's, so no
-    weights are factored or filled twice. Above dimension 128 a trial's
-    record is factored once (``_Bordered.factor``): its ln Z is read off
-    the certified block recursion whose inverse the gradient reads next
-    (within 2.1e-11 of mpmath at T=300, LU within 3.0e-12; see
-    ``treemath._Bordered``), and it takes ``slogdet`` only where the
-    certificate fails. The returned record keeps that inverse for the
-    candidate screens. At or below 128, as at the semi-supervised
-    benchmark's T+1 = 91, every ln Z is ``slogdet``'s.
+    weights are factored or filled twice.
     """
     X = model.validate_data(X)
     vector = model.param_vector()
@@ -307,7 +300,6 @@ def _ascend_theta(X, y, model, label_model, steps, record):
         trial = model.with_params(trial_vector)
         beta, roots = build_beta(X, trial)
         trial_record = treemath._Bordered(*_joint_weights(beta, roots, y, label_model))
-        trial_record.factor()
         return (trial_record.log_z + trial.penalty(trial_vector)[0],
                 (trial, trial_record, beta.log_entries))
 

@@ -23,13 +23,14 @@ dimension, and kept only if it passes an O(T^2) residual certificate;
 otherwise, and at or below that dimension, it is numpy's ``inv``, bit for
 bit. The elimination runs in place in one array, the inverse followed by
 a scratch of about T^2 / 2 floats, so it makes no temporary per level.
-It gives ln det too, as the sum of its leaves' log-determinants: a record
-whose gradient will follow (``fit_ml``'s line-search trials, the
-semi-supervised theta step's) is factored once by ``_Bordered.factor``
-and reads ln Z off the certified recursion, while the paths that read no
-inverse (``log_partition``, ``tdid_log_likelihood``, the held-out score,
-the label flips) and every matrix at or below ``_BLOCK_LEAF`` read it off
-numpy's ``slogdet``.
+It gives ln det too, as the sum of its leaves' log-determinants: each of
+``fit_ml``'s line-search trials, whose gradient may follow, is factored
+once by ``_Bordered.factor`` and takes its value off the certified
+recursion. Every ln Z that is compared with another record's (the
+held-out score, the semi-supervised session's flips, restarts and theta
+steps), the paths that read no inverse (``log_partition``,
+``tdid_log_likelihood``) and every matrix at or below ``_BLOCK_LEAF``
+read it off numpy's ``slogdet``.
 Weights built from a fresh array (``build_beta``, the semi-supervised joint
 weights, the VB expected-log weights) take it through the private
 ``WeightMatrix._owning``, which does not copy it and, given the row scales
@@ -378,14 +379,15 @@ class _Bordered:
     is their only home.
     ``logdet`` and ``inverse`` are computed on first read and kept: the
     determinant by ``_augmented_logdet`` (numpy's ``slogdet``), the inverse
-    by ``_block_factor``, which is numpy's ``inv`` up to dimension
+    by ``_block_inverse``, which is numpy's ``inv`` up to dimension
     ``_BLOCK_LEAF`` and wherever its certificate fails. ``factor`` reads
-    both off one certified block recursion instead, for a record whose
-    gradient will follow (the trials of ``fit_ml`` and of the
-    semi-supervised theta step). The paths that read no inverse
-    (``log_partition``, ``tdid_log_likelihood``, the held-out score, the
-    label flips) keep ``slogdet``: an inverse at dimension 1001 costs about
-    2.3 of them. Against mpmath at 30 digits the recursion's ln Z was
+    the inverse and a value of ln Z off one certified block recursion
+    instead, for a ``fit_ml`` trial whose gradient may follow; ``logdet``
+    stays ``slogdet``'s, so every ln Z compared with another record's is
+    taken one way. The paths that read no inverse (``log_partition``,
+    ``tdid_log_likelihood``, the held-out score's union, the label flips)
+    take only ``slogdet``: an inverse at dimension 1001 costs about 2.3 of
+    them. Against mpmath at 30 digits the recursion's ln Z was
     within 2.1e-11 at T=300 and 2.7e-12 at T=150, LU's within 3.0e-12 and
     1.9e-12 (spiral rows under ``gaussian_init_iid``); on the benchmark
     fits' records the two agreed within 5.4e-14 relative. Weights
@@ -508,26 +510,30 @@ class _Bordered:
     def log_z(self) -> float:
         return self.offset + self.logdet
 
-    def factor(self):
-        """Above dimension ``_BLOCK_LEAF``, invert ``matrix`` once for both
-        the value and the gradient: keep the inverse and, when it is the
-        certified recursion's, its ``residual`` and, if finite, its
-        log-determinant as ``logdet``. Where the certificate fails the
-        inverse is LAPACK's and ``logdet`` stays ``_augmented_logdet``'s,
-        computed on first read; at or below that dimension this does
-        nothing."""
+    def factor(self) -> float:
+        """ln Z of a record whose gradient follows, read off the inverse that
+        gradient reads. Above dimension ``_BLOCK_LEAF`` this inverts
+        ``matrix`` once and keeps the inverse, and, when it is the certified
+        recursion's, its ``residual``, and returns ``offset`` plus the
+        recursion's log-determinant if that is finite. Where the certificate
+        fails (the inverse is then LAPACK's), and at or below that dimension,
+        where this inverts nothing, it returns ``log_z``. ``logdet`` and
+        ``log_z`` are ``_augmented_logdet``'s throughout, so a value compared
+        with another record's ln Z (the held-out score's union) never mixes
+        the two methods."""
         if self.matrix.shape[0] > _BLOCK_LEAF:
             self.inverse, residual, logdet = self._invert()
             if residual is not None:
                 self.residual = float(residual)
             if np.isfinite(logdet):
-                self.logdet = float(logdet)
+                return self.offset + float(logdet)
+        return self.log_z
 
     def _invert(self):
-        """``_block_factor(matrix)``: the inverse (do not mutate), and the
+        """``_block_inverse(matrix)``: the inverse (do not mutate), and the
         certified recursion's residual and log-determinant."""
         try:
-            return _block_factor(self.matrix)
+            return _block_inverse(self.matrix)
         except np.linalg.LinAlgError as exc:
             raise ZeroPartitionError("no out-tree has positive weight") from exc
 
@@ -589,7 +595,7 @@ class _Bordered:
 _BLOCK_LEAF = 128
 
 
-def _block_factor(matrix):
+def _block_inverse(matrix):
     """(X, r, ln det) of a square ``matrix``: its inverse X and, when X came
     from recursive 2 x 2 block elimination (above ``_BLOCK_LEAF``), the
     residual r = max |diag(matrix @ X) - 1| of its certificate and the
@@ -628,7 +634,7 @@ def _diagonal_residual(matrix, inverse):
 def _certified_recursion(matrix):
     """``_block_recursion(matrix)``'s inverse, the diagonal residual of its
     certificate and its log-determinant, if the inverse passes
-    ``_block_factor``'s certificate, else None. The certificate's row sums
+    ``_block_inverse``'s certificate, else None. The certificate's row sums
     of |matrix| are taken a block of rows at a time in the recursion's
     scratch."""
     size = matrix.shape[0]

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -361,6 +362,46 @@ class TestFit:
         assert bordered_counts["slogdet", 41] == 1 + len(report.iterations)
         assert bordered_counts["slogdet", 31] == len(evaluations)
         assert bordered_counts["set-up"] == len(evaluations) + 1 + len(report.iterations)
+
+    def test_holdout_score_and_contraction_run_without_an_inverse(self, monkeypatch):
+        # at T + 1 = 151 a trial's value is read off the block recursion, but
+        # the held-out score's training ln Z is slogdet's, as its union's is,
+        # and neither the score nor the model's contraction of the edge
+        # marginals runs while a fit record keeps its inverse
+        factored, scored, contracted = [], [], []
+        factor = treemath._Bordered.factor
+        score = lk._conditional_score
+        contract = models.GaussianModel.grad_from_marginals
+
+        def spied_factor(record):
+            factored.append(weakref.ref(record))
+            return factor(record)
+
+        def kept():
+            # the records still alive that keep an inverse
+            live = [ref() for ref in factored]
+            return sum("inverse" in vars(record) for record in live if record is not None)
+
+        def spied_score(train, test, model, log_z_train):
+            scored.append((kept(), model, log_z_train))
+            return score(train, test, model, log_z_train)
+
+        def spied_contract(model, *args):
+            contracted.append(kept())
+            return contract(model, *args)
+
+        monkeypatch.setattr(treemath._Bordered, "factor", spied_factor)
+        monkeypatch.setattr(lk, "_conditional_score", spied_score)
+        monkeypatch.setattr(models.GaussianModel, "grad_from_marginals", spied_contract)
+        data = cli.standardize(cli.gen_spiral(cli.SpiralSpec(count=160), 83117))[0]
+        train, holdout = data[:150], data[150:]
+        report = lk.fit_ml(train, models.gaussian_init_iid(train), max_iters=3,
+                           grad_tol=1e-12, holdout=holdout, patience=10)
+        assert len(report.iterations) == 3
+        assert len(scored) == 4 and contracted == [0, 0, 0]
+        for inverses, model, log_z_train in scored:
+            assert inverses == 0
+            assert log_z_train == lk._build_bordered(train, model).log_z
 
     def test_conditional_score_is_the_test_log_likelihood(self):
         rng = np.random.default_rng(35)

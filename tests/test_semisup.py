@@ -476,38 +476,6 @@ class TestGreedyInference:
             assert bordered_counts["inv", 13] == steps
             assert bordered_counts["slogdet", 13] == 1 + len(trials)
 
-    @pytest.mark.parametrize("seed", [8, 10])
-    def test_theta_step_above_the_leaf_reads_log_z_off_the_recursion(
-            self, monkeypatch, bordered_counts, seed):
-        # at T + 1 = 151 each trial is factored once by the certified block
-        # recursion, which gives its ln Z and the inverse its gradient
-        # reads: no determinant and no inverse of the whole matrix. At seed
-        # 8 the first trial overshoots to a condition of 6e10, fails the
-        # certificate and takes LAPACK's inverse and slogdet; it is rejected
-        failed = []
-        certified = treemath._certified_recursion
-
-        def spied(matrix):
-            result = certified(matrix)
-            failed.append(result is None)
-            return result
-
-        monkeypatch.setattr(treemath, "_certified_recursion", spied)
-        X, y, _, model = synthetic_problem(seed, size=150)
-        labels = np.where(y >= 0, y, 0)
-        lm = semisup.LabelModel(alpha=0.85, n_classes=2)
-        start = treemath._Bordered(*semisup.build_joint_beta(X, labels, model, lm))
-        start.log_z  # a session's record is factored when it is made
-        bordered_counts.clear()
-        stepped, record, log_cond = semisup._ascend_theta(X, labels, model, lm, 1, start)
-        assert log_cond is not None  # the step was accepted
-        # the start's gradient, then one per trial
-        assert len(failed) == 1 + bordered_counts["set-up"]
-        assert sum(failed) == (seed == 8)
-        assert bordered_counts["slogdet", 151] == bordered_counts["inv", 151] == sum(failed)
-        fresh = treemath._Bordered(*semisup.build_joint_beta(X, labels, stepped, lm))
-        assert abs(record.log_z - fresh.log_z) <= 1e-10
-
     def test_theta_steps_climb_the_penalized_objective(self, monkeypatch):
         # a kernel model's alpha penalty enters each theta step's value and
         # gradient, as in fit_ml; the record keeps the unpenalized joint ln Z

@@ -759,7 +759,7 @@ def rescaled_copy_record(beta, roots):
 
     def weights():
         try:
-            inv = tm._block_factor(matrix)[0]
+            inv = tm._block_inverse(matrix)[0]
         except np.linalg.LinAlgError:
             return ZeroPartitionError
         core = inv[1:, 1:]
@@ -1004,7 +1004,7 @@ def fresh_recursion(matrix, leaf):
 
 
 class TestBlockInverse:
-    """``_block_factor``'s inverse against LAPACK's inverse and the exact one."""
+    """``_block_inverse``'s inverse against LAPACK's inverse and the exact one."""
 
     @pytest.mark.parametrize("count", [150, 300])
     @pytest.mark.parametrize("block_leaf", [None, 256])
@@ -1020,16 +1020,16 @@ class TestBlockInverse:
         want = fresh_recursion(matrix, tm._recursion_leaf())
         assert same_bits(tm._block_recursion(matrix)[0], want)
         if block_leaf is None:
-            assert same_bits(tm._block_factor(matrix)[0], want)
+            assert same_bits(tm._block_inverse(matrix)[0], want)
 
     def test_peak_is_the_inverse_and_its_scratch(self, bordered_counts):
         # X and a scratch of about n^2 / 2 floats in one allocation, plus
         # LAPACK's leaf inverses: no temporary per level and no n x n |M|
         matrix = spiral_record(300, models.gaussian_init_iid).matrix
-        tm._block_factor(matrix)  # warm every code path
+        tm._block_inverse(matrix)  # warm every code path
         tracemalloc.start()
         try:
-            tm._block_factor(matrix)
+            tm._block_inverse(matrix)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1050,12 +1050,12 @@ class TestBlockInverse:
                 want = np.linalg.inv(matrix)
             except np.linalg.LinAlgError:
                 try:
-                    got = tm._block_factor(matrix)[0]
+                    got = tm._block_inverse(matrix)[0]
                 except np.linalg.LinAlgError:
                     return
                 assert certified(matrix, got)
                 return
-            got = tm._block_factor(matrix)[0]
+            got = tm._block_inverse(matrix)[0]
         if same_bits(got, want):
             return  # the fallback, or the block path to the last bit
         assert certified(matrix, got)
@@ -1074,9 +1074,9 @@ class TestBlockInverse:
         half = size // 2
         matrix = np.zeros((size, size))
         matrix[:half, half:] = matrix[half:, :half] = np.eye(half)
-        assert same_bits(tm._block_factor(matrix)[0], np.linalg.inv(matrix))
+        assert same_bits(tm._block_inverse(matrix)[0], np.linalg.inv(matrix))
         with pytest.raises(np.linalg.LinAlgError):
-            tm._block_factor(np.zeros((size, size)))
+            tm._block_inverse(np.zeros((size, size)))
 
     def test_huge_wrong_inverse_falls_back(self, monkeypatch):
         # leaf 1, a condition of 1.5e17: the block inverse's largest entry
@@ -1091,7 +1091,7 @@ class TestBlockInverse:
             blocked = tm._block_recursion(matrix)[0]
         assert np.abs(blocked).max() > 1e6 * np.abs(np.linalg.inv(matrix)).max()
         assert tm._certified_recursion(matrix) is None
-        assert same_bits(tm._block_factor(matrix)[0], np.linalg.inv(matrix))
+        assert same_bits(tm._block_inverse(matrix)[0], np.linalg.inv(matrix))
 
     @settings(max_examples=150, deadline=None)
     @given(case=block_cases())
@@ -1179,7 +1179,8 @@ def fitted_gaussian(data):
 
 class TestFactor:
     """``_Bordered.factor``: above ``_BLOCK_LEAF`` one certified block
-    recursion gives ln Z and the inverse; where it fails, LAPACK's bytes."""
+    recursion gives the value of ln Z it returns and the inverse; where it
+    fails, LAPACK's bytes. The record's ``logdet`` stays slogdet's."""
 
     @pytest.mark.parametrize("count", [150, 300])
     @pytest.mark.parametrize("model_of", [models.gaussian_init_iid, fitted_gaussian])
@@ -1187,11 +1188,14 @@ class TestFactor:
         record = spiral_record(count, model_of)
         want = tm._augmented_logdet(record.matrix, record.normalized)
         bordered_counts.clear()
-        record.factor()
-        record.log_z, record.posterior_weights()
+        log_z = record.factor()
+        record.posterior_weights()
         assert bordered_counts["recursion", count + 1] == 1
         assert bordered_counts["slogdet", count + 1] == bordered_counts["inv", count + 1] == 0
-        assert abs(record.logdet - want) <= 1e-10
+        assert abs(log_z - record.offset - want) <= 1e-10
+        # the record's own ln Z stays slogdet's
+        assert "logdet" not in vars(record)
+        assert record.logdet == want
         assert same_bits(record.inverse, tm._block_recursion(record.matrix)[0])
         assert record.residual == tm._diagonal_residual(record.matrix, record.inverse)
         assert record.residual <= 1e-9
@@ -1202,21 +1206,24 @@ class TestFactor:
         # it, and ln det is ``_augmented_logdet``'s, taken on first read
         record = spiral_record(150, cli.nn_regression_seed)
         fresh = tm._Bordered(record.beta, record.roots)
-        record.factor()
-        assert "logdet" not in vars(record)
+        bordered_counts.clear()
+        log_z = record.factor()
         assert bordered_counts["recursion", 151] == bordered_counts["inv", 151] == 1
+        assert bordered_counts["slogdet", 151] == 1
         want = np.linalg.inv(record.matrix)
         assert same_bits(record.inverse, want)
         assert record.residual == tm._diagonal_residual(record.matrix, want) > 1.0
-        assert same_bits(record.logdet, fresh.logdet)
+        assert same_bits(log_z, fresh.log_z) and same_bits(record.logdet, fresh.logdet)
 
     @pytest.mark.parametrize("count", [20, tm._BLOCK_LEAF - 1])
     def test_does_nothing_at_or_below_the_leaf(self, bordered_counts, count):
         record = spiral_record(count, models.gaussian_init_iid)
         bordered_counts.clear()
-        record.factor()
-        assert vars(record).keys().isdisjoint({"inverse", "logdet", "residual"})
-        assert not bordered_counts
+        log_z = record.factor()
+        # ln Z is slogdet's, and nothing is inverted
+        assert vars(record).keys().isdisjoint({"inverse", "residual"})
+        assert bordered_counts == {("slogdet", count + 1): 1}
+        assert log_z == record.log_z
         # the residual is read off LAPACK's inverse, which is kept for the
         # weights
         want = np.linalg.inv(record.matrix)
