@@ -21,7 +21,7 @@ import numpy as np
 
 from . import io as otio
 from . import likelihood, sampler, semisup, vb
-from .errors import ConfigError, DataError, OutTreeError
+from .errors import ConfigError, DataError, NumericalFaultError, OutTreeError
 from .models import (GaussianModel, TabularModel, gaussian_init_iid, kernel_init_iid,
                      tabular_init_iid)
 
@@ -614,7 +614,14 @@ def cmd_eval(args):
 
 def cmd_sample(args):
     model = otio.read_model(args.model)
-    draw = sampler.sample_dataset(model, args.rows, args.seed)
+    # finite parameters can still overflow along a deep path of the tree; the
+    # rows are checked once, after the draw
+    with np.errstate(over="ignore", invalid="ignore"):
+        draw = sampler.sample_dataset(model, args.rows, args.seed)
+    overflowed = np.flatnonzero(~np.isfinite(draw.data).all(axis=1))
+    if overflowed.size:
+        raise NumericalFaultError(f"sampled row {overflowed[0]} is not finite: "
+                                  "the model's draws overflow")
     otio.write_sample_csv(args.output, draw.data)
     otio.write_edge_list(args.edges or args.output + ".edges", draw.tree)
     return 0

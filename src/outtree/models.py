@@ -121,16 +121,8 @@ def _check_conditional_rows(block, start):
         raise DataError(f"non-finite log conditional for pair ({start + u}, {v})")
 
 
-def _check_marginals(log_marg):
-    """Raise ``DataError`` naming the first row with a non-finite root log
-    density."""
-    if not np.all(np.isfinite(log_marg)):
-        r = int(np.flatnonzero(~np.isfinite(log_marg))[0])
-        raise DataError(f"non-finite log marginal for row {r}")
-
-
 def _checked_rows(fill, size, row_scales):
-    """Row source of ``_Bordered._fill`` that runs the row-block kernel
+    """Row source (see ``_Bordered._set_up``) that runs the row-block kernel
     ``fill`` (see ``MutationModel._conditional_rows``) of a size x size
     matrix and checks each block.
 
@@ -175,9 +167,18 @@ def build_beta(data, model: MutationModel):
     data = model.validate_data(data)
     with np.errstate(over="ignore", invalid="ignore"):
         beta = _checked_weights(model._conditional_rows(data), len(data))
-        log_marg = model.log_marginal_vector(data)
-    _check_marginals(log_marg)
-    return beta, RootWeights(log_values=log_marg)
+        return beta, _root_weights(data, model)
+
+
+def _root_weights(data, model):
+    """The root weights p(x_r) of validated ``data``; a non-finite root log
+    density raises ``DataError`` naming the first such row. Callers ignore
+    overflow in the model's arithmetic."""
+    log_marg = model.log_marginal_vector(data)
+    if not np.all(np.isfinite(log_marg)):
+        r = int(np.flatnonzero(~np.isfinite(log_marg))[0])
+        raise DataError(f"non-finite log marginal for row {r}")
+    return RootWeights(log_values=log_marg)
 
 
 def _build_bordered(data, model: MutationModel):
@@ -194,11 +195,8 @@ def _build_bordered(data, model: MutationModel):
     row_scales = np.empty(size)
     with np.errstate(over="ignore", invalid="ignore"):
         log_rows = _checked_rows(model._conditional_rows(data), size, row_scales)
-        record = _Bordered._from_rows(size, log_rows)
-        log_marg = model.log_marginal_vector(data)
-    _check_marginals(log_marg)
-    record._border(row_scales, float(row_scales.sum()), RootWeights(log_values=log_marg))
-    return record
+        return _Bordered._set_up(size, log_rows, row_scales,
+                                 lambda: _root_weights(data, model))
 
 
 def _continuous_values(data, dim):
@@ -242,6 +240,14 @@ def _unpack_chol(packed, d):
     return chol
 
 
+def _check_finite(**params):
+    """Raise ``ValueError`` naming the first parameter with a NaN or an
+    infinite entry."""
+    for name, value in params.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
+
+
 def _chol_or_raise(sigma, name):
     try:
         return np.linalg.cholesky(sigma)
@@ -271,13 +277,20 @@ class GaussianModel(MutationModel):
         self.sigma_c_given_pi = np.atleast_2d(np.asarray(sigma_c_given_pi, dtype=float))
         self.sigma_cc = np.atleast_2d(np.asarray(sigma_cc, dtype=float))
         self.sigma_pipi = np.atleast_2d(np.asarray(sigma_pipi, dtype=float))
+        if self.mu_c.ndim != 1:
+            raise ValueError("mu_c must be a vector")
         d = self.mu_c.shape[0]
         self.dim = d
+        if self.mu_pi.shape != (d,):
+            raise ValueError(f"mu_pi must have length {d}")
         for name, mat in (("sigma_c_given_pi", self.sigma_c_given_pi),
                           ("sigma_cc", self.sigma_cc),
                           ("sigma_pipi", self.sigma_pipi)):
             if mat.shape != (d, d):
                 raise ValueError(f"{name} must be {d} x {d}")
+        _check_finite(mu_c=self.mu_c, mu_pi=self.mu_pi,
+                      sigma_c_given_pi=self.sigma_c_given_pi, sigma_cc=self.sigma_cc,
+                      sigma_pipi=self.sigma_pipi)
         self._chol_cc = _chol_or_raise(self.sigma_cc, "sigma_cc")
         self._chol_pipi = _chol_or_raise(self.sigma_pipi, "sigma_pipi")
         self._inv_cc = np.linalg.inv(self.sigma_cc)
@@ -422,7 +435,7 @@ def tabular_counts(column, k, W, rho):
 
 
 def _check_prob_vector(p, name):
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
+    if np.any(p < 0) or not abs(p.sum() - 1.0) <= 1e-12:  # NaN fails the sum
         raise ValueError(f"{name} must be a probability vector (sum within 1e-12)")
 
 
@@ -606,15 +619,21 @@ class KernelModel(MutationModel):
         self.kernel = kernel
         self.gamma = float(gamma) if gamma is not None else None
         self.alpha_penalty = float(alpha_penalty)
+        if self.mu.ndim != 1:
+            raise ValueError("mu must be a vector")
         self.dim = self.mu.shape[0]
         if self.anchors.shape[0] == 0:
             raise ValueError("anchors must be non-empty")
+        if self.anchors.shape[1] != self.dim:
+            raise ValueError(f"anchors must have {self.dim} columns")
         if self.alpha.shape != (self.anchors.shape[0], self.dim):
             raise ValueError("alpha must be (num anchors) x D")
-        if self.sigma.shape != (self.dim,) or np.any(self.sigma <= 0):
-            raise ValueError("sigma must be length-D and positive")
-        if kernel == "rbf" and (self.gamma is None or self.gamma <= 0):
-            raise ValueError("rbf kernel needs a positive bandwidth")
+        _check_finite(anchors=self.anchors, alpha=self.alpha, mu=self.mu)
+        # NaN fails both bounds
+        if self.sigma.shape != (self.dim,) or not np.all((self.sigma > 0) & (self.sigma < np.inf)):
+            raise ValueError("sigma must be length-D, positive and finite")
+        if kernel == "rbf" and not (self.gamma is not None and 0 < self.gamma < np.inf):
+            raise ValueError("rbf kernel needs a positive finite bandwidth gamma")
         # the anchors' squared distances to themselves, computed on first use
         # and shared with every model ``with_params`` derives from this one
         self._anchor_sq = {}

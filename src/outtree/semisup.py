@@ -10,7 +10,9 @@ inverse of the current factorization, score the best candidate exactly
 by factoring the flipped weights, and commit strictly improving flips. A
 flip rewrites one row and column of the joint weights, so its bordered
 Laplacian is patched from the current one, equal bit for bit to a fresh
-fill, and a commit swaps in the record its preview factored.
+fill, and a commit swaps in the record its preview factored. This module
+supplies the flipped log-weights; the screen and the patch are the session
+record's (``treemath._Bordered``).
 """
 
 from __future__ import annotations
@@ -161,26 +163,10 @@ class LabelInference:
         return gain
 
     def screen_delta(self, node, new_label) -> float:
-        """First-order estimate of the flip gain from the current inverse.
-
-        An edit of the scaled weight of v -> u by delta moves the
-        log-determinant by delta * (inv[u, u] - inv[v, u]) to first order
-        (indices shifted by the border); the row edits have u = node and the
-        column edits v = node. The current scaled weights are read off the
-        session's bordered matrix as -Q: x - (0 - q) is x + q exactly. The
-        diagonal entry of each delta then holds a row sum, which is
-        multiplied by an exact 0.
-        """
+        """First-order estimate of the flip gain from the current inverse
+        (``_Bordered._screen``)."""
         self._check_flip(node, new_label)
-        record = self.session._record
-        row_scales, q = record.row_scales, record.matrix[1:, 1:]
-        core = record.inverse[1:, 1:]
-        row, column = self._flipped_logs(node, new_label)
-        with np.errstate(under="ignore"):
-            row_delta = np.exp(row - row_scales[node]) + q[node]
-            column_delta = np.exp(column - row_scales) + q[:, node]
-        return float(row_delta @ (core[node, node] - core[:, node])
-                     + column_delta @ (np.diag(core) - core[node]))
+        return self.session._record._screen(node, *self._flipped_logs(node, new_label))
 
     def commit(self, node, new_label) -> float:
         """Apply the flip, returning the new log-partition. The record of a

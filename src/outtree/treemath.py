@@ -13,6 +13,10 @@ row-rescaled bordered Laplacian once: ln Z is read off its determinant,
 the edge marginals and root posterior off its inverse, each computed only
 when read. ``log_partition``, ``posterior_weights`` and the greedy-search
 session read such records, so a value and its gradient share one set-up.
+Only this module knows the record's layout: other modules set one up
+(``_Bordered(beta, roots)``, ``_Bordered._set_up``) and read it through
+``log_z``, ``factor()``, ``residual``, ``posterior_weights()``,
+``release()`` and the session's flip patch and candidate screen.
 The likelihood's records come straight from a model instead
 (``models._build_bordered``): the record's one fill loop takes each row
 block of log-weights from either a ``WeightMatrix`` or the model's
@@ -374,7 +378,7 @@ class _Bordered:
     determinant is sum_r p(r) Z_r of the scaled weights, and ln Z =
     ``offset`` + ``logdet`` exactly. Q is written one row block at a time
     (exp, row sums, 0 - x) from the log-weights of a ``WeightMatrix``, or
-    of a model's row-block kernel (``_from_rows``; ``beta`` is then None),
+    of a model's row-block kernel (``_set_up``; ``beta`` is then None),
     so 0 - Q off the diagonal is the scaled weights exactly, and the record
     is their only home.
     ``logdet`` and ``inverse`` are computed on first read and kept: the
@@ -407,14 +411,17 @@ class _Bordered:
                 raise ZeroPartitionError("no out-tree has positive weight")
         self._fill(beta.size, beta._log_rows)
         self.beta = beta
-        self._border(beta.row_scales, beta.scale_total, roots)
+        self._border(beta.row_scales, roots)
 
     @classmethod
-    def _from_rows(cls, size, log_rows):
-        """Record whose core is filled from the row source ``log_rows`` (see
-        ``_fill``) and whose border ``_border`` writes next."""
+    def _set_up(cls, size, log_rows, row_scales, roots):
+        """Record with no ``WeightMatrix`` behind it, filled from the row
+        source ``log_rows`` (see ``_fill``), which leaves the row scales in
+        ``row_scales``, and bordered with ``roots()``, called after the fill
+        so that a fault of the weights is raised before one of the roots."""
         record = cls.__new__(cls)
         record._fill(size, log_rows)
+        record._border(row_scales, roots())
         return record
 
     def _fill(self, size, log_rows):
@@ -446,10 +453,9 @@ class _Bordered:
                 np.subtract(0.0, part, out=core[rows])
         self.matrix.reshape(-1)[size + 2::size + 2] += sums
 
-    def _border(self, row_scales, scale_total, roots):
+    def _border(self, row_scales, roots):
         """Write the root border of ``matrix`` and set the record's row
-        scales, root weights, normalized border p and ln Z offset;
-        ``scale_total`` is ``float(row_scales.sum())``."""
+        scales, root weights, normalized border p and ln Z offset."""
         adjusted_log = roots.log_values - row_scales
         adjusted_total = float(_logsumexp(adjusted_log))
         with np.errstate(under="ignore"):
@@ -458,7 +464,7 @@ class _Bordered:
         self.matrix[0, 1:] = self.normalized
         self.matrix[1:, 0] = -self.normalized
         self.row_scales, self.roots = row_scales, roots
-        self.offset = scale_total + adjusted_total
+        self.offset = float(row_scales.sum()) + adjusted_total
 
     def _crossed(self, node, row_logs, column_logs):
         """Record of these weights with row and column ``node`` replaced by
@@ -499,8 +505,23 @@ class _Bordered:
         np.fill_diagonal(core, 0.0)
         np.fill_diagonal(core, np.subtract(0.0, np.add.reduce(core, axis=1)))
         record.beta = beta
-        record._border(row_scales, beta.scale_total, self.roots)
+        record._border(row_scales, self.roots)
         return record
+
+    def _screen(self, node, row_logs, column_logs):
+        """First-order change in ln Z when row and column ``node`` of the
+        log-weights take ``row_logs`` and ``column_logs``, read off the kept
+        ``inverse``: an edit of the scaled weight of v -> u by delta moves it
+        by delta * (inv[u, u] - inv[v, u]) (indices shifted by the border).
+        The current scaled weights are read off the matrix as -Q: x - (0 - q)
+        is x + q exactly, and each delta's diagonal entry, a row sum, is
+        multiplied by an exact 0."""
+        q, core = self.matrix[1:, 1:], self.inverse[1:, 1:]
+        with np.errstate(under="ignore"):
+            row_delta = np.exp(row_logs - self.row_scales[node]) + q[node]
+            column_delta = np.exp(column_logs - self.row_scales) + q[:, node]
+        return float(row_delta @ (core[node, node] - core[:, node])
+                     + column_delta @ (np.diag(core) - core[node]))
 
     @cached_property
     def logdet(self) -> float:
@@ -980,15 +1001,15 @@ def tree_entropy(beta: WeightMatrix, r: int) -> float:
 class IncrementalLogdet:
     """The ``_Bordered`` record of the current weights, factored.
 
-    A row-and-column replacement (a label flip) takes ``_cross``, which
-    patches a copy of the current bordered matrix (``_Bordered._crossed``),
-    and ``_commit`` swaps in such a record without setting it up or
-    factoring it again. The ``inverse`` is computed on its first read, so a
-    search that never screens candidates (two classes) never inverts.
-    Weights with no out-tree of positive weight raise
-    ``ZeroPartitionError``, at construction too; a replacement whose record
-    raises leaves the session unchanged. Single-writer: one mutable session
-    at a time.
+    A row-and-column replacement (a label flip) is ranked by the record's
+    ``_screen`` and takes ``_cross``, which patches a copy of the current
+    bordered matrix (``_Bordered._crossed``), and ``_commit`` swaps in such
+    a record without setting it up or factoring it again. The record's
+    inverse is computed on the first screen, so a search that never screens
+    candidates (two classes) never inverts. Weights with no out-tree of
+    positive weight raise ``ZeroPartitionError``, at construction too; a
+    replacement whose record raises leaves the session unchanged.
+    Single-writer: one mutable session at a time.
     """
 
     def __init__(self, beta: WeightMatrix, roots: RootWeights):
@@ -996,20 +1017,8 @@ class IncrementalLogdet:
         self._record.logdet  # factor now, so weights with Z = 0 raise here
 
     @property
-    def beta(self) -> WeightMatrix:
-        return self._record.beta
-
-    @property
-    def logdet(self) -> float:
-        return self._record.logdet
-
-    @property
     def log_partition(self) -> float:
         return self._record.log_z
-
-    @property
-    def inverse(self) -> np.ndarray:
-        return self._record.inverse
 
     def _cross(self, node, row_logs, column_logs):
         """Unfactored record of the current weights with row and column

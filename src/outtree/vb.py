@@ -345,9 +345,8 @@ def _type_graph(types: _RowTypes, elogs):
 
     size = len(types.rows)
     row_scales = np.empty(size)
-    record = treemath._Bordered._from_rows(size, _checked_rows(fill, size, row_scales))
-    record._border(row_scales, float(row_scales.sum()), types.roots)
-    return record
+    return treemath._Bordered._set_up(size, _checked_rows(fill, size, row_scales),
+                                      row_scales, lambda: types.roots)
 
 
 def _type_posterior(types: _RowTypes, elogs):

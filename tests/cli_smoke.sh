@@ -2,9 +2,10 @@
 # End-to-end smoke run of the command line: every subcommand that writes an
 # artifact, a fit of 300 rows checked against a fresh likelihood, a resumed
 # VB fit, a VB fit of equal rows and one of 200 000 rows, a tabular fit
-# scored by eval, config files, and the exit code and JSON error record of
-# a usage error, of a malformed checkpoint, of a labelled row whose weights
-# overflow, of a non-integer cell scored under a tabular model and of
+# scored by eval, config files, label inference over two and three classes,
+# and the exit code and JSON error record of a usage error, of a malformed
+# checkpoint, of a labelled row whose weights overflow, of a model document
+# with a NaN mean, of a non-integer cell scored under a tabular model and of
 # inputs with no attribute columns or no rows.
 # Run from the root of a checkout: bash tests/cli_smoke.sh
 set -euo pipefail
@@ -51,6 +52,12 @@ awk -F, 'NR == 1 { print $0 ",y"; next } { print $0 "," (NR % 3 ? NR % 2 : "") }
 outtree semisup --input "$dir/labeled.csv" --label-column y --model "$dir/m.model" \
   --seed 4 --output "$dir/labels.csv"
 rows "$dir/labels.csv" 10
+# three classes: each hidden node's two other labels are ranked by the
+# first-order screen off the session's inverse before the best is scored
+outtree semisup --input "$dir/labeled.csv" --label-column y --model "$dir/m.model" \
+  --classes 3 --seed 4 --output "$dir/labels3.csv"
+rows "$dir/labels3.csv" 10
+head -n 1 "$dir/labels3.csv" | grep -q ',delta_2$'
 outtree sample --model "$dir/m.model" --rows 15 --seed 3 --output "$dir/draw.csv"
 rows "$dir/draw.csv" 15
 printf 'a,b\n0,1\n1,1\n2,0\n0,0\n1,2\n2,2\n' > "$dir/cats.csv"
@@ -101,6 +108,11 @@ awk -F, -v OFS=, 'NR == 5 { $1 = $2 = $3 = "1e200" } 1' "$dir/labeled.csv" \
   > "$dir/overflow.csv"
 expect_error 3 semisup --input "$dir/overflow.csv" --label-column y \
   --model "$dir/m.model" --seed 4 --output "$dir/never.csv"
+test "$(wc -l < "$dir/err")" -eq 1
+# a model document with a NaN mean is rejected as it is read
+sed 's/^mu_c vector 3 [^ ]*/mu_c vector 3 nan/' "$dir/m.model" > "$dir/nan.model"
+grep -q "^mu_c vector 3 nan " "$dir/nan.model"
+expect_error 3 sample --model "$dir/nan.model" --rows 5 --seed 1 --output "$dir/never.csv"
 test "$(wc -l < "$dir/err")" -eq 1
 printf 'a,b\n0,1\n1.5,2\n' > "$dir/halves.csv"
 expect_error 3 eval --input "$dir/cats.csv" --test "$dir/halves.csv" \

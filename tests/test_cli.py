@@ -609,6 +609,70 @@ class TestMalformedArtifacts:
                          "--model", model_path]) == 3
         assert "mu_c" in error_record(capsys, 3)["message"]
 
+    @staticmethod
+    def narrower(parts):
+        """A vector record one entry shorter, a matrix record one column
+        narrower; the document still parses."""
+        if parts[1] == "vector":
+            return parts[:2] + [str(int(parts[2]) - 1)] + parts[3:-1]
+        cols = int(parts[3])
+        return parts[:3] + [str(cols - 1)] + [value for i, value in enumerate(parts[4:])
+                                              if i % cols != cols - 1]
+
+    @staticmethod
+    def first_value(text):
+        """An edit that writes ``text`` as the record's first value."""
+        def edit(parts):
+            head = {"scalar": 2, "vector": 3, "matrix": 4}[parts[1]]
+            return parts[:head] + [text] + parts[head + 1:]
+        return edit
+
+    @pytest.mark.parametrize("family, key, fault", [
+        ("gaussian", "mu_pi", "narrower"), ("gaussian", "mu_c", "nan"),
+        ("gaussian", "sigma_cc", "inf"), ("gaussian", "sigma_c_given_pi", "-inf"),
+        ("kernel", "anchors", "narrower"), ("kernel", "mu", "nan"),
+        ("kernel", "alpha", "-inf"), ("kernel", "sigma", "nan"), ("kernel", "gamma", "inf"),
+        ("tabular", "root_0", "nan"), ("gaussian", "mu_c", "scalar"), ("kernel", "mu", "scalar")])
+    def test_model_with_a_bad_parameter(self, tmp_path, capsys, family, key, fault):
+        # one record of a valid document: of the wrong shape, or not finite
+        rng = np.random.default_rng(24)
+        data = rng.integers(0, 3, size=(6, 2)) if family == "tabular" \
+            else rng.normal(size=(6, 3))
+        model = {"gaussian": models.gaussian_init_iid, "kernel": models.kernel_init_iid,
+                 "tabular": lambda x: models.tabular_init_iid(x, [3, 3])}[family](data)
+        data_path, model_path = str(tmp_path / "d.csv"), str(tmp_path / "m.model")
+        otio.write_sample_csv(data_path, data)
+        otio.write_model(model_path, model)
+        edit = {"narrower": self.narrower,
+                "scalar": lambda parts: [parts[0], "scalar", parts[3]]}.get(
+                    fault, self.first_value(fault))
+        text = open(model_path).read()
+        edited = "\n".join(" ".join(edit(l.split())) if l.split()[:1] == [key] else l
+                           for l in text.split("\n"))
+        assert edited != text
+        write(model_path, edited)
+        for argv in (["eval", "--input", data_path, "--test", data_path],
+                     ["sample", "--rows", "5", "--seed", "1",
+                      "--output", str(tmp_path / "x.csv")]):
+            assert cli.main(argv + ["--model", model_path]) == 3
+            message = error_record(capsys, 3)["message"]
+            assert message.startswith(f"{model_path}: ")  # rejected as it is read
+            assert {"root_0": "root table 0"}.get(key, key) in message
+
+    def test_sample_that_overflows_is_one_json_record(self, tmp_path, capsys):
+        # finite parameters whose draws overflow along the tree
+        _, model_path = self.write_model(tmp_path)
+        lines = open(model_path).read().split("\n")
+        edit = self.first_value("0x1p+900")
+        write(model_path, "\n".join(" ".join(edit(l.split()))
+                                    if l.startswith("sigma_c_given_pi") else l
+                                    for l in lines))
+        output = str(tmp_path / "x.csv")
+        assert cli.main(["sample", "--model", model_path, "--rows", "30", "--seed", "3",
+                         "--output", output]) == 4
+        assert error_record(capsys, 4)["error"] == "NumericalFaultError"
+        assert not os.path.exists(output)
+
     def write_checkpoint(self, tmp_path):
         rng = np.random.default_rng(21)
         data_path = str(tmp_path / "cats.csv")

@@ -61,7 +61,7 @@ class TestImmutability:
         roots = treemath.RootWeights(values=[1.0, 1.0])
         session = treemath.IncrementalLogdet(beta, roots)
         session._commit(session._cross(0, [0.0, -1.5], [0.0, np.log(0.5)]))
-        assert session.beta.log_entries[0, 1] == -1.5
+        assert session._record.beta.log_entries[0, 1] == -1.5
         assert beta.log_entries[0, 1] == 0.0
 
 

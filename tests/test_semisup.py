@@ -107,9 +107,9 @@ class TestJointBeta:
         state = semisup.LabelInference(X, truth, model, lm)
         assert len(calls) == 1
         beta, roots = semisup.build_joint_beta(X, truth, model, lm)
-        assert state.session.beta.log_entries.tobytes() == beta.log_entries.tobytes()
-        assert state.session._record.roots.log_values.tobytes() \
-            == roots.log_values.tobytes()
+        record = state.session._record
+        assert record.beta.log_entries.tobytes() == beta.log_entries.tobytes()
+        assert record.roots.log_values.tobytes() == roots.log_values.tobytes()
 
     def test_overflow_raises_the_text_of_build_beta(self):
         # the joint weights start from build_beta's checked weights, so a
@@ -143,7 +143,8 @@ class TestJointBeta:
 def per_edit_screen(state, node, new_label):
     """First-order gain summed edit by edit over the flip's 2(T-1) edited
     edges (child u, parent v): delta * (inv[u, u] - inv[v, u])."""
-    beta, inverse = state.session.beta, state.session.inverse
+    record = state.session._record
+    beta, inverse = record.beta, record.inverse
     scaled = beta.scaled
     row, column = state._flipped_logs(node, new_label)
     edits = [(node, v, row[v]) for v in range(state.size) if v != node] \

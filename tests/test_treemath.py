@@ -353,11 +353,11 @@ class TestIncrementalLogdet:
         rng = np.random.default_rng(14)
         beta, roots = random_instance(6, rng)
         session = tm.IncrementalLogdet(beta, roots)
-        before = session.logdet
+        before = session._record.logdet
         record = session._cross(2, beta.log_entries[2], beta.log_entries[:, 2])
         assert same_bits(record.matrix, session._record.matrix)
         session._commit(record)
-        assert session.logdet == before
+        assert session._record.logdet == before
 
     def test_edit_then_reverse(self):
         rng = np.random.default_rng(15)
@@ -406,10 +406,10 @@ class TestIncrementalLogdet:
         column[1] = -np.inf
         session._commit(session._cross(2, row, column))
         fresh = tm.WeightMatrix(log_entries=crossed_log(beta.log_entries, 2, row, column))
-        assert session.beta.structural_zeros
+        assert session._record.beta.structural_zeros
         assert session.log_partition == tm.log_partition(fresh, roots).log_z
         session._commit(session._cross(2, row, beta.log_entries[:, 2]))
-        assert not session.beta.structural_zeros
+        assert not session._record.beta.structural_zeros
         assert session.log_partition == start
 
     def test_singular_update_is_signalled_and_state_kept(self):
@@ -453,7 +453,7 @@ class TestIncrementalLogdet:
         beta, roots = random_instance(7, rng)
         session = tm.IncrementalLogdet(beta, roots)
         want = np.linalg.inv(tm._Bordered(beta, roots).matrix)
-        assert session.inverse.tobytes() == want.tobytes()
+        assert session._record.inverse.tobytes() == want.tobytes()
         log = beta.log_entries
         for node, zero in [(1, None), (6, 2), (3, None)]:
             row, column = rng.uniform(-2.0, 0.5, (2, 7))
@@ -462,7 +462,7 @@ class TestIncrementalLogdet:
             session._commit(session._cross(node, row, column))
             log = crossed_log(log, node, row, column)
         want = np.linalg.inv(tm._Bordered(tm.WeightMatrix(log_entries=log), roots).matrix)
-        assert session.inverse.tobytes() == want.tobytes()
+        assert session._record.inverse.tobytes() == want.tobytes()
 
 
 def same_bits(a, b):
@@ -607,7 +607,7 @@ class TestBorderedRecord:
             assert outcome(lambda: (tm.log_partition(beta, roots).log_z,)) is type(exc)
             return
         for node, row, column in flips:
-            current = session.beta
+            current = session._record.beta
             edited = tm.WeightMatrix(log_entries=crossed_log(current.log_entries, node,
                                                              row, column))
             applied = outcome(lambda: (session._commit(session._cross(node, row, column)),))
@@ -616,8 +616,8 @@ class TestBorderedRecord:
             # a flip that raises leaves the session on its old weights
             if not isinstance(applied, type):
                 current = edited
-            assert same_bits(session.beta.log_entries, current.log_entries)
-            assert same_outcome(outcome(lambda: (session.inverse,)),
+            assert same_bits(session._record.beta.log_entries, current.log_entries)
+            assert same_outcome(outcome(lambda: (session._record.inverse,)),
                                 outcome(lambda: (tm._Bordered(current, roots).inverse,)))
 
 
