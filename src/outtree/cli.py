@@ -412,6 +412,9 @@ def run_semisup_benchmark(*, count=60, n_classes=2, alpha_true=0.9,
                   restarts=restarts, max_sweeps=max_sweeps, min_minority=min_minority)
     digest = config_hash(config)
     generator = semisup_generator()
+    # built first, so a stickiness that can draw no labelling with a
+    # minority (alpha >= 1) raises instead of spinning in the loop below
+    label_model = semisup.LabelModel(alpha=alpha_true, n_classes=n_classes)
     rows = []
     for frac in labeled_fracs:
         for index in range(seeds):
@@ -427,8 +430,7 @@ def run_semisup_benchmark(*, count=60, n_classes=2, alpha_true=0.9,
             n_labeled = max(int(round(frac * count)), 1)
             y[rng.permutation(count)[n_labeled:]] = semisup.MISSING
             result = semisup.greedy_label_inference(
-                draw.data, y, generator,
-                semisup.LabelModel(alpha=alpha_true, n_classes=n_classes),
+                draw.data, y, generator, label_model,
                 restarts=restarts, max_sweeps=max_sweeps, rng=rng)
             hidden = y < 0
             majority = int(np.bincount(y[y >= 0], minlength=n_classes).argmax())
@@ -515,6 +517,33 @@ def _parse_floats(text):
         return [float(v) for v in text.split(",") if v != ""]
     except ValueError:
         raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _ranged(convert, what, inside):
+    """An argparse ``type``: ``text`` converted by ``convert``, which must
+    satisfy ``inside`` (NaN satisfies no comparison). A flag's value and a
+    ``--config`` value (``_config_value``) both pass through it, and either
+    error ends as one ``ConfigError`` naming ``what``."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if inside(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    parse.__name__ = what
+    return parse
+
+
+_COUNT = _ranged(int, "an integer >= 0", lambda v: v >= 0)
+_POSITIVE_INT = _ranged(int, "an integer >= 1", lambda v: v >= 1)
+_CLASSES = _ranged(int, "an integer >= 2", lambda v: v >= 2)
+_POSITIVE = _ranged(float, "a finite number > 0", lambda v: 0.0 < v < np.inf)
+# a label stickiness: ``semisup.LabelModel``'s range
+_STICKINESS = _ranged(float, "a number strictly between 0 and 1", lambda v: 0.0 < v < 1.0)
+_STICKINESS_GRID = _ranged(_parse_floats, "comma-separated numbers strictly between 0 and 1",
+                           lambda values: all(0.0 < v < 1.0 for v in values))
 
 
 def _config_value(action, text, where):
@@ -643,7 +672,7 @@ def cmd_semisup(args):
     rng = np.random.default_rng(args.seed)
     if args.alpha_grid:
         alpha = semisup.cross_validate_alpha(
-            data.X, data.y, model, _parse_floats(args.alpha_grid),
+            data.X, data.y, model, args.alpha_grid,
             n_classes=n_classes, restarts=args.restarts, rng=rng)
     else:
         alpha = args.alpha
@@ -757,8 +786,8 @@ def build_parser():
     common(p, "input", "output")
     p.add_argument("--model-family", choices=["gaussian", "tabular", "kernel"],
                    default="gaussian")
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--grad-tol", type=float, default=1e-5)
+    p.add_argument("--max-iters", type=_COUNT, default=500)
+    p.add_argument("--grad-tol", type=_POSITIVE, default=1e-5)
     p.add_argument("--holdout", default=None,
                    help="CSV for early stopping by held-out score")
     p.set_defaults(func=cmd_fit)
@@ -772,7 +801,7 @@ def build_parser():
     p = sub.add_parser("sample", help="draw a dataset from a stored model")
     common(p, "output", "seed", "model", "rows")
     p.add_argument("--model", default=None)
-    p.add_argument("--rows", type=int, default=None)
+    p.add_argument("--rows", type=_POSITIVE_INT, default=None)
     p.add_argument("--edges", default=None)
     p.set_defaults(func=cmd_sample)
 
@@ -780,19 +809,19 @@ def build_parser():
     common(p, "input", "output", "seed", "label_column")
     p.add_argument("--label-column", default=None)
     p.add_argument("--model", default=None)
-    p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=0.9)
-    p.add_argument("--alpha-grid", default=None)
-    p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--max-sweeps", type=int, default=50)
-    p.add_argument("--max-iters", type=int, default=60)
-    p.add_argument("--sigma-scale", type=float, default=1.0)
+    p.add_argument("--classes", type=_CLASSES, default=None)
+    p.add_argument("--alpha", type=_STICKINESS, default=0.9)
+    p.add_argument("--alpha-grid", type=_STICKINESS_GRID, default=None)
+    p.add_argument("--restarts", type=_POSITIVE_INT, default=5)
+    p.add_argument("--max-sweeps", type=_COUNT, default=50)
+    p.add_argument("--max-iters", type=_COUNT, default=60)
+    p.add_argument("--sigma-scale", type=_POSITIVE, default=1.0)
     p.set_defaults(func=cmd_semisup)
 
     p = sub.add_parser("vb", help="variational Bayes for tabular data")
     common(p, "input", "output")
-    p.add_argument("--prior-count", type=float, default=1.0)
-    p.add_argument("--max-rounds", type=int, default=200)
+    p.add_argument("--prior-count", type=_POSITIVE, default=1.0)
+    p.add_argument("--max-rounds", type=_COUNT, default=200)
     p.add_argument("--resume", default=None,
                    help="checkpoint to continue from (prior comes from it)")
     p.set_defaults(func=cmd_vb)
@@ -811,18 +840,18 @@ def build_parser():
     p.add_argument("--turns", type=float, default=3.0)
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--splits", default="0.8,0.1,0.1")
-    p.add_argument("--max-iters", type=int, default=60)
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--max-iters", type=_COUNT, default=60)
+    p.add_argument("--restarts", type=_POSITIVE_INT, default=10)
     p.add_argument("--bandwidth-grid", default=None)
     p.set_defaults(func=cmd_spiral_bench)
 
     p = sub.add_parser("semisup-bench", help="synthetic semi-supervised harness")
     common(p, "output", "seed")
     p.add_argument("--rows", type=int, default=60)
-    p.add_argument("--alpha-true", type=float, default=0.9)
+    p.add_argument("--alpha-true", type=_STICKINESS, default=0.9)
     p.add_argument("--labeled-fracs", default="0.3")
     p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--restarts", type=int, default=5)
+    p.add_argument("--restarts", type=_POSITIVE_INT, default=5)
     p.set_defaults(func=cmd_semisup_bench)
 
     p = sub.add_parser("plotdata", help="emit TSV plot data from artifacts")

@@ -71,23 +71,22 @@ def iid_log_likelihood(data, model: MutationModel) -> float:
     return float(model.log_marginal_vector(data).sum())
 
 
-def _partition_gradient(data, model, record, release=False):
+def _partition_gradient(data, model, record):
     """d ln Z / d theta from the bordered-Laplacian ``record`` of validated data.
 
     ln Z is the log of a sum over trees, so its gradient is the posterior
     expectation of the tree's log-likelihood gradient: the model contracts
     its log-weight derivatives against the edge marginals and the root
-    posterior, both from the record's one inverse. With ``release`` the
-    record's kept inverse is dropped before that contraction.
+    posterior, both from the record's one inverse, which is checked
+    (``NumericalFaultError``) and dropped before that contraction.
     """
     W, rho = record.posterior_weights()
-    if release:
-        record.release()
     return model.grad_from_marginals(data, W, rho)
 
 
 def grad_tdid(data, model: MutationModel) -> np.ndarray:
-    """Gradient of the out-tree log-likelihood in the flat parameter vector."""
+    """Gradient of the out-tree log-likelihood in the flat parameter vector;
+    raises as ``treemath.posterior_weights`` does."""
     data = model.validate_data(data)
     return _partition_gradient(data, model, _build_bordered(data, model))
 
@@ -97,12 +96,6 @@ def grad_tdid(data, model: MutationModel) -> np.ndarray:
 # function); it is rejected, and the next trial halves the step
 _TRIAL_ERRORS = (ZeroPartitionError, NumericalFaultError, DataError, ValueError,
                 np.linalg.LinAlgError)
-
-
-# a fit steps along a gradient only if the inverse X of the bordered
-# Laplacian M that it was read off has max |diag(M X) - 1| at most this, the
-# bound the block inverse's certificate holds X to
-_GRADIENT_RESIDUAL = 1e-9
 
 
 def _objective(data, model, vector):
@@ -177,10 +170,9 @@ def fit_ml(data, model0: MutationModel, *, max_iters=500, grad_tol=1e-5,
     penalized log-likelihood; most accept their first trial. Only steps
     that pass its Armijo test are accepted, so the reported trace is
     nondecreasing. Stops on a small gradient sup-norm, the iteration cap,
-    a failed line search at the step floor 1e-12, or a gradient read off an
-    inverse X of the bordered Laplacian M whose diagonal of M X misses 1 by
-    more than 1e-9 (reason ``inaccurate_gradient``: the fit does not step
-    along it); each is recorded as the convergence reason, not an error.
+    a failed line search at the step floor 1e-12, or edge marginals that
+    raise ``NumericalFaultError`` (reason ``inaccurate_gradient``: the fit
+    does not step along them); each is recorded as the convergence reason.
     Whenever a holdout set is given, fitting stops once the held-out score
     has not improved for ``patience`` accepted steps and the best-scoring
     model is returned; the score's training ln Z is read off the accepted
@@ -211,14 +203,12 @@ def fit_ml(data, model0: MutationModel, *, max_iters=500, grad_tol=1e-5,
         return value, (trial, trial_record)
 
     def gradient():
-        # the penalized gradient at the accepted point, or None when the
-        # inverse it would be read off is inaccurate; either way the record
-        # keeps no inverse after
-        if record.residual <= _GRADIENT_RESIDUAL:
-            return (_partition_gradient(data, model, record, release=True)
-                    + model.penalty(vector)[1])
-        record.release()
-        return None
+        # the penalized gradient at the accepted point, or None where its
+        # edge marginals are inaccurate; either way the record keeps no inverse
+        try:
+            return _partition_gradient(data, model, record) + model.penalty(vector)[1]
+        except NumericalFaultError:
+            return None
 
     # each gradient is read before the held-out score, so the score does not
     # run while the record keeps its inverse
@@ -244,7 +234,7 @@ def fit_ml(data, model0: MutationModel, *, max_iters=500, grad_tol=1e-5,
         if index < max_iters:
             grad = gradient()
         else:
-            record.release()
+            record.release()  # the last record's inverse, which no gradient read
         if holdout is not None:
             holdout_score = _conditional_score(data, holdout, model, record.log_z).score
             if holdout_score > best_holdout:

@@ -271,7 +271,8 @@ def _ascend_theta(X, y, model, label_model, steps, record):
     The objective is the joint ln Z plus the model's penalty, as in
     ``fit_ml``, and each step runs the same line search (``_line_search``):
     the first trial at min(1, 1/|g|_2), later ones warm-started from the
-    last accepted step. Stops early at a zero gradient or a failed search.
+    last accepted step. Stops early at a zero gradient, a failed search or
+    edge marginals that raise ``NumericalFaultError`` (as ``fit_ml``).
     Returns the last accepted model, the record of its joint weights, whose
     ln Z is the unpenalized joint ln Z, and its attribute log-weights (None
     when no step was accepted). Each step's gradient is read off the record
@@ -291,7 +292,10 @@ def _ascend_theta(X, y, model, label_model, steps, record):
 
     last, log_cond = None, None
     for _ in range(steps):
-        grad = _partition_gradient(X, model, record) + model.penalty(vector)[1]
+        try:
+            grad = _partition_gradient(X, model, record) + model.penalty(vector)[1]
+        except NumericalFaultError:
+            break
         if not grad.any():
             break
         last = _line_search(evaluate, vector, value, grad, last)

@@ -15,8 +15,9 @@ when read. ``log_partition``, ``posterior_weights`` and the greedy-search
 session read such records, so a value and its gradient share one set-up.
 Only this module knows the record's layout: other modules set one up
 (``_Bordered(beta, roots)``, ``_Bordered._set_up``) and read it through
-``log_z``, ``factor()``, ``residual``, ``posterior_weights()``,
-``release()`` and the session's flip patch and candidate screen.
+``log_z``, ``factor()``, ``posterior_weights()`` (which checks the one
+kept inverse and drops it), ``release()`` and the session's flip patch and
+candidate screen.
 The likelihood's records come straight from a model instead
 (``models._build_bordered``): the record's one fill loop takes each row
 block of log-weights from either a ``WeightMatrix`` or the model's
@@ -52,7 +53,7 @@ matrix, equal bit for bit to a fresh fill.
 
 Weights, root weights and trees are immutable after construction and safe
 to share across threads; a record computes its determinant and inverse on
-first read, and the factorization session is single-writer.
+first read, and it and the factorization session are single-writer.
 """
 
 from __future__ import annotations
@@ -381,11 +382,11 @@ class _Bordered:
     of a model's row-block kernel (``_set_up``; ``beta`` is then None),
     so 0 - Q off the diagonal is the scaled weights exactly, and the record
     is their only home.
-    ``logdet`` and ``inverse`` are computed on first read and kept: the
-    determinant by ``_augmented_logdet`` (numpy's ``slogdet``), the inverse
-    by ``_block_inverse``, which is numpy's ``inv`` up to dimension
-    ``_BLOCK_LEAF`` and wherever its certificate fails. ``factor`` reads
-    the inverse and a value of ln Z off one certified block recursion
+    ``logdet`` (numpy's ``slogdet``) and the record's one inverse, a
+    ``_block_inverse`` triple (X, residual, ln det) that
+    ``posterior_weights`` checks and drops, are made on first read and
+    kept; X is numpy's ``inv`` up to dimension ``_BLOCK_LEAF`` and wherever
+    the certificate fails. ``factor`` reads ln Z off a certified triple
     instead, for a ``fit_ml`` trial whose gradient may follow; ``logdet``
     stays ``slogdet``'s, so every ln Z compared with another record's is
     taken one way. The paths that read no inverse (``log_partition``,
@@ -511,7 +512,8 @@ class _Bordered:
     def _screen(self, node, row_logs, column_logs):
         """First-order change in ln Z when row and column ``node`` of the
         log-weights take ``row_logs`` and ``column_logs``, read off the kept
-        ``inverse``: an edit of the scaled weight of v -> u by delta moves it
+        ``inverse`` unchecked (it only ranks candidates): an edit of the
+        scaled weight of v -> u by delta moves it
         by delta * (inv[u, u] - inv[v, u]) (indices shifted by the border).
         The current scaled weights are read off the matrix as -Q: x - (0 - q)
         is x + q exactly, and each delta's diagonal entry, a row sum, is
@@ -531,58 +533,47 @@ class _Bordered:
     def log_z(self) -> float:
         return self.offset + self.logdet
 
-    def factor(self) -> float:
-        """ln Z of a record whose gradient follows, read off the inverse that
-        gradient reads. Above dimension ``_BLOCK_LEAF`` this inverts
-        ``matrix`` once and keeps the inverse, and, when it is the certified
-        recursion's, its ``residual``, and returns ``offset`` plus the
-        recursion's log-determinant if that is finite. Where the certificate
-        fails (the inverse is then LAPACK's), and at or below that dimension,
-        where this inverts nothing, it returns ``log_z``. ``logdet`` and
-        ``log_z`` are ``_augmented_logdet``'s throughout, so a value compared
-        with another record's ln Z (the held-out score's union) never mixes
-        the two methods."""
-        if self.matrix.shape[0] > _BLOCK_LEAF:
-            self.inverse, residual, logdet = self._invert()
-            if residual is not None:
-                self.residual = float(residual)
-            if np.isfinite(logdet):
-                return self.offset + float(logdet)
-        return self.log_z
-
-    def _invert(self):
-        """``_block_inverse(matrix)``: the inverse (do not mutate), and the
-        certified recursion's residual and log-determinant."""
+    @cached_property
+    def _inverted(self):
+        """``_block_inverse(matrix)``: (X, residual, ln det)."""
         try:
             return _block_inverse(self.matrix)
         except np.linalg.LinAlgError as exc:
             raise ZeroPartitionError("no out-tree has positive weight") from exc
 
-    @cached_property
+    @property
     def inverse(self) -> np.ndarray:
-        """The inverse of ``matrix``, kept for repeated reads."""
-        return self._invert()[0]
+        """The kept inverse of ``matrix`` (do not mutate)."""
+        return self._inverted[0]
 
-    @cached_property
-    def residual(self) -> float:
-        """max |diag(matrix @ X) - 1| of the kept ``inverse`` X: the
-        certificate's when ``factor`` kept the recursion's, else one O(T^2)
-        product; NaN if X holds a NaN."""
-        with np.errstate(all="ignore"):
-            return float(_diagonal_residual(self.matrix, self.inverse))
+    def factor(self) -> float:
+        """ln Z of a record whose gradient follows, read off the inverse that
+        gradient reads. Above dimension ``_BLOCK_LEAF`` this inverts
+        ``matrix`` and returns ``offset`` plus the certified recursion's
+        log-determinant if that is finite. Where the certificate fails (the
+        inverse is then LAPACK's), and at or below that dimension, where
+        this inverts nothing, it returns ``log_z``. ``logdet`` and ``log_z``
+        are ``_augmented_logdet``'s throughout, so a value compared with
+        another record's ln Z (the held-out score's union) never mixes the
+        two methods."""
+        if self.matrix.shape[0] > _BLOCK_LEAF:
+            logdet = self._inverted[2]
+            if np.isfinite(logdet):
+                return self.offset + float(logdet)
+        return self.log_z
 
     def release(self):
         """Drop the kept inverse, if any, and with it its scratch."""
-        self.__dict__.pop("inverse", None)
+        self.__dict__.pop("_inverted", None)
 
     def posterior_weights(self):
-        """(W, rho) read off the kept ``inverse`` when a screen, ``factor``
-        or ``residual`` has already made it, else off an inverse that is not
-        kept, so a record held on after its one gradient does not hold a
-        (T+1)^2 inverse too; see ``posterior_weights``."""
-        inv = self.__dict__.get("inverse")
-        if inv is None:
-            inv = self._invert()[0]
+        """(W, rho) read off the kept inverse, made now if need be, which is
+        then dropped (so a record held on after its one gradient holds no
+        (T+1)^2 inverse) and checked; see ``posterior_weights``."""
+        inv, residual, _ = self._inverted
+        self.release()
+        if not residual <= _RESIDUAL_BOUND:
+            raise NumericalFaultError(f"inaccurate inverse: residual {residual:.3g}")
         core = inv[1:, 1:]
         # W = the gain d ln Z / d scaled, times the scaled weights read back
         # from the bordered matrix as 0 - Q off the diagonal (exact to the
@@ -616,20 +607,26 @@ class _Bordered:
 _BLOCK_LEAF = 128
 
 
+# the largest max |diag(M X) - 1| of an inverse X of M that the certificate
+# passes and that edge marginals are read off
+_RESIDUAL_BOUND = 1e-9
+
+
 def _block_inverse(matrix):
-    """(X, r, ln det) of a square ``matrix``: its inverse X and, when X came
+    """(X, r, ln det) of a square ``matrix``: its inverse X, the residual
+    r = max |diag(matrix @ X) - 1| (NaN if X holds a NaN) and, when X came
     from recursive 2 x 2 block elimination (above ``_BLOCK_LEAF``), the
-    residual r = max |diag(matrix @ X) - 1| of its certificate and the
-    log-determinant that the elimination gives with it; else None and NaN.
+    log-determinant that the elimination gives with it, else NaN.
 
     The leading half is inverted by recursion, then its Schur complement,
     and the four blocks are assembled with matrix products (Strassen 1969),
     which run at several times the speed of LAPACK's triangular solves. No
     leading block is pivoted across, so the result X must pass an O(n^2)
     certificate (Demmel, Higham & Schreiber 1995): every entry finite,
-    every diagonal entry of ``matrix @ X`` within 1e-9 of 1, and y = X v
-    for v of alternating signs solving ``matrix @ y = v`` to within 1e-9 in
-    every entry and with a normwise backward error of at most 16 n eps. For
+    every diagonal entry of ``matrix @ X`` within ``_RESIDUAL_BOUND`` (1e-9)
+    of 1, and y = X v for v of alternating signs solving ``matrix @ y = v``
+    to within 1e-9 in every entry and with a normwise backward error of at
+    most 16 n eps. For
     the bordered Laplacian the diagonal is the residual of "each non-root
     row of W sums to 1 - rho"; the probe catches a wrong off-diagonal that
     the diagonal misses, and its absolute bound a huge wrong X that the
@@ -642,7 +639,9 @@ def _block_inverse(matrix):
         certified = _certified_recursion(matrix)
         if certified is not None:
             return certified
-    return np.linalg.inv(matrix), None, np.nan
+    inverse = np.linalg.inv(matrix)
+    with np.errstate(all="ignore"):
+        return inverse, float(_diagonal_residual(matrix, inverse)), np.nan
 
 
 def _diagonal_residual(matrix, inverse):
@@ -676,9 +675,9 @@ def _certified_recursion(matrix):
             np.add.reduce(absolute, axis=1, out=sums[start:start + step])
         missed = np.abs(matrix @ solved - probe).max()
         backward = missed / (sums.max() * np.abs(solved).max())
-    if np.isfinite(solved).all() and residual <= 1e-9 and missed <= 1e-9 \
+    if np.isfinite(solved).all() and residual <= _RESIDUAL_BOUND and missed <= 1e-9 \
             and backward <= 16 * size * np.finfo(float).eps:
-        return out, residual, logdet
+        return out, float(residual), logdet
     return None
 
 
@@ -943,13 +942,20 @@ def per_root_marginal(beta: WeightMatrix, r: int) -> np.ndarray:
     cofactor matrix. Every non-root row sums to one (each non-root node has
     exactly one parent). Returns all zeros when Z_r = 0.
     """
+    return _rooted(beta, r)[1]
+
+
+def _rooted(beta, r):
+    """(ln Z_r, P_r) off one factorization of the cofactor at root r: ln Z_r
+    as ``log_partition_per_root`` gives it, P_r as ``per_root_marginal``."""
     size = beta.size
     scaled = beta.scaled
     q = np.diag(scaled.sum(axis=1)) - scaled
     keep = np.flatnonzero(np.arange(size) != r)
     sub = q[np.ix_(keep, keep)]
-    if _logdet_nonneg(sub, f"cofactor at root {r}") == -np.inf:
-        return np.zeros((size, size))
+    logdet = _logdet_nonneg(sub, f"cofactor at root {r}")
+    if logdet == -np.inf:
+        return -np.inf, np.zeros((size, size))
     inv = np.linalg.inv(sub)
     diag = np.diag(inv)
     # gain[u, v] = d ln Z_r / d beta_uv, both in reduced (root-deleted) index space
@@ -958,12 +964,13 @@ def per_root_marginal(beta: WeightMatrix, r: int) -> np.ndarray:
     p[np.ix_(keep, keep)] = scaled[np.ix_(keep, keep)] * gain
     p[keep, r] = scaled[keep, r] * diag
     np.fill_diagonal(p, 0.0)
-    return _clip_probabilities(p, f"per-root marginal at {r}")
+    shift = beta.scale_total - beta.row_scales[r]
+    return logdet + shift, _clip_probabilities(p, f"per-root marginal at {r}")
 
 
 def edge_marginals(beta: WeightMatrix, roots: RootWeights) -> EdgeMarginals:
     """Posterior edge probabilities W in one O(T^3) pass from the inverse of
-    the augmented Laplacian, clipped at zero."""
+    the augmented Laplacian, clipped at zero; raises as ``posterior_weights``."""
     w, _ = posterior_weights(beta, roots)
     return EdgeMarginals(W=_frozen(_clip_probabilities(w, "edge marginals")))
 
@@ -979,7 +986,9 @@ def posterior_weights(beta: WeightMatrix, roots: RootWeights):
     (C the inverse's core) times the scaled weights, read back from the
     bordered matrix.
     Neither output is clipped: on ill-conditioned weights roundoff can make
-    entries negative.
+    entries negative. Raises ``NumericalFaultError`` where the inverse X
+    misses diag(M X) = 1 by more than ``_RESIDUAL_BOUND`` (1e-9) or is NaN:
+    each non-root row of W would miss 1 - rho by that much.
     """
     return _Bordered(beta, roots).posterior_weights()
 
@@ -990,12 +999,11 @@ def tree_entropy(beta: WeightMatrix, r: int) -> float:
     H(q_r) = ln Z_r - sum_uv P_r(u, v) ln beta_uv; zero when the weights
     support exactly one tree at r.
     """
-    per_root = log_partition_per_root(beta)
-    if not np.isfinite(per_root[r]):
+    log_z, p = _rooted(beta, r)
+    if not np.isfinite(log_z):
         raise ZeroPartitionError(f"no out-tree rooted at {r} has positive weight")
-    p = per_root_marginal(beta, r)
     mask = p > 0.0
-    return float(per_root[r] - np.sum(p[mask] * beta.log_entries[mask]))
+    return float(log_z - np.sum(p[mask] * beta.log_entries[mask]))
 
 
 class IncrementalLogdet:

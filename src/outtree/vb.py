@@ -445,7 +445,8 @@ def vb_fit(data, prior: DirichletPrior, *, max_rounds=200, tol=1e-8,
     for bit. The fit stops after a round that improves the bound by less
     than ``tol``; a decrease within roundoff counts as no improvement, so
     ``tol=0`` runs every round. A decrease beyond roundoff raises, since
-    exactly evaluated coordinate ascent cannot go down.
+    exactly evaluated coordinate ascent cannot go down, and so do edge
+    marginals read off an inaccurate inverse (``posterior_weights``).
     """
     data = _check_data(data, prior)
     if init_state is None:

@@ -3,10 +3,11 @@
 # artifact, a fit of 300 rows checked against a fresh likelihood, a resumed
 # VB fit, a VB fit of equal rows and one of 200 000 rows, a tabular fit
 # scored by eval, config files, label inference over two and three classes,
-# and the exit code and JSON error record of a usage error, of a malformed
-# checkpoint, of a labelled row whose weights overflow, of a model document
-# with a NaN mean, of a non-integer cell scored under a tabular model and of
-# inputs with no attribute columns or no rows.
+# and the exit code and JSON error record of a usage error, of numeric
+# flags out of range, of a malformed checkpoint, of a labelled row whose
+# weights overflow, of a model document with a NaN mean, of a non-integer
+# cell scored under a tabular model and of inputs with no attribute columns
+# or no rows.
 # Run from the root of a checkout: bash tests/cli_smoke.sh
 set -euo pipefail
 dir=$(mktemp -d)
@@ -100,6 +101,13 @@ expect_error() {
     'import json, sys; sys.exit(json.loads(sys.stdin.read())["exit_code"] != int(sys.argv[1]))' "$code"
 }
 expect_error 2 spiral --noise abc --seed 1 --output "$dir/c.csv"
+# numeric flags out of range are usage errors, checked as they are parsed
+expect_error 2 semisup --input "$dir/labeled.csv" --label-column y --model "$dir/m.model" \
+  --sigma-scale -1 --seed 4 --output "$dir/never.csv"
+test "$(wc -l < "$dir/err")" -eq 1
+# a stickiness of 1 draws no labelling with a minority: exit 2, not a hang
+expect_error 2 semisup-bench --alpha-true 1 --seed 1 --output "$dir/never.tsv"
+expect_error 2 sample --model "$dir/m.model" --rows 0 --seed 1 --output "$dir/never.csv"
 head -n 4 "$dir/state.ckpt" > "$dir/truncated.ckpt"
 expect_error 3 vb --input "$dir/cats.csv" --resume "$dir/truncated.ckpt" \
   --output "$dir/never.ckpt"

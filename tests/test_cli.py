@@ -574,6 +574,88 @@ class TestUsage:
         assert exit_info.value.code == 0
         assert "--noise" in capsys.readouterr().out
 
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        """Paths of a labelled spiral file, a categorical file and a model."""
+        data = cli.gen_spiral(cli.SpiralSpec(count=20), 1)
+        labels = ["0", "1", ""] * 6 + ["0", "1"]
+        labelled = str(tmp_path / "labelled.csv")
+        write(labelled, "a,b,c,y\n" + "".join(
+            ",".join([*map(repr, row.tolist()), label]) + "\n"
+            for row, label in zip(data, labels)))
+        cats = str(tmp_path / "cats.csv")
+        write(cats, "a,b\n0,1\n1,1\n2,0\n0,0\n")
+        model = str(tmp_path / "m.model")
+        otio.write_model(model, models.gaussian_init_iid(data))
+        return {"labelled": labelled, "cats": cats, "model": model,
+                "out": str(tmp_path / "out")}
+
+    SEMISUP = ["--input", "{labelled}", "--label-column", "y", "--seed", "1",
+               "--output", "{out}"]
+
+    @pytest.mark.parametrize("command, flag, value, rest", [
+        ("semisup", "--sigma-scale", "-1", [*SEMISUP, "--model", "{model}"]),
+        ("semisup", "--sigma-scale", "nan", [*SEMISUP, "--model", "{model}"]),
+        ("semisup", "--alpha", "1.5", [*SEMISUP, "--model", "{model}"]),
+        ("semisup", "--alpha-grid", "0.5,2", [*SEMISUP, "--model", "{model}"]),
+        ("semisup", "--classes", "1", [*SEMISUP, "--model", "{model}"]),
+        ("semisup", "--restarts", "0", [*SEMISUP, "--model", "{model}"]),
+        ("semisup", "--max-sweeps", "-1", [*SEMISUP, "--model", "{model}"]),
+        ("semisup", "--max-iters", "-1", SEMISUP),
+        ("fit", "--max-iters", "-1", ["--input", "{labelled}", "--output", "{out}"]),
+        ("fit", "--grad-tol", "0", ["--input", "{labelled}", "--output", "{out}"]),
+        ("fit", "--grad-tol", "nan",
+         ["--input", "{labelled}", "--output", "{out}", "--max-iters", "2"]),
+        ("vb", "--prior-count", "0", ["--input", "{cats}", "--output", "{out}"]),
+        ("vb", "--prior-count", "nan", ["--input", "{cats}", "--output", "{out}"]),
+        ("vb", "--max-rounds", "-1", ["--input", "{cats}", "--output", "{out}"]),
+        ("sample", "--rows", "0", ["--model", "{model}", "--seed", "1", "--output", "{out}"]),
+        ("sample", "--rows", "-3", ["--model", "{model}", "--seed", "1", "--output", "{out}"]),
+        ("spiral-bench", "--restarts", "0",
+         ["--rows", "40", "--folds", "2", "--max-iters", "1", "--seed", "1",
+          "--output", "{out}"]),
+    ])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_numeric_flag_out_of_range_is_one_json_record(
+            self, tmp_path, capsys, inputs, command, flag, value, rest, route):
+        # each value once ended in a traceback or ran to a meaningless exit 0;
+        # a --config value takes the same check as its flag
+        argv = [command, *(arg.format(**inputs) for arg in rest)]
+        if route == "flag":
+            argv += [flag, value]
+        else:
+            config = str(tmp_path / "c.cfg")
+            write(config, f"{flag[2:]} = {value}\n")
+            argv += ["--config", config]
+        assert cli.main(argv) == 2
+        record = error_record(capsys, 2)
+        assert record["error"] == "ConfigError"
+        assert flag[2:].replace("-", "_") in record["message"].replace("-", "_")
+        assert not os.path.exists(inputs["out"])
+
+    @pytest.mark.parametrize("alpha", ["1", "2"])
+    def test_stickiness_with_no_minority_exits_2(self, tmp_path, alpha):
+        # at alpha_true >= 1 every label copies the root's, so the
+        # benchmark's draw of a labelling with a minority never ends; run in
+        # a subprocess so that a hang fails the test instead of stalling it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in [src, os.environ.get("PYTHONPATH")] if p)}
+        done = subprocess.run(
+            [sys.executable, "-m", "outtree.cli", "semisup-bench", "--alpha-true", alpha,
+             "--seed", "1", "--output", str(tmp_path / "b.tsv")],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 2
+        lines = done.stderr.split("\n")
+        assert len(lines) == 2 and lines[1] == "", done.stderr
+        assert json.loads(lines[0])["error"] == "ConfigError"
+        library = ("from outtree import cli\n"
+                   f"cli.run_semisup_benchmark(alpha_true={alpha}.0, seeds=1)\n")
+        done = subprocess.run([sys.executable, "-c", library], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert done.returncode == 1
+        assert "ValueError: alpha must lie strictly between 0 and 1" in done.stderr
+
 
 class TestMalformedArtifacts:
     def write_model(self, tmp_path):

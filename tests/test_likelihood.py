@@ -9,6 +9,7 @@ import pytest
 
 from outtree import likelihood as lk
 from outtree import cli, models, sampler, treemath
+from outtree.errors import NumericalFaultError
 
 
 def degenerate_gaussian(rng, d=2):
@@ -319,13 +320,19 @@ class TestFit:
         assert report.iterations == [] and report.evaluations == 1
         assert report.model is seed_model
 
+    def test_gradient_off_an_inaccurate_inverse_raises(self):
+        # the same F1 record: grad_tdid reads no gradient off it either
+        data = cli.standardize(cli.gen_spiral(cli.SpiralSpec(count=150), 121))[0]
+        with pytest.raises(NumericalFaultError):
+            lk.grad_tdid(data, cli.nn_regression_seed(data))
+
     def test_inaccurate_gradient_bound_holds_at_or_below_the_leaf(self, monkeypatch):
         # at T + 1 = 13 the residual is read off LAPACK's inverse, 3.7e-15
         # here: a bound below it stops the fit before its first step
         data = np.random.default_rng(26).normal(size=(12, 2))
         model = models.gaussian_init_iid(data)
         assert lk.fit_ml(data, model, max_iters=2).reason == "max_iterations"
-        monkeypatch.setattr(lk, "_GRADIENT_RESIDUAL", 1e-15)
+        monkeypatch.setattr(treemath, "_RESIDUAL_BOUND", 1e-15)
         report = lk.fit_ml(data, model, max_iters=2)
         assert report.reason == "inaccurate_gradient" and report.iterations == []
 
@@ -380,7 +387,7 @@ class TestFit:
         def kept():
             # the records still alive that keep an inverse
             live = [ref() for ref in factored]
-            return sum("inverse" in vars(record) for record in live if record is not None)
+            return sum("_inverted" in vars(record) for record in live if record is not None)
 
         def spied_score(train, test, model, log_z_train):
             scored.append((kept(), model, log_z_train))

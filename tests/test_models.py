@@ -503,7 +503,7 @@ def _reference_weights(log_entries):
 
 
 def _reference_posterior_weights(record):
-    inv = record._invert()[0]
+    inv = record.inverse
     core = inv[1:, 1:]
     gain = np.diag(core)[:, None] - core.T
     w = _reference_weights(record.beta.log_entries)[1] * gain

@@ -452,6 +452,21 @@ class TestGreedyInference:
                                                theta_steps_per_sweep=2)
         assert joint.log_partition >= plain.log_partition - 1e-8
 
+    def test_theta_step_from_an_inaccurate_record_tries_no_step(self, monkeypatch):
+        # F1: at the nearest-neighbour seed of 150 standardized spiral rows,
+        # with one label (the joint weights are then the attribute weights,
+        # rescaled), the record's inverse misses diag(M X) = 1, so its
+        # gradient is not stepped along
+        X = cli.standardize(cli.gen_spiral(cli.SpiralSpec(count=150), 121))[0]
+        model, labels = cli.nn_regression_seed(X), np.zeros(150, dtype=np.int64)
+        lm = semisup.LabelModel(alpha=0.9, n_classes=2)
+        start = treemath._Bordered(*semisup.build_joint_beta(X, labels, model, lm))
+        searches = []
+        monkeypatch.setattr(semisup, "_line_search", lambda *args: searches.append(args))
+        got_model, record, log_cond = semisup._ascend_theta(X, labels, model, lm, 2, start)
+        assert searches == []
+        assert got_model is model and record is start and log_cond is None
+
     def test_one_bordered_matrix_per_theta_step(self, monkeypatch, bordered_counts):
         X, y, _, model = synthetic_problem(8, size=12)
         labels = np.where(y >= 0, y, 0)

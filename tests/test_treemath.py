@@ -813,7 +813,7 @@ class TestFillFromLogWeights:
         record = tm._Bordered(beta, roots)
         w, _ = record.posterior_weights()  # read back from the matrix
         zero = (beta.scaled == 0.0) & ~np.eye(400, dtype=bool)
-        core = record._invert()[0][1:, 1:]
+        core = record.inverse[1:, 1:]
         gain = np.diag(core)[:, None] - core.T
         assert zero.sum() > 1000
         assert same_bits(np.signbit(w[zero]), np.signbit(gain[zero]))
@@ -1126,12 +1126,23 @@ class TestBlockInverse:
         with monkeypatch.context() as patch:
             patch.setattr(tm, "_BLOCK_LEAF", 151)
             want = tm._Bordered(record.beta, record.roots)
-            want_inverse, want_weights = want.inverse, want.posterior_weights()
+            want_inverse, want_weights = want.inverse, outcome(want.posterior_weights)
         bordered_counts.clear()
         assert same_bits(record.inverse, want_inverse)
-        assert same_outcome(record.posterior_weights(), want_weights)
+        assert same_outcome(outcome(record.posterior_weights), want_weights)
         # one LAPACK inverse, the fallback's; the weights read the kept one
         assert bordered_counts["inv", 151] == 1
+
+    def test_inaccurate_weights_raise_and_drop_the_inverse(self):
+        # F1 again: LAPACK's inverse misses diag(M X) = 1 by more than 1,
+        # so no W is read off it, and the record keeps no inverse after
+        record = spiral_record(150, cli.nn_regression_seed)
+        with pytest.raises(NumericalFaultError):
+            record.posterior_weights()
+        assert "_inverted" not in vars(record)
+        for read in (tm.posterior_weights, tm.edge_marginals):
+            with pytest.raises(NumericalFaultError):
+                read(record.beta, record.roots)
 
     def test_weights_as_accurate_as_lapacks(self, monkeypatch, bordered_counts):
         # W and rho from the block path (leaf 8, so LAPACK leaves of at most
@@ -1189,6 +1200,7 @@ class TestFactor:
         want = tm._augmented_logdet(record.matrix, record.normalized)
         bordered_counts.clear()
         log_z = record.factor()
+        inverse, residual, _ = record._inverted
         record.posterior_weights()
         assert bordered_counts["recursion", count + 1] == 1
         assert bordered_counts["slogdet", count + 1] == bordered_counts["inv", count + 1] == 0
@@ -1196,9 +1208,9 @@ class TestFactor:
         # the record's own ln Z stays slogdet's
         assert "logdet" not in vars(record)
         assert record.logdet == want
-        assert same_bits(record.inverse, tm._block_recursion(record.matrix)[0])
-        assert record.residual == tm._diagonal_residual(record.matrix, record.inverse)
-        assert record.residual <= 1e-9
+        assert same_bits(inverse, tm._block_recursion(record.matrix)[0])
+        assert residual == tm._diagonal_residual(record.matrix, inverse)
+        assert residual <= 1e-9
 
     def test_uncertified_factor_keeps_lapacks_bytes(self, bordered_counts):
         # F1: at the nearest-neighbour seed of 150 spiral rows the
@@ -1212,7 +1224,7 @@ class TestFactor:
         assert bordered_counts["slogdet", 151] == 1
         want = np.linalg.inv(record.matrix)
         assert same_bits(record.inverse, want)
-        assert record.residual == tm._diagonal_residual(record.matrix, want) > 1.0
+        assert record._inverted[1] == tm._diagonal_residual(record.matrix, want) > 1.0
         assert same_bits(log_z, fresh.log_z) and same_bits(record.logdet, fresh.logdet)
 
     @pytest.mark.parametrize("count", [20, tm._BLOCK_LEAF - 1])
@@ -1221,13 +1233,13 @@ class TestFactor:
         bordered_counts.clear()
         log_z = record.factor()
         # ln Z is slogdet's, and nothing is inverted
-        assert vars(record).keys().isdisjoint({"inverse", "residual"})
+        assert "_inverted" not in vars(record)
         assert bordered_counts == {("slogdet", count + 1): 1}
         assert log_z == record.log_z
         # the residual is read off LAPACK's inverse, which is kept for the
         # weights
         want = np.linalg.inv(record.matrix)
-        assert record.residual == tm._diagonal_residual(record.matrix, want)
+        assert record._inverted[1] == tm._diagonal_residual(record.matrix, want)
         assert same_bits(record.inverse, want)
         record.posterior_weights()
         assert bordered_counts["inv", count + 1] == 2  # the residual's and the test's
