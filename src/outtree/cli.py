@@ -38,8 +38,6 @@ class Dataset:
 
     X: np.ndarray
     y: np.ndarray | None
-    columns: list
-    label_column: str | None = None
 
 
 def ingest_csv(path, label_column=None, categorical=False) -> Dataset:
@@ -101,13 +99,13 @@ def ingest_csv(path, label_column=None, categorical=False) -> Dataset:
                             f"{attribute_columns[bad[0][1]]!r}: not a small nonnegative integer")
         X = as_int
     y = np.array(labels, dtype=np.int64) if label_idx is not None else None
-    return Dataset(X=X, y=y, columns=attribute_columns, label_column=label_column)
+    return Dataset(X=X, y=y)
 
 
 def split_indices(count, fractions, rng):
     """Disjoint, exhaustive train/validation/test index split."""
     fractions = np.asarray(fractions, dtype=float)
-    if fractions.shape != (3,) or np.any(fractions <= 0) \
+    if fractions.shape != (3,) or not np.all(fractions > 0) \
             or abs(fractions.sum() - 1.0) > 1e-9:
         raise ConfigError("splits must be three positive fractions summing to 1")
     perm = np.random.default_rng(rng).permutation(count)
@@ -138,9 +136,12 @@ class SpiralSpec:
 
     def __post_init__(self):
         if self.count < 10:
-            raise ConfigError("spiral needs at least 10 samples")
-        if self.noise < 0:
-            raise ConfigError("noise must be nonnegative")
+            raise ConfigError(f"spiral needs at least 10 rows, got {self.count}")
+        # NaN fails both comparisons
+        if not 0.0 <= self.noise < np.inf:
+            raise ConfigError(f"noise must be finite and >= 0, got {self.noise!r}")
+        if not 0.0 < self.turns < np.inf:
+            raise ConfigError(f"turns must be finite and > 0, got {self.turns!r}")
 
 
 def gen_spiral(spec: SpiralSpec, rng) -> np.ndarray:
@@ -170,7 +171,6 @@ def parzen_log_density(points, train, sigma):
 class ParzenResult:
     sigma: float
     test_log_likelihood: float
-    validation_scores: dict
 
 
 def baseline_parzen(train, test, bandwidths, validation) -> ParzenResult:
@@ -180,8 +180,8 @@ def baseline_parzen(train, test, bandwidths, validation) -> ParzenResult:
     test time).
     """
     bandwidths = list(bandwidths)
-    if not bandwidths:
-        raise ConfigError("bandwidth grid must be non-empty")
+    if not bandwidths or not all(0.0 < s < np.inf for s in bandwidths):
+        raise ConfigError(f"bandwidth-grid: expected finite bandwidths > 0, got {bandwidths}")
     if len(train) == 0 or len(validation) == 0:
         raise DataError("train and validation splits must be non-empty")
     val_scores = {float(s): float(parzen_log_density(validation, train, s).sum())
@@ -189,8 +189,7 @@ def baseline_parzen(train, test, bandwidths, validation) -> ParzenResult:
     best = max(val_scores, key=val_scores.get)
     return ParzenResult(sigma=best,
                         test_log_likelihood=float(
-                            parzen_log_density(test, train, best).sum()),
-                        validation_scores=val_scores)
+                            parzen_log_density(test, train, best).sum()))
 
 
 @dataclass
@@ -231,7 +230,11 @@ def _kmeans_pp_seeds(data, k, rng):
     return np.array(centers)
 
 
-def fit_gmm(data, k, rng, max_iters=200, ridge=1e-6, tol=1e-8):
+# EM's iteration cap, relative stopping tolerance and covariance ridge
+_EM_MAX_ITERS, _EM_TOL, _EM_RIDGE = 200, 1e-8, 1e-6
+
+
+def fit_gmm(data, k, rng):
     """One EM run from a k-means++ seeding; returns (params, ll_trace).
 
     Components that collapse are re-seeded at a random data point. The
@@ -240,12 +243,12 @@ def fit_gmm(data, k, rng, max_iters=200, ridge=1e-6, tol=1e-8):
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     count, d = data.shape
-    base_cov = np.cov(data.T).reshape(d, d) + ridge * np.eye(d)
+    base_cov = np.cov(data.T).reshape(d, d) + _EM_RIDGE * np.eye(d)
     params = GmmParams(weights=np.full(k, 1.0 / k),
                        means=_kmeans_pp_seeds(data, k, rng),
                        covariances=np.tile(base_cov, (k, 1, 1)))
     trace = []
-    for _ in range(max_iters):
+    for _ in range(_EM_MAX_ITERS):
         parts, log_norm = _gmm_parts(data, params)
         trace.append(float(log_norm.sum()))
         resp = np.exp(parts - log_norm[:, None])
@@ -262,10 +265,10 @@ def fit_gmm(data, k, rng, max_iters=200, ridge=1e-6, tol=1e-8):
             diff = data - mean
             cov = (resp[:, j][:, None] * diff).T @ diff / mass[j]
             params.means[j] = mean
-            params.covariances[j] = cov + ridge * np.trace(cov) / d * np.eye(d) \
+            params.covariances[j] = cov + _EM_RIDGE * np.trace(cov) / d * np.eye(d) \
                 + 1e-12 * np.eye(d)
         params.weights = mass / mass.sum()
-        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol * (1 + abs(trace[-2])):
+        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < _EM_TOL * (1 + abs(trace[-2])):
             break
     return params, np.array(trace)
 
@@ -275,7 +278,6 @@ class GmmSelection:
     best_k: int
     best_test_log_likelihood: float
     test_by_k: dict
-    validation_by_k: dict
 
 
 def baseline_gmm(train, test, k_values, restarts, validation, rng) -> GmmSelection:
@@ -295,7 +297,7 @@ def baseline_gmm(train, test, k_values, restarts, validation, rng) -> GmmSelecti
         val_by_k[k] = float(gmm_log_density(validation, best_params).sum())
     best_k = max(val_by_k, key=val_by_k.get)
     return GmmSelection(best_k=best_k, best_test_log_likelihood=test_by_k[best_k],
-                        test_by_k=test_by_k, validation_by_k=val_by_k)
+                        test_by_k=test_by_k)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +360,11 @@ def run_spiral_benchmark(*, count=600, noise=0.5, turns=3.0, folds=10, seed=0,
         rng = np.random.default_rng(stream)
         train_idx, val_idx, test_idx = split_indices(count, splits, rng)
         train, val, test = standardize(data[train_idx], data[val_idx], data[test_idx])
+        # first, so that a bad bandwidth fails before the fit
+        parzen = baseline_parzen(train, test, bandwidths, val)
         seed_model = nn_regression_seed(train)
         report = likelihood.fit_ml(train, seed_model, max_iters=max_iters, holdout=val)
         tdid_score = likelihood.test_log_likelihood(train, test, report.model).score
-        parzen = baseline_parzen(train, test, bandwidths, val)
         gmm = baseline_gmm(train, test, list(range(1, _GMM_MAX_K + 1)), restarts, val, rng)
         rows.append({"fold": fold, "seed": seed, "config": digest,
                      "tdid": tdid_score, "parzen": parzen.test_log_likelihood,
@@ -385,36 +388,49 @@ def _mutate_labels(tree, alpha, n_classes, rng):
     return labels
 
 
-def semisup_generator(scale=1.02, angle=0.25, noise=0.3) -> GaussianModel:
-    """Slightly expanding rotation in 3D: trees spread through space, so
-    attribute proximity carries information about tree adjacency."""
+def semisup_generator() -> GaussianModel:
+    """Slightly expanding rotation in 3D (scale 1.02, angle 0.25 rad,
+    mutation noise sd 0.3): trees spread through space, so attribute
+    proximity carries information about tree adjacency."""
+    angle = 0.25
     rot = np.array([[np.cos(angle), -np.sin(angle), 0.0],
                     [np.sin(angle), np.cos(angle), 0.0],
                     [0.0, 0.0, 1.0]])
     return GaussianModel(mu_c=np.zeros(3), mu_pi=np.zeros(3),
-                         sigma_c_given_pi=scale * rot,
-                         sigma_cc=noise ** 2 * np.eye(3), sigma_pipi=np.eye(3))
+                         sigma_c_given_pi=1.02 * rot,
+                         sigma_cc=0.3 ** 2 * np.eye(3), sigma_pipi=np.eye(3))
+
+
+# each class holds at least this share of a semi-supervised benchmark draw
+_MIN_MINORITY = 0.35
 
 
 def run_semisup_benchmark(*, count=60, n_classes=2, alpha_true=0.9,
                           labeled_fracs=(0.3,), seeds=10, seed=0, restarts=5,
-                          max_sweeps=40, min_minority=0.35):
+                          max_sweeps=40):
     """Synthetic tree-mutated label recovery versus the majority baseline.
 
-    Attributes and labels mutate along the same latent tree; draws whose
-    true labeling is nearly constant are resampled (the majority baseline
-    would be a ceiling there and the row would measure nothing). For each
-    labeled fraction and seed the row records tree-inference accuracy and
-    the observed-majority accuracy on the hidden labels.
+    Attributes and labels mutate along the same latent tree; draws where a
+    class holds less than ``_MIN_MINORITY`` of the rows are resampled (the
+    majority baseline would be a ceiling there and the row would measure
+    nothing). For each labeled fraction and seed the row records
+    tree-inference accuracy and the observed-majority accuracy on the
+    hidden labels.
     """
     config = dict(count=count, n_classes=n_classes, alpha_true=alpha_true,
                   labeled_fracs=list(labeled_fracs), seeds=seeds, seed=seed,
-                  restarts=restarts, max_sweeps=max_sweeps, min_minority=min_minority)
+                  restarts=restarts, max_sweeps=max_sweeps, min_minority=_MIN_MINORITY)
     digest = config_hash(config)
     generator = semisup_generator()
-    # built first, so a stickiness that can draw no labelling with a
-    # minority (alpha >= 1) raises instead of spinning in the loop below
+    # checked first, so that a draw the loop below can never accept
+    # (alpha >= 1, or too few rows for every class) raises instead of spinning
     label_model = semisup.LabelModel(alpha=alpha_true, n_classes=n_classes)
+    if n_classes * np.ceil(_MIN_MINORITY * count) > count:
+        raise ConfigError(f"rows: {count} rows cannot give each of {n_classes} "
+                          f"classes {_MIN_MINORITY:.0%} of them")
+    for frac in labeled_fracs:
+        if max(int(round(frac * count)), 1) >= count:
+            raise ConfigError(f"labeled-fracs: {frac} of {count} rows hides no row")
     rows = []
     for frac in labeled_fracs:
         for index in range(seeds):
@@ -424,7 +440,7 @@ def run_semisup_benchmark(*, count=60, n_classes=2, alpha_true=0.9,
                                               int(rng.integers(1 << 30)))
                 truth = _mutate_labels(draw.tree, alpha_true, n_classes, rng)
                 if np.bincount(truth, minlength=n_classes).min() \
-                        >= min_minority * count:
+                        >= _MIN_MINORITY * count:
                     break
             y = truth.copy()
             n_labeled = max(int(round(frac * count)), 1)
@@ -513,17 +529,14 @@ def _read_tsv(path):
 
 
 def _parse_floats(text):
-    try:
-        return [float(v) for v in text.split(",") if v != ""]
-    except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
+    return [float(v) for v in text.split(",") if v != ""]
 
 
 def _ranged(convert, what, inside):
     """An argparse ``type``: ``text`` converted by ``convert``, which must
     satisfy ``inside`` (NaN satisfies no comparison). A flag's value and a
-    ``--config`` value (``_config_value``) both pass through it, and either
-    error ends as one ``ConfigError`` naming ``what``."""
+    ``--config`` value (``_load_config_file``) both pass through it, and
+    either error ends as one ``ConfigError`` naming the flag and ``what``."""
     def parse(text):
         try:
             value = convert(text)
@@ -532,7 +545,6 @@ def _ranged(convert, what, inside):
         except ValueError:
             pass
         raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
-    parse.__name__ = what
     return parse
 
 
@@ -542,28 +554,11 @@ _CLASSES = _ranged(int, "an integer >= 2", lambda v: v >= 2)
 _POSITIVE = _ranged(float, "a finite number > 0", lambda v: 0.0 < v < np.inf)
 # a label stickiness: ``semisup.LabelModel``'s range
 _STICKINESS = _ranged(float, "a number strictly between 0 and 1", lambda v: 0.0 < v < 1.0)
-_STICKINESS_GRID = _ranged(_parse_floats, "comma-separated numbers strictly between 0 and 1",
-                           lambda values: all(0.0 < v < 1.0 for v in values))
-
-
-def _config_value(action, text, where):
-    """A config-file value converted as its command-line flag would be."""
-    if action.nargs == 0:  # store_true / store_false
-        lowered = text.lower()
-        if lowered not in ("1", "true", "yes", "0", "false", "no"):
-            raise ConfigError(f"{where}: {action.dest} expects true or false, got {text!r}")
-        return action.const if lowered in ("1", "true", "yes") else action.default
-    convert = action.type or str
-    try:
-        value = convert(text)
-    except (TypeError, ValueError, argparse.ArgumentTypeError):
-        raise ConfigError(f"{where}: {action.dest} expects "
-                          f"{getattr(convert, '__name__', 'another value')}, "
-                          f"got {text!r}") from None
-    if action.choices is not None and value not in action.choices:
-        raise ConfigError(f"{where}: {action.dest} must be one of "
-                          f"{list(action.choices)}, got {text!r}")
-    return value
+# stickinesses, or labelled fractions of the rows
+_FRACTIONS = _ranged(_parse_floats, "comma-separated numbers strictly between 0 and 1",
+                     lambda values: all(0.0 < v < 1.0 for v in values))
+# the command's library call checks these values
+_NUMBERS = _ranged(_parse_floats, "comma-separated numbers", lambda values: True)
 
 
 def _subparser(parser, command):
@@ -572,14 +567,10 @@ def _subparser(parser, command):
     return subparsers.choices[command]
 
 
-def _option_actions(subparser):
-    """dest -> argparse action for every option of one subcommand."""
-    return {a.dest: a for a in subparser._actions
-            if a.option_strings and a.default is not argparse.SUPPRESS}
-
-
-def _load_config_file(path, actions):
-    """Flat ``key = value`` file; values come back typed, keyed by dest."""
+def _load_config_file(path, subparser):
+    """Flat ``key = value`` file, each line parsed as ``--key=value`` by the
+    subcommand's own parser, so a value fails as its flag would; values come
+    back typed, keyed by dest."""
     values = {}
     try:
         with open(path) as handle:
@@ -589,12 +580,17 @@ def _load_config_file(path, actions):
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{line_no}: expected key = value")
-                key, _, value = line.partition("=")
-                dest = key.strip().replace("-", "_")
-                if dest not in actions:
-                    raise ConfigError(f"{path}:{line_no}: unknown key {key.strip()!r}")
-                values[dest] = _config_value(actions[dest], value.strip(),
-                                             f"{path}:{line_no}")
+                key, _, value = (part.strip() for part in line.partition("="))
+                flag = "--" + key.replace("_", "-")
+                # the exact option only, where argparse would take an abbreviation
+                action = subparser._option_string_actions.get(flag)
+                if action is None:
+                    raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+                try:
+                    parsed = subparser.parse_args([f"{flag}={value}"])
+                except ConfigError as exc:
+                    raise ConfigError(f"{path}:{line_no}: {key}: {exc}") from None
+                values[action.dest] = getattr(parsed, action.dest)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return values
@@ -726,12 +722,10 @@ def cmd_spiral(args):
 
 
 def cmd_spiral_bench(args):
-    bandwidths = _parse_floats(args.bandwidth_grid) if args.bandwidth_grid else None
     rows = run_spiral_benchmark(count=args.rows, noise=args.noise, turns=args.turns,
-                                folds=args.folds, seed=args.seed,
-                                splits=_parse_floats(args.splits),
+                                folds=args.folds, seed=args.seed, splits=args.splits,
                                 max_iters=args.max_iters, restarts=args.restarts,
-                                bandwidths=bandwidths)
+                                bandwidths=args.bandwidth_grid or None)
     columns = ["fold", "seed", "config", "tdid", "parzen", "gmm_1", "gmm_best_k",
                "gmm_best", "fit_iterations", "fit_reason"]
     write_tsv(args.output, rows, columns)
@@ -743,10 +737,9 @@ def cmd_spiral_bench(args):
 
 
 def cmd_semisup_bench(args):
-    fracs = _parse_floats(args.labeled_fracs)
     rows = run_semisup_benchmark(count=args.rows, alpha_true=args.alpha_true,
-                                 labeled_fracs=fracs, seeds=args.runs, seed=args.seed,
-                                 restarts=args.restarts)
+                                 labeled_fracs=args.labeled_fracs, seeds=args.runs,
+                                 seed=args.seed, restarts=args.restarts)
     columns = ["labeled_frac", "labeled_count", "seed", "config",
                "tree_accuracy", "majority_accuracy"]
     write_tsv(args.output, rows, columns)
@@ -777,7 +770,7 @@ def build_parser():
     def common(p, *required):
         p.add_argument("--input", default=None)
         p.add_argument("--output", default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_COUNT, default=None)
         p.add_argument("--config", default=None,
                        help="flat key = value file; flags override it")
         p.set_defaults(required=required)
@@ -811,7 +804,7 @@ def build_parser():
     p.add_argument("--model", default=None)
     p.add_argument("--classes", type=_CLASSES, default=None)
     p.add_argument("--alpha", type=_STICKINESS, default=0.9)
-    p.add_argument("--alpha-grid", type=_STICKINESS_GRID, default=None)
+    p.add_argument("--alpha-grid", type=_FRACTIONS, default=None)
     p.add_argument("--restarts", type=_POSITIVE_INT, default=5)
     p.add_argument("--max-sweeps", type=_COUNT, default=50)
     p.add_argument("--max-iters", type=_COUNT, default=60)
@@ -838,19 +831,19 @@ def build_parser():
     p.add_argument("--rows", type=int, default=600)
     p.add_argument("--noise", type=float, default=0.5)
     p.add_argument("--turns", type=float, default=3.0)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--splits", default="0.8,0.1,0.1")
+    p.add_argument("--folds", type=_POSITIVE_INT, default=10)
+    p.add_argument("--splits", type=_NUMBERS, default="0.8,0.1,0.1")
     p.add_argument("--max-iters", type=_COUNT, default=60)
     p.add_argument("--restarts", type=_POSITIVE_INT, default=10)
-    p.add_argument("--bandwidth-grid", default=None)
+    p.add_argument("--bandwidth-grid", type=_NUMBERS, default=None)
     p.set_defaults(func=cmd_spiral_bench)
 
     p = sub.add_parser("semisup-bench", help="synthetic semi-supervised harness")
     common(p, "output", "seed")
     p.add_argument("--rows", type=int, default=60)
     p.add_argument("--alpha-true", type=_STICKINESS, default=0.9)
-    p.add_argument("--labeled-fracs", default="0.3")
-    p.add_argument("--runs", type=int, default=10)
+    p.add_argument("--labeled-fracs", type=_FRACTIONS, default="0.3")
+    p.add_argument("--runs", type=_POSITIVE_INT, default=10)
     p.add_argument("--restarts", type=_POSITIVE_INT, default=5)
     p.set_defaults(func=cmd_semisup_bench)
 
@@ -874,8 +867,7 @@ def _parse_args(argv):
         # config-file values become the subcommand's defaults, and parsing the
         # same command line again lets every flag given there win, however
         # argparse matched it (abbreviated, or as --flag=value)
-        subparser.set_defaults(**_load_config_file(args.config,
-                                                   _option_actions(subparser)))
+        subparser.set_defaults(**_load_config_file(args.config, subparser))
         args = parser.parse_args(argv)
     missing = [f"--{name.replace('_', '-')}" for name in args.required
                if getattr(args, name) is None]

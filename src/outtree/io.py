@@ -221,11 +221,9 @@ def write_fit_log(path, report):
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def write_sample_csv(path, data, columns=None):
+def write_sample_csv(path, data):
     data = np.atleast_2d(np.asarray(data))
-    if columns is None:
-        columns = [f"x{d}" for d in range(data.shape[1])]
-    lines = [",".join(columns)]
+    lines = [",".join(f"x{d}" for d in range(data.shape[1]))]
     if np.issubdtype(data.dtype, np.integer):
         lines.extend(",".join(str(int(v)) for v in row) for row in data)
     else:

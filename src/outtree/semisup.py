@@ -57,14 +57,15 @@ class LabelModel:
         return float(-np.log(self.n_classes))
 
 
-def check_labels(y, n_classes, *, require_observed=True):
-    """Validate a label vector with MISSING (-1) marking unobserved entries."""
+def check_labels(y, n_classes):
+    """Validate a label vector with MISSING (-1) marking unobserved entries,
+    at least one of them observed."""
     y = np.asarray(y, dtype=np.int64)
     if y.ndim != 1:
         raise DataError("labels must be a vector")
     if np.any((y < MISSING) | (y >= n_classes)):
         raise DataError(f"labels must be missing or in [0, {n_classes})")
-    if require_observed and not np.any(y >= 0):
+    if not np.any(y >= 0):
         raise DataError("need at least one observed label")
     return y
 

@@ -206,16 +206,15 @@ def _per_root_quantities(beta_tilde):
     return log_z, stack
 
 
-def update_q_root(beta_tilde, root_log_m, per_root_log_z=None, per_root=None,
-                  check_tol=1e-9):
+def update_q_root(beta_tilde, root_log_m, per_root_log_z=None, per_root=None):
     """New q(r), computed two ways that must agree (a test oracle).
 
     Route (a) is the literal update: tree entropy plus the expected edge
     score plus the root evidence. Route (b) is the algebraic simplification
     q(r) proportional to m(X_r) * Z_r of the expected-log weights, which
     follows from H(q_r) + E_{q_r}[ln weight] = ln Z_r. Disagreement beyond
-    ``check_tol`` raises, since it would mean the marginal/entropy
-    machinery is inconsistent.
+    1e-9 raises, since it would mean the marginal/entropy machinery is
+    inconsistent.
     """
     if per_root_log_z is None:
         per_root_log_z, per_root = _per_root_quantities(beta_tilde)
@@ -230,7 +229,7 @@ def update_q_root(beta_tilde, root_log_m, per_root_log_z=None, per_root=None,
             logits_a[r] = root_log_m[r] + entropy + edge_score
         norm_a = logits_a - _logsumexp(logits_a)
         norm_b = logits_b - _logsumexp(logits_b)
-        if np.abs(norm_a - norm_b).max() > check_tol:
+        if np.abs(norm_a - norm_b).max() > 1e-9:
             raise NumericalFaultError("q(r) update routes disagree")
     with np.errstate(under="ignore"):
         return np.exp(logits_b - _logsumexp(logits_b))

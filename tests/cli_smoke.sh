@@ -108,6 +108,13 @@ test "$(wc -l < "$dir/err")" -eq 1
 # a stickiness of 1 draws no labelling with a minority: exit 2, not a hang
 expect_error 2 semisup-bench --alpha-true 1 --seed 1 --output "$dir/never.tsv"
 expect_error 2 sample --model "$dir/m.model" --rows 0 --seed 1 --output "$dir/never.csv"
+expect_error 2 spiral --turns nan --seed 1 --output "$dir/never.csv"
+expect_error 2 spiral --seed -1 --output "$dir/never.csv"
+# one row cannot give both classes a minority: exit 2, not a hang
+expect_error 2 semisup-bench --rows 1 --seed 1 --output "$dir/never.tsv"
+expect_error 2 spiral-bench --rows 40 --folds 1 --bandwidth-grid 0 --seed 1 \
+  --output "$dir/never.tsv"
+test ! -e "$dir/never.csv" && test ! -e "$dir/never.tsv"
 head -n 4 "$dir/state.ckpt" > "$dir/truncated.ckpt"
 expect_error 3 vb --input "$dir/cats.csv" --resume "$dir/truncated.ckpt" \
   --output "$dir/never.ckpt"

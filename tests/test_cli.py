@@ -88,6 +88,11 @@ class TestSplits:
         with pytest.raises(ConfigError):
             cli.split_indices(10, (1.0, 0.0, 0.0), 0)
 
+    def test_nan_fraction_rejected(self):
+        # NaN passed both comparisons and ended in a ValueError of int()
+        with pytest.raises(ConfigError):
+            cli.split_indices(10, (np.nan, 0.5, 0.5), 0)
+
 
 class TestSpiral:
     def test_zero_noise_lies_on_curve(self):
@@ -112,6 +117,13 @@ class TestSpiral:
     def test_rejects_tiny_counts(self):
         with pytest.raises(ConfigError):
             cli.SpiralSpec(count=5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("noise", np.nan), ("noise", np.inf),
+        ("turns", 0.0), ("turns", -2.0), ("turns", np.nan), ("turns", np.inf)])
+    def test_rejects_noise_and_turns_out_of_range(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            cli.SpiralSpec(count=20, **{field: value})
 
 
 class TestParzen:
@@ -140,6 +152,12 @@ class TestParzen:
         test = rng.normal(size=(30, 2))
         result = cli.baseline_parzen(train, test, [0.01, 0.3, 1.0, 30.0], val)
         assert result.sigma in (0.3, 1.0)
+
+    @pytest.mark.parametrize("bandwidths", [[0.3, 0.0], [-1.0], [np.nan], [np.inf]])
+    def test_rejects_bandwidths_out_of_range(self, bandwidths):
+        points = np.random.default_rng(6).normal(size=(10, 2))
+        with pytest.raises(ConfigError, match="bandwidth"):
+            cli.baseline_parzen(points, points, bandwidths, points)
 
 
 class TestGmm:
@@ -450,6 +468,20 @@ class TestCommands:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigError" and "max_iters" in record["message"]
 
+    def test_config_value_outside_choices_names_line_and_key(self, tmp_path, capsys):
+        train = self.make_gaussian_csv(tmp_path, seed=12)
+        config = str(tmp_path / "bad.cfg")
+        write(config, "# family\nmodel-family = nope\n")
+        model_path = str(tmp_path / "m.model")
+        code = cli.main(["fit", "--input", train, "--output", model_path,
+                         "--config", config])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith(f"{config}:2: model-family: ")
+        assert "'nope'" in record["message"]
+        assert not os.path.exists(model_path)
+
     def test_data_error_exit_code(self, tmp_path, capsys):
         bad = str(tmp_path / "bad.csv")
         write(bad, "a,b\n1,2\n3\n")
@@ -523,6 +555,32 @@ class TestSemisupBenchmark:
             assert 0.0 <= row["tree_accuracy"] <= 1.0
             assert row["labeled_count"] == 9
 
+    def test_fraction_that_hides_no_row_raises(self):
+        # 0.99 of 5 rows labels all five, which left every accuracy NaN
+        with pytest.raises(ConfigError, match="hides no row"):
+            cli.run_semisup_benchmark(count=5, labeled_fracs=(0.3, 0.99), seeds=1)
+
+
+def run_isolated(*args):
+    """``python *args`` in a subprocess that imports this package, with a
+    timeout, so that a hang fails the test instead of stalling it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in [src, os.environ.get("PYTHONPATH")] if p)}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=60, env=env)
+
+
+def one_config_error(done):
+    """The ``ConfigError`` record of a finished process that exited 2 and
+    wrote one line to stderr."""
+    assert done.returncode == 2
+    lines = done.stderr.split("\n")
+    assert len(lines) == 2 and lines[1] == "", done.stderr
+    record = json.loads(lines[0])
+    assert record["error"] == "ConfigError"
+    return record
+
 
 def error_record(capsys, code):
     """The one JSON record a failed command wrote to stderr."""
@@ -592,6 +650,9 @@ class TestUsage:
 
     SEMISUP = ["--input", "{labelled}", "--label-column", "y", "--seed", "1",
                "--output", "{out}"]
+    SPIRAL = ["--seed", "1", "--output", "{out}"]
+    SPIRAL_BENCH = ["--rows", "40", "--restarts", "1", "--seed", "1", "--output", "{out}"]
+    SEMISUP_BENCH = ["--restarts", "1", "--seed", "1", "--output", "{out}"]
 
     @pytest.mark.parametrize("command, flag, value, rest", [
         ("semisup", "--sigma-scale", "-1", [*SEMISUP, "--model", "{model}"]),
@@ -614,6 +675,30 @@ class TestUsage:
         ("spiral-bench", "--restarts", "0",
          ["--rows", "40", "--folds", "2", "--max-iters", "1", "--seed", "1",
           "--output", "{out}"]),
+        ("spiral", "--seed", "-1", ["--output", "{out}"]),
+        ("sample", "--seed", "-1", ["--model", "{model}", "--rows", "5", "--output", "{out}"]),
+        ("semisup", "--seed", "-1", ["--input", "{labelled}", "--label-column", "y",
+                                     "--model", "{model}", "--output", "{out}"]),
+        ("spiral", "--turns", "-2", SPIRAL),
+        ("spiral", "--turns", "inf", SPIRAL),
+        ("spiral", "--turns", "nan", SPIRAL),
+        ("spiral", "--noise", "nan", SPIRAL),
+        ("spiral", "--noise", "inf", SPIRAL),
+        ("spiral-bench", "--folds", "0", [*SPIRAL_BENCH, "--max-iters", "1"]),
+        ("semisup-bench", "--runs", "0", [*SEMISUP_BENCH, "--rows", "30"]),
+        ("semisup-bench", "--rows", "0", [*SEMISUP_BENCH, "--runs", "1"]),
+        ("semisup-bench", "--rows", "5", [*SEMISUP_BENCH, "--runs", "1",
+                                          "--labeled-fracs", "0.99"]),
+        ("semisup-bench", "--labeled-fracs", "nan", [*SEMISUP_BENCH, "--rows", "30", "--runs", "1"]),
+        ("semisup-bench", "--labeled-fracs", "-1", [*SEMISUP_BENCH, "--rows", "30", "--runs", "1"]),
+        ("semisup-bench", "--labeled-fracs", "2", [*SEMISUP_BENCH, "--rows", "30", "--runs", "1"]),
+        ("spiral-bench", "--bandwidth-grid", "0,-1",
+         [*SPIRAL_BENCH, "--folds", "2", "--max-iters", "1"]),
+        ("spiral-bench", "--bandwidth-grid", "nan",
+         [*SPIRAL_BENCH, "--folds", "2", "--max-iters", "1"]),
+        ("spiral-bench", "--splits", "nan,0.5,0.5",
+         [*SPIRAL_BENCH, "--folds", "2", "--max-iters", "1"]),
+        ("spiral", "--rows", "5", SPIRAL),
     ])
     @pytest.mark.parametrize("route", ["flag", "config"])
     def test_numeric_flag_out_of_range_is_one_json_record(
@@ -636,25 +721,26 @@ class TestUsage:
     @pytest.mark.parametrize("alpha", ["1", "2"])
     def test_stickiness_with_no_minority_exits_2(self, tmp_path, alpha):
         # at alpha_true >= 1 every label copies the root's, so the
-        # benchmark's draw of a labelling with a minority never ends; run in
-        # a subprocess so that a hang fails the test instead of stalling it
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in [src, os.environ.get("PYTHONPATH")] if p)}
-        done = subprocess.run(
-            [sys.executable, "-m", "outtree.cli", "semisup-bench", "--alpha-true", alpha,
-             "--seed", "1", "--output", str(tmp_path / "b.tsv")],
-            capture_output=True, text=True, timeout=60, env=env)
-        assert done.returncode == 2
-        lines = done.stderr.split("\n")
-        assert len(lines) == 2 and lines[1] == "", done.stderr
-        assert json.loads(lines[0])["error"] == "ConfigError"
-        library = ("from outtree import cli\n"
-                   f"cli.run_semisup_benchmark(alpha_true={alpha}.0, seeds=1)\n")
-        done = subprocess.run([sys.executable, "-c", library], capture_output=True,
-                              text=True, timeout=60, env=env)
+        # benchmark's draw of a labelling with a minority never ends
+        done = run_isolated("-m", "outtree.cli", "semisup-bench", "--alpha-true", alpha,
+                            "--seed", "1", "--output", str(tmp_path / "b.tsv"))
+        one_config_error(done)
+        done = run_isolated("-c", "from outtree import cli\n"
+                            f"cli.run_semisup_benchmark(alpha_true={alpha}.0, seeds=1)\n")
         assert done.returncode == 1
         assert "ValueError: alpha must lie strictly between 0 and 1" in done.stderr
+
+    def test_rows_with_no_minority_exits_2(self, tmp_path):
+        # one row cannot give each of two classes 35 % of the rows, so the
+        # benchmark's draw of a labelling never ended
+        done = run_isolated("-m", "outtree.cli", "semisup-bench", "--rows", "1",
+                            "--seed", "1", "--output", str(tmp_path / "b.tsv"))
+        assert "rows" in one_config_error(done)["message"]
+        assert not (tmp_path / "b.tsv").exists()
+        done = run_isolated("-c", "from outtree import cli\n"
+                            "cli.run_semisup_benchmark(count=1, seeds=1)\n")
+        assert done.returncode == 1
+        assert "ConfigError: rows: 1 rows cannot give each of 2 classes" in done.stderr
 
 
 class TestMalformedArtifacts:
