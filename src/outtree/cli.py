@@ -482,6 +482,11 @@ def emit_plotdata(kind, input_path, output_path, edges_path=None):
         if edges_path is None:
             raise ConfigError("scatter3d needs --edges")
         tree = otio.read_edge_list(edges_path)
+        if dataset.X.shape[1] < 3:
+            raise DataError(f"{input_path}: scatter3d needs 3 attribute columns, "
+                            f"got {dataset.X.shape[1]}")
+        if tree.size != len(dataset.X):
+            raise DataError(f"{edges_path}: {tree.size} nodes for {len(dataset.X)} rows")
         rows = [{"x": float(r[0]), "y": float(r[1]), "z": float(r[2]),
                  "parent": "root" if tree.parent[i] == -1 else int(tree.parent[i])}
                 for i, r in enumerate(dataset.X)]

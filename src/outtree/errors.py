@@ -15,7 +15,7 @@ class DataError(OutTreeError):
 
 class NumericalFaultError(OutTreeError):
     """A computation produced a value that is impossible for valid inputs,
-    e.g. a negative cofactor of an out-Laplacian."""
+    e.g. a negative determinant of a bordered Laplacian."""
 
 
 class ZeroPartitionError(OutTreeError):

@@ -221,7 +221,7 @@ def fit_ml(data, model0: MutationModel, *, max_iters=500, grad_tol=1e-5,
         if grad is None:
             report.reason = "inaccurate_gradient"
             break
-        grad_norm = float(np.abs(grad).max())
+        grad_norm = float(np.abs(grad).max(initial=0.0))  # 0 with no free parameter
         if grad_norm < grad_tol:
             report.reason = "gradient_tolerance"
             break

@@ -13,6 +13,9 @@ row-rescaled bordered Laplacian once: ln Z is read off its determinant,
 the edge marginals and root posterior off its inverse, each computed only
 when read. ``log_partition``, ``posterior_weights`` and the greedy-search
 session read such records, so a value and its gradient share one set-up.
+The per-root routes (``log_partition_per_root``, ``per_root_marginal``,
+``tree_entropy``) read a record whose root weight is all on r: its border
+is e_r, so its determinant is the cofactor at r and its inverse gives P_r.
 Only this module knows the record's layout: other modules set one up
 (``_Bordered(beta, roots)``, ``_Bordered._set_up``) and read it through
 ``log_z``, ``factor()``, ``posterior_weights()`` (which checks the one
@@ -58,6 +61,7 @@ first read, and it and the factorization session are single-writer.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -756,20 +760,6 @@ def _invert_in_place(block, scratch, leaf):
     return logdet
 
 
-def _logdet_nonneg(matrix, what):
-    """Log-determinant of a matrix that is a nonnegative sum of tree weights.
-
-    Returns -inf for an exactly singular matrix; a negative determinant is
-    impossible for valid inputs and reported as a numerical fault.
-    """
-    sign, logdet = np.linalg.slogdet(matrix)
-    if sign == 0.0 or logdet == -np.inf:
-        return -np.inf
-    if sign < 0.0:
-        raise NumericalFaultError(f"negative determinant for {what}")
-    return float(logdet)
-
-
 def _has_positive_arborescence(support, root_order):
     """Whether some candidate root reaches every node over positive edges.
 
@@ -829,20 +819,35 @@ def _augmented_logdet(q_hat, adjusted_norm):
         return float(np.log(np.maximum(singular, floor)).sum())
 
 
+def _rooted(beta, r):
+    """The ``_Bordered`` record of ``beta`` with all root weight on r. Its
+    border is e_r, so its determinant is det(Q + e_r e_r^T), the cofactor
+    of the out-Laplacian Q at r: ``log_z`` is ln Z_r, and the W of
+    ``posterior_weights`` is P_r up to roundoff in row r."""
+    log_values = np.full(beta.size, -np.inf)
+    log_values[r] = 0.0
+    return _Bordered(beta, RootWeights(log_values=log_values))
+
+
+def _rooted_marginal(beta, r):
+    """(ln Z_r, P_r) off one ``_rooted`` record, its ``slogdet`` (where
+    Z_r = 0 raises) and then its checked inverse; row r of P_r is zeros."""
+    record = _rooted(beta, r)
+    log_z = record.log_z
+    p, _ = record.posterior_weights()
+    p[r] = 0.0
+    return log_z, p
+
+
 def log_partition_per_root(beta: WeightMatrix) -> np.ndarray:
-    """ln Z_r for every root r: the log-cofactor of the out-Laplacian at r.
+    """ln Z_r for every root r, the ``log_z`` of its ``_rooted`` record.
 
     Entries are -inf where no out-tree rooted at r has positive weight.
     """
-    size = beta.size
-    scaled = beta.scaled
-    q = np.diag(scaled.sum(axis=1)) - scaled
-    out = np.empty(size)
-    for r in range(size):
-        keep = np.arange(size) != r
-        logdet = _logdet_nonneg(q[np.ix_(keep, keep)], f"cofactor at root {r}")
-        shift = beta.scale_total - beta.row_scales[r]
-        out[r] = logdet + shift if logdet != -np.inf else -np.inf
+    out = np.full(beta.size, -np.inf)
+    for r in range(beta.size):
+        with contextlib.suppress(ZeroPartitionError):
+            out[r] = _rooted(beta, r).log_z
     return out
 
 
@@ -938,34 +943,16 @@ def _clip_probabilities(p, what):
 def per_root_marginal(beta: WeightMatrix, r: int) -> np.ndarray:
     """P_r[u, v] = probability of edge v -> u under trees rooted at r.
 
-    Computed as beta_uv * d(ln Z_r)/d(beta_uv) from the inverse of the
-    cofactor matrix. Every non-root row sums to one (each non-root node has
-    exactly one parent). Returns all zeros when Z_r = 0.
+    Read off the inverse of the ``_rooted`` record and clipped at zero.
+    Every non-root row sums to one (each non-root node has exactly one
+    parent). Returns all zeros when Z_r = 0; raises ``NumericalFaultError``
+    as ``posterior_weights`` does.
     """
-    return _rooted(beta, r)[1]
-
-
-def _rooted(beta, r):
-    """(ln Z_r, P_r) off one factorization of the cofactor at root r: ln Z_r
-    as ``log_partition_per_root`` gives it, P_r as ``per_root_marginal``."""
-    size = beta.size
-    scaled = beta.scaled
-    q = np.diag(scaled.sum(axis=1)) - scaled
-    keep = np.flatnonzero(np.arange(size) != r)
-    sub = q[np.ix_(keep, keep)]
-    logdet = _logdet_nonneg(sub, f"cofactor at root {r}")
-    if logdet == -np.inf:
-        return -np.inf, np.zeros((size, size))
-    inv = np.linalg.inv(sub)
-    diag = np.diag(inv)
-    # gain[u, v] = d ln Z_r / d beta_uv, both in reduced (root-deleted) index space
-    gain = diag[:, None] - inv.T
-    p = np.zeros((size, size))
-    p[np.ix_(keep, keep)] = scaled[np.ix_(keep, keep)] * gain
-    p[keep, r] = scaled[keep, r] * diag
-    np.fill_diagonal(p, 0.0)
-    shift = beta.scale_total - beta.row_scales[r]
-    return logdet + shift, _clip_probabilities(p, f"per-root marginal at {r}")
+    try:
+        _, p = _rooted_marginal(beta, r)
+    except ZeroPartitionError:
+        return np.zeros((beta.size, beta.size))
+    return _clip_probabilities(p, f"per-root marginal at {r}")
 
 
 def edge_marginals(beta: WeightMatrix, roots: RootWeights) -> EdgeMarginals:
@@ -996,12 +983,12 @@ def posterior_weights(beta: WeightMatrix, roots: RootWeights):
 def tree_entropy(beta: WeightMatrix, r: int) -> float:
     """Shannon entropy of the tree posterior q_r over out-trees rooted at r.
 
-    H(q_r) = ln Z_r - sum_uv P_r(u, v) ln beta_uv; zero when the weights
-    support exactly one tree at r.
+    H(q_r) = ln Z_r - sum_uv P_r(u, v) ln beta_uv, both read off one
+    ``_rooted`` record; zero when the weights support exactly one tree at
+    r. Raises ``ZeroPartitionError`` when Z_r = 0, and
+    ``NumericalFaultError`` as ``posterior_weights`` does.
     """
-    log_z, p = _rooted(beta, r)
-    if not np.isfinite(log_z):
-        raise ZeroPartitionError(f"no out-tree rooted at {r} has positive weight")
+    log_z, p = _rooted_marginal(beta, r)
     mask = p > 0.0
     return float(log_z - np.sum(p[mask] * beta.log_entries[mask]))
 

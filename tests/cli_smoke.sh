@@ -2,12 +2,13 @@
 # End-to-end smoke run of the command line: every subcommand that writes an
 # artifact, a fit of 300 rows checked against a fresh likelihood, a resumed
 # VB fit, a VB fit of equal rows and one of 200 000 rows, a tabular fit
-# scored by eval, config files, label inference over two and three classes,
-# and the exit code and JSON error record of a usage error, of numeric
-# flags out of range, of a malformed checkpoint, of a labelled row whose
-# weights overflow, of a model document with a NaN mean, of a non-integer
-# cell scored under a tabular model and of inputs with no attribute columns
-# or no rows.
+# scored by eval and one of all-zero columns (no free parameter), config
+# files, label inference over two and three classes, and the exit code and
+# JSON error record of a usage error, of numeric flags out of range, of a
+# malformed checkpoint, of a labelled row whose weights overflow, of a
+# model document with a NaN mean, of a non-integer cell scored under a
+# tabular model, of inputs with no attribute columns or no rows and of a
+# scatter3d plot whose edge list has fewer nodes than its input has rows.
 # Run from the root of a checkout: bash tests/cli_smoke.sh
 set -euo pipefail
 dir=$(mktemp -d)
@@ -84,6 +85,14 @@ outtree fit --input "$dir/cats.csv" --output "$dir/cats.model" --model-family ta
 outtree eval --input "$dir/cats.csv" --test "$dir/cats.csv" --model "$dir/cats.model" \
   --output "$dir/cscore.tsv"
 rows "$dir/cscore.tsv" 1
+# all-zero columns leave a tabular model no free parameter: the fit stops
+# at once, on its empty gradient, and eval scores the model it writes
+printf 'a,b\n0,0\n0,0\n0,0\n' > "$dir/zeros.csv"
+outtree fit --input "$dir/zeros.csv" --output "$dir/zeros.model" --model-family tabular
+grep -q "gradient_tolerance" "$dir/zeros.model.log"
+outtree eval --input "$dir/zeros.csv" --test "$dir/zeros.csv" --model "$dir/zeros.model" \
+  --output "$dir/zscore.tsv"
+rows "$dir/zscore.tsv" 1
 printf 'rows = 20\n' > "$dir/c.cfg"
 outtree spiral --config "$dir/c.cfg" --row 50 --seed 1 --output "$dir/a.csv"
 rows "$dir/a.csv" 50
@@ -138,3 +147,9 @@ printf '\n\n\n' > "$dir/blank.csv"
 expect_error 3 fit --input "$dir/blank.csv" --output "$dir/never.model"
 printf 'a,b\n' > "$dir/header.csv"
 expect_error 3 vb --input "$dir/header.csv" --output "$dir/never.ckpt"
+# a 2-node edge list for 3 rows: no plot is written
+printf 'x,y,z\n0,0,0\n1,1,1\n2,2,2\n' > "$dir/xyz.csv"
+printf 'child,parent\n0,root\n1,0\n' > "$dir/two.edges"
+expect_error 3 plotdata --kind scatter3d --input "$dir/xyz.csv" --edges "$dir/two.edges" \
+  --output "$dir/never.tsv"
+test ! -e "$dir/never.tsv"

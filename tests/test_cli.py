@@ -287,6 +287,18 @@ class TestCommands:
         assert error_record(capsys, 3)["message"] == \
             f"{test}: row 3, column 'x0': not a small nonnegative integer"
 
+    def test_tabular_fit_of_all_zero_columns(self, tmp_path):
+        # a model with no free parameter stops at once and is scored
+        data_path, model_path = str(tmp_path / "zeros.csv"), str(tmp_path / "z.model")
+        write(data_path, "a,b\n0,0\n0,0\n0,0\n")
+        out = str(tmp_path / "score.tsv")
+        assert cli.main(["fit", "--input", data_path, "--output", model_path,
+                         "--model-family", "tabular"]) == 0
+        assert "gradient_tolerance" in open(model_path + ".log").read()
+        assert cli.main(["eval", "--input", data_path, "--test", data_path,
+                         "--model", model_path, "--output", out]) == 0
+        assert np.isfinite(float(cli._read_tsv(out)[0]["score"]))
+
     def test_sample_reproducible_bit_identical(self, tmp_path):
         rng = np.random.default_rng(4)
         model_path = str(tmp_path / "m.model")
@@ -898,22 +910,31 @@ class TestMalformedArtifacts:
                          "--output", str(tmp_path / "err.tsv")]) == 3
         assert "row 2" in error_record(capsys, 3)["message"]
 
-    @pytest.mark.parametrize("edges", [
-        "child,parent\n0,root\n1,x\n2,0\n",
-        "child,parent\n0,root\n1,0,2\n2,0\n",
-        "child,parent\n0,root\n2,0\n3,0\n",  # node 1 missing
-        "child,parent\n0,root\n1,0\n1,0\n",  # node 1 twice, node 2 missing
-        "child,parent\n0,1\n1,2\n2,0\n",  # no root
-        "child,parent\n0,root\n1,2\n2,1\n",  # a cycle
-    ])
-    def test_malformed_edge_list(self, tmp_path, capsys, edges):
+    EDGE_LISTS = [
+        ("child,parent\n0,root\n1,x\n2,0\n", 3),
+        ("child,parent\n0,root\n1,0,2\n2,0\n", 3),
+        ("child,parent\n0,root\n2,0\n3,0\n", 3),  # node 1 missing
+        ("child,parent\n0,root\n1,0\n1,0\n", 3),  # node 1 twice, node 2 missing
+        ("child,parent\n0,1\n1,2\n2,0\n", 3),  # no root
+        ("child,parent\n0,root\n1,2\n2,1\n", 3),  # a cycle
+        ("child,parent\n0,root\n1,0\n2,0\n", 2),  # no z column
+        ("child,parent\n0,root\n1,0\n", 3),  # fewer nodes than rows
+        ("child,parent\n0,root\n1,0\n2,0\n3,0\n", 3),  # more nodes than rows
+    ]
+
+    # each case is named by its edge list, which is unique
+    @pytest.mark.parametrize("edges, columns", EDGE_LISTS,
+                             ids=[edges for edges, _ in EDGE_LISTS])
+    def test_malformed_edge_list(self, tmp_path, capsys, edges, columns):
         data_path = str(tmp_path / "d.csv")
-        otio.write_sample_csv(data_path, np.random.default_rng(22).normal(size=(3, 3)))
-        edges_path = str(tmp_path / "t.edges")
+        otio.write_sample_csv(data_path,
+                              np.random.default_rng(22).normal(size=(3, columns)))
+        edges_path, out = str(tmp_path / "t.edges"), tmp_path / "p.tsv"
         write(edges_path, edges)
         assert cli.main(["plotdata", "--kind", "scatter3d", "--input", data_path,
-                         "--edges", edges_path, "--output", str(tmp_path / "p.tsv")]) == 3
+                         "--edges", edges_path, "--output", str(out)]) == 3
         assert error_record(capsys, 3)["error"] == "DataError"
+        assert not out.exists()
 
     def test_unreadable_model_path(self, tmp_path, capsys):
         assert cli.main(["sample", "--model", str(tmp_path / "none.model"),

@@ -326,6 +326,16 @@ class TestFit:
         with pytest.raises(NumericalFaultError):
             lk.grad_tdid(data, cli.nn_regression_seed(data))
 
+    def test_no_free_parameter_stops_at_the_gradient_tolerance(self):
+        # all-zero columns leave a tabular model nothing to fit: its empty
+        # gradient has sup-norm 0
+        data = np.zeros((3, 2), dtype=int)
+        model = models.tabular_init_iid(data, [1, 1])
+        assert model.param_vector().size == 0
+        report = lk.fit_ml(data, model)
+        assert report.reason == "gradient_tolerance" and report.iterations == []
+        assert report.final_objective == report.initial_objective
+
     def test_inaccurate_gradient_bound_holds_at_or_below_the_leaf(self, monkeypatch):
         # at T + 1 = 13 the residual is read off LAPACK's inverse, 3.7e-15
         # here: a bound below it stops the fit before its first step

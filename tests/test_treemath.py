@@ -99,18 +99,47 @@ class TestLogPartition:
         assert np.allclose(tm.log_partition_per_root(beta), want.per_root_log_z, rtol=1e-9)
 
     def test_augmented_route_equals_per_root_route(self):
-        rng = np.random.default_rng(11)
-        beta, roots = random_instance(6, rng)
-        lp = tm.log_partition(beta, roots)
-        via_sum = logsumexp(roots.log_values + tm.log_partition_per_root(beta))
-        assert np.isclose(lp.log_z, via_sum, rtol=1e-9)
+        # the per-root records share the augmented record's sign and zero
+        # policy: rows spanning thousands of nats, a node with no out-edge
+        # (its own ln Z_r is -inf, the others finite) and T=2
+        for case in ("random", "wide_rows", "unreachable", "two_nodes"):
+            rng = np.random.default_rng(11)
+            beta, roots = random_instance(2 if case == "two_nodes" else 6, rng)
+            if case == "wide_rows":
+                beta = tm.WeightMatrix(log_entries=beta.log_entries
+                                       + rng.uniform(-3000.0, 3000.0, (6, 1)))
+                assert np.ptp(beta.row_scales) > 1e3
+            elif case == "unreachable":
+                log = beta.log_entries.copy()
+                log[:, 5] = -np.inf  # node 5 has no out-edge, so it roots no tree
+                np.fill_diagonal(log, -np.inf)
+                beta = tm.WeightMatrix(log_entries=log)
+            lp = tm.log_partition(beta, roots)
+            per_root = tm.log_partition_per_root(beta)
+            via_sum = logsumexp(roots.log_values + per_root)
+            assert np.isclose(lp.log_z, via_sum, rtol=1e-9), case
+            finite = np.arange(beta.size) != (5 if case == "unreachable" else -1)
+            assert np.all(np.isfinite(per_root) == finite), case
 
     def test_disconnected_root_gets_minus_inf(self):
-        # only the edge 1 -> 0 has weight, so nothing can be rooted at 0
-        beta = tm.WeightMatrix(entries=[[0.0, 0.7], [0.0, 0.0]])
-        per_root = tm.log_partition_per_root(beta)
-        assert per_root[0] == -np.inf
-        assert np.isclose(per_root[1], np.log(0.7))
+        # node 0 has no out-edge, so no tree is rooted there: at T=2 only the
+        # edge 1 -> 0 has weight; at T=4 the other roots stay finite, and in
+        # one case the rows span 3000 nats
+        log = np.random.default_rng(7).normal(size=(4, 4))
+        log[:, 0] = -np.inf
+        np.fill_diagonal(log, -np.inf)
+        for beta in (tm.WeightMatrix(entries=[[0.0, 0.7], [0.0, 0.0]]),
+                     tm.WeightMatrix(log_entries=log),
+                     tm.WeightMatrix(log_entries=log + np.array(
+                         [[1500.0], [-1500.0], [0.0], [700.0]]))):
+            roots = tm.RootWeights(values=np.ones(beta.size))
+            want = tm.brute_force_log_partition(beta, roots).per_root_log_z
+            per_root = tm.log_partition_per_root(beta)
+            assert per_root[0] == -np.inf
+            assert np.allclose(per_root[1:], want[1:], rtol=1e-9)
+            assert not tm.per_root_marginal(beta, 0).any()
+            with pytest.raises(ZeroPartitionError):
+                tm.tree_entropy(beta, 0)
 
     def test_all_zero_is_an_error(self):
         beta = tm.WeightMatrix(entries=np.zeros((3, 3)))
@@ -158,10 +187,6 @@ class TestLogPartition:
         entries = beta.entries
         entries[3, 0] = 0.0
         assert tm.WeightMatrix(entries=entries).structural_zeros
-
-    def test_negative_cofactor_is_a_fault(self):
-        with pytest.raises(NumericalFaultError):
-            tm._logdet_nonneg(np.array([[-1.0]]), "test")
 
     def test_extreme_log_weights_do_not_underflow(self):
         rng = np.random.default_rng(3)
@@ -330,6 +355,21 @@ class TestTreeEntropy:
         beta, _ = random_instance(6, rng)
         for r in range(6):
             assert tm.tree_entropy(beta, r) > -1e-8
+
+    def test_inaccurate_per_root_inverse_is_a_fault(self, monkeypatch):
+        # at T + 1 = 6 the residual is read off LAPACK's inverse, 1.1e-15
+        # here: a bound below it makes P_r and H(q_r) raise, while ln Z_r,
+        # which reads no inverse, stays
+        beta, _ = random_instance(5, np.random.default_rng(14))
+        residual = tm._rooted(beta, 2)._inverted[1]
+        assert 0.0 < residual <= tm._RESIDUAL_BOUND
+        want = tm.log_partition_per_root(beta)
+        monkeypatch.setattr(tm, "_RESIDUAL_BOUND", residual / 2)
+        with pytest.raises(NumericalFaultError):
+            tm.per_root_marginal(beta, 2)
+        with pytest.raises(NumericalFaultError):
+            tm.tree_entropy(beta, 2)
+        assert tm.log_partition_per_root(beta).tobytes() == want.tobytes()
 
 
 def crossed_log(log, node, row, column):
