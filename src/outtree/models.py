@@ -107,7 +107,11 @@ class MutationModel(abc.ABC):
         ``work`` is a contiguous scratch block of the same shape that it may
         overwrite. The diagonal entries written are ignored. Each entry is
         computed as the same expression whatever the block, so any blocking
-        gives the same bytes.
+        gives the same bytes. For the continuous families that expression is
+        an entry of one matrix product (``_expanded_rows``), so it rests on
+        the BLAS computing an entry of a product of a row block as it does
+        in the whole product: a sum of d + 2 terms in one order, which the
+        tests check bit for bit across block boundaries.
         """
 
 
@@ -208,6 +212,33 @@ def _continuous_values(data, dim):
     if not np.all(np.isfinite(data)):
         raise DataError("attributes must be finite")
     return data
+
+
+def _expanded_rows(points, means, const, scale=1.0):
+    """Row-block kernel (see ``MutationModel._conditional_rows``) of
+    const - |(points_u - means_v) / scale|^2 / 2, one matrix product per
+    block: with a = (points - c) / scale and m = (means - c) / scale, each
+    entry is [a_u, const - |a_u|^2 / 2, 1] . [m_v, 1, -|m_v|^2 / 2].
+
+    Its rounding error grows with |a_u|^2 + |m_v|^2, so the centre c is the
+    row of ``points`` nearest their mean in the max norm: a far row moves
+    the mean by its distance over T but is not picked, no square overflows
+    in the choice, and no column is sorted (a median's would be). c is
+    subtracted before ``scale`` divides, so rows and means near c lose no
+    digit to it however far they lie from the origin. A squared distance to
+    c that overflows writes a non-finite entry for the check to name.
+    """
+    centre = points[np.argmin(np.abs(points - points.mean(axis=0)).max(axis=1))]
+    a, m = (points - centre) / scale, (means - centre) / scale
+    left = np.column_stack([a, const - 0.5 * np.square(a).sum(axis=1), np.ones(len(a))])
+    # a C-ordered copy: with the transpose as operand, a block's product
+    # missed the whole product's rows in their last bits at T=285
+    right = np.column_stack([m, np.ones(len(m)), -0.5 * np.square(m).sum(axis=1)]).T.copy()
+
+    def fill(rows, out, work):
+        np.matmul(left[rows], right, out=out)
+
+    return fill
 
 
 # ---------------------------------------------------------------------------
@@ -329,23 +360,12 @@ class GaussianModel(MutationModel):
 
     def _conditional_rows(self, data):
         # whitening is linear, so whiten the rows and the conditional means
-        # once and sum D squared differences instead of T^2 quadratic forms
+        # once: each log-weight is then the constant less half a squared
+        # distance, expanded into one product of the rows and the means
         white = data @ self._white_cc.T
         white_means = (data @ self.sigma_c_given_pi.T + self.mu_c) @ self._white_cc.T
-        const = self.dim * LOG_2PI + self._logdet_cc
-
-        def fill(rows, out, work):
-            # the squared differences of each dimension are summed into the
-            # block, then the constant is added and scaled
-            block = white[rows]
-            np.square(np.subtract.outer(block[:, 0], white_means[:, 0], out=out), out=out)
-            for i in range(1, self.dim):
-                np.square(np.subtract.outer(block[:, i], white_means[:, i], out=work), out=work)
-                out += work
-            out += const
-            out *= -0.5
-
-        return fill
+        return _expanded_rows(white, white_means,
+                              -0.5 * (self.dim * LOG_2PI + self._logdet_cc))
 
     def param_vector(self):
         cc = _pack_chol(self._chol_cc)
@@ -702,20 +722,11 @@ class KernelModel(MutationModel):
         return self._univariate_log_normal(data - self.mu)
 
     def _conditional_rows(self, data):
+        # each log-weight is the constant less half the squared distance of
+        # the row and the mean scaled by sigma, expanded into one product
         means = self._features(data) @ self.alpha + self.mu
-        const = -0.5 * self.dim * LOG_2PI - np.log(self.sigma).sum()
-
-        def fill(rows, out, work):
-            # the constant, less each dimension's scaled squared differences
-            out.fill(const)
-            for j in range(self.dim):
-                np.subtract.outer(data[rows, j], means[:, j], out=work)
-                work /= self.sigma[j]
-                np.square(work, out=work)
-                work *= 0.5
-                out -= work
-
-        return fill
+        return _expanded_rows(data, means, -0.5 * self.dim * LOG_2PI - np.log(self.sigma).sum(),
+                              self.sigma)
 
     def param_vector(self):
         parts = [self.alpha.ravel(), self.mu, np.log(self.sigma)]
@@ -775,8 +786,13 @@ def kernel_init_iid(data, kernel="rbf", gamma=None, alpha_penalty=1e-3) -> Kerne
     mu/sigma. The RBF bandwidth defaults to the median pairwise distance."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if gamma is None and kernel == "rbf":
-        dists = np.sqrt(((data[:, None, :] - data[None, :, :]) ** 2).sum(axis=2))
-        off = dists[~np.eye(len(data), dtype=bool)]
+        # a row block of distances at a time, each summed over the dimensions
+        # as before; the median reads the off-diagonal entries as a view
+        size = len(data)
+        dists = np.empty((size, size))
+        for rows in _row_blocks(size):
+            dists[rows] = np.sqrt(((data[rows, None, :] - data[None, :, :]) ** 2).sum(axis=2))
+        off = dists.reshape(-1)[1:].reshape(size - 1, size + 1)[:, :size]
         gamma = float(np.median(off)) or 1.0
     sigma = data.std(axis=0, ddof=1)
     sigma[sigma == 0] = 1e-6

@@ -299,15 +299,15 @@ _SCRATCH_BYTES = 64 * 1024
 
 
 # Elements per operand of the buffers numpy gives a ufunc call with a
-# broadcast or strided operand (np.subtract.outer, the row-scale subtraction,
-# 0 - x into the strided core) during a fill; numpy's default is 8192, 64 KiB
-# each. Buffering only copies, and the row sums reduce contiguous rows, which
-# need no buffer, so the bytes are the same. Filling the bordered matrix of a
-# Gaussian model at T=1000 took a median 8.1-10.5 ms with these against
-# 11.4-15.0 ms with the default, and at T=300 0.96-1.05 against 1.03-1.10 ms
-# (one OpenBLAS thread on a shared 2-core Xeon VM, three runs of 15 to 100
-# alternating calls); the default's buffers also added 0.1 T^2 float64 to the
-# peak memory of a fill at T=400.
+# broadcast or strided operand (the row-scale subtraction, 0 - x into the
+# strided core) during a fill; numpy's default is 8192, 64 KiB each.
+# Buffering only copies, and the row sums reduce contiguous rows, which need
+# no buffer, so the bytes are the same. Filling the bordered matrix of a
+# Gaussian model at T=1000 took a median 4.49-4.56 ms with these against
+# 4.85-4.90 ms with the default, and at T=300 0.57-0.59 against 0.59-0.62 ms
+# (one OpenBLAS thread on a shared 2-core Xeon VM, three runs of 30 and 100
+# alternating calls); the default's buffers also added 0.045 T^2 float64 to
+# the peak memory of a fill at T=400.
 _UFUNC_BUFSIZE = 1024
 
 
@@ -375,6 +375,15 @@ def _check_sizes(beta, roots):
         raise ValueError("weight matrix and root weights disagree on T")
 
 
+def _check_support(beta, roots):
+    """Raise ``ZeroPartitionError`` where weights with structural zeros
+    support no out-tree from a root of positive weight."""
+    if beta.structural_zeros:
+        candidates = np.flatnonzero(roots.log_values > -np.inf)
+        if not _has_positive_arborescence(beta.log_entries > -np.inf, candidates):
+            raise ZeroPartitionError("no out-tree has positive weight")
+
+
 class _Bordered:
     """The row-rescaled bordered Laplacian of one (weights, roots) pair.
 
@@ -410,13 +419,21 @@ class _Bordered:
 
     def __init__(self, beta: WeightMatrix, roots: RootWeights):
         _check_sizes(beta, roots)
-        if beta.structural_zeros:
-            candidates = np.flatnonzero(roots.log_values > -np.inf)
-            if not _has_positive_arborescence(beta.log_entries > -np.inf, candidates):
-                raise ZeroPartitionError("no out-tree has positive weight")
+        _check_support(beta, roots)
         self._fill(beta.size, beta._log_rows)
         self.beta = beta
         self._border(beta.row_scales, roots)
+
+    def _rebordered(self, roots):
+        """Record of this record's weights under other root weights: a copy
+        of the matrix whose border alone is written again, equal bit for bit
+        to a fresh record of ``(self.beta, roots)``."""
+        _check_support(self.beta, roots)
+        record = _Bordered.__new__(_Bordered)
+        record.matrix = self.matrix.copy()
+        record.beta = self.beta
+        record._border(self.beta.row_scales, roots)
+        return record
 
     @classmethod
     def _set_up(cls, size, log_rows, row_scales, roots):
@@ -803,7 +820,10 @@ def _augmented_logdet(q_hat, adjusted_norm):
     of log singular values. A clearly negative determinant (smallest
     singular value well above the roundoff floor) is a numerical fault.
     """
-    sign, logdet = np.linalg.slogdet(q_hat)
+    # det M^T = det M, and numpy copies the Fortran-ordered transpose for
+    # LAPACK contiguously; an exactly singular LU's -inf is handled below
+    with np.errstate(divide="ignore"):
+        sign, logdet = np.linalg.slogdet(q_hat.T)
     if sign > 0.0 and logdet != -np.inf:
         return float(logdet)
     root_order = np.argsort(adjusted_norm)[::-1]
@@ -819,14 +839,17 @@ def _augmented_logdet(q_hat, adjusted_norm):
         return float(np.log(np.maximum(singular, floor)).sum())
 
 
-def _rooted(beta, r):
+def _rooted(beta, r, like=None):
     """The ``_Bordered`` record of ``beta`` with all root weight on r. Its
     border is e_r, so its determinant is det(Q + e_r e_r^T), the cofactor
     of the out-Laplacian Q at r: ``log_z`` is ln Z_r, and the W of
-    ``posterior_weights`` is P_r up to roundoff in row r."""
+    ``posterior_weights`` is P_r up to roundoff in row r. Given ``like``, a
+    record of ``beta``, the record is its ``_rebordered`` copy, with no
+    fill of its own."""
     log_values = np.full(beta.size, -np.inf)
     log_values[r] = 0.0
-    return _Bordered(beta, RootWeights(log_values=log_values))
+    roots = RootWeights(log_values=log_values)
+    return _Bordered(beta, roots) if like is None else like._rebordered(roots)
 
 
 def _rooted_marginal(beta, r):
@@ -842,12 +865,15 @@ def _rooted_marginal(beta, r):
 def log_partition_per_root(beta: WeightMatrix) -> np.ndarray:
     """ln Z_r for every root r, the ``log_z`` of its ``_rooted`` record.
 
-    Entries are -inf where no out-tree rooted at r has positive weight.
+    Q is filled once: each root's record copies the matrix of the one
+    before it and writes its own border. Entries are -inf where no out-tree
+    rooted at r has positive weight.
     """
-    out = np.full(beta.size, -np.inf)
+    out, record = np.full(beta.size, -np.inf), None
     for r in range(beta.size):
         with contextlib.suppress(ZeroPartitionError):
-            out[r] = _rooted(beta, r).log_z
+            record = _rooted(beta, r, record)
+            out[r] = record.log_z
     return out
 
 

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke run of the command line: every subcommand that writes an
-# artifact, a fit of 300 rows checked against a fresh likelihood, a resumed
-# VB fit, a VB fit of equal rows and one of 200 000 rows, a tabular fit
+# artifact, a fit of 300 rows checked against a fresh likelihood, a fit of
+# those rows moved by 1e5 (its seed objective checked against the unmoved
+# rows', its last against a fresh likelihood), a resumed VB fit, a VB fit
+# of equal rows and one of 200 000 rows, a tabular fit
 # scored by eval and one of all-zero columns (no free parameter), config
 # files, label inference over two and three classes, and the exit code and
 # JSON error record of a usage error, of numeric flags out of range, of a
@@ -22,11 +24,11 @@ outtree spiral --rows 10 --seed 2 --output "$dir/test.csv"
 # 300 rows: the gradient's bordered inverse (dimension 301) is assembled by
 # block elimination, its matrix products written into views of one buffer
 outtree spiral --rows 300 --seed 3 --output "$dir/big.csv"
-outtree fit --input "$dir/big.csv" --output "$dir/big.model" --max-iters 3
-# the objective column of its log never decreases, and its last value, read
-# off the block elimination's ln Z, is a fresh LU ln Z of the written model
-# plus its penalty to within 1e-9 of its size
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python - "$dir/big.csv" "$dir/big.model" <<'PY'
+# the objective column of a fit's log never decreases, and its last value,
+# read off the block elimination's ln Z, is a fresh LU ln Z of the written
+# model plus its penalty to within 1e-9 of its size
+check_fit() {
+  PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python - "$@" <<'PY'
 import sys
 from outtree import cli, io, likelihood
 data, path = cli.ingest_csv(sys.argv[1]).X, sys.argv[2]
@@ -36,6 +38,23 @@ assert len(trace) > 1 and all(b >= a for a, b in zip(trace, trace[1:])), trace
 model = io.read_model(path)
 fresh = likelihood.tdid_log_likelihood(data, model) + model.penalty(model.param_vector())[0]
 assert abs(trace[-1] - fresh) <= 1e-9 * abs(fresh), (trace[-1], fresh)
+PY
+}
+outtree fit --input "$dir/big.csv" --output "$dir/big.model" --max-iters 3
+check_fit "$dir/big.csv" "$dir/big.model"
+# the same rows moved by 1e5 in every column: the seed model's objective
+# (iteration 0) is the unmoved rows' to within 1e-11 of its size, since the
+# weights expand each squared distance about a centre row (about the
+# origin it moved by 3e-9). The fits then part: the gradient in the
+# regression matrix grows with the offset, so only the first line is shared
+awk -F, -v OFS=, 'NR > 1 { for (i = 1; i <= NF; i++) $i = sprintf("%.17g", $i + 1e5) } 1' \
+  "$dir/big.csv" > "$dir/shift.csv"
+outtree fit --input "$dir/shift.csv" --output "$dir/shift.model" --max-iters 3
+check_fit "$dir/shift.csv" "$dir/shift.model"
+python - "$dir/big.model.log" "$dir/shift.model.log" <<'PY'
+import sys
+first = [float(open(path).readlines()[1].split("\t")[1]) for path in sys.argv[1:]]
+assert abs(first[1] - first[0]) <= 1e-11 * abs(first[0]), first
 PY
 outtree fit --input "$dir/train.csv" --output "$dir/m.model" --max-iters 3
 outtree eval --input "$dir/train.csv" --test "$dir/test.csv" \

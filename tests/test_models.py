@@ -1,6 +1,7 @@
 """Model families: densities, gradients, parameter round-trips."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -279,6 +280,36 @@ class TestKernel:
         assert np.isclose(back.gamma, model.gamma, atol=1e-12)
 
 
+class TestKernelInit:
+    """The median-distance bandwidth of ``kernel_init_iid``, taken a row
+    block of distances at a time."""
+
+    @staticmethod
+    def _whole_matrix_gamma(data):
+        dists = np.sqrt(((data[:, None, :] - data[None, :, :]) ** 2).sum(axis=2))
+        return float(np.median(dists[~np.eye(len(data), dtype=bool)]))
+
+    @pytest.mark.parametrize("size", [50, 400])
+    def test_gamma_bytes_equal_the_whole_matrix_median(self, size):
+        data = np.random.default_rng(size).normal(size=(size, 3))
+        assert len(treemath._row_blocks(size)) == (1 if size == 50 else 5)
+        gamma = models.kernel_init_iid(data).gamma
+        assert np.float64(gamma).tobytes() == np.float64(self._whole_matrix_gamma(data)).tobytes()
+
+    def test_peak_memory_is_a_few_matrices(self):
+        # the whole difference would take T^2 D floats; the blocked distances
+        # and the median's copy of them take two T x T arrays
+        size = 400
+        data = np.random.default_rng(55).normal(size=(size, 3))
+        tracemalloc.start()
+        try:
+            models.kernel_init_iid(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * size ** 2 * 8, peak
+
+
 def _kernel_outputs(model, data, rng):
     size = len(data)
     W = rng.uniform(0.0, 1.0, (size, size))
@@ -437,25 +468,33 @@ def _block_sizes():
 
 
 def _reference_log_conditionals(model, data):
-    """Each family's log-conditionals as computed with T x T temporaries."""
+    """Each family's log-conditionals as computed with T x T temporaries;
+    the continuous families' as one whole-matrix product of the squared
+    distance expanded about the row nearest the rows' mean in the max norm,
+    the centre subtracted before the kernel family's sigma divides."""
     size = len(data)
-    if isinstance(model, models.GaussianModel):
-        white = data @ model._white_cc.T
-        white_means = (data @ model.sigma_c_given_pi.T + model.mu_c) @ model._white_cc.T
-        maha = np.zeros((size, size))
-        for i in range(model.dim):
-            maha += (white[:, i, None] - white_means[None, :, i]) ** 2
-        out = -0.5 * (model.dim * models.LOG_2PI + model._logdet_cc + maha)
-    elif isinstance(model, models.KernelModel):
-        means = model._features(data) @ model.alpha + model.mu
-        out = np.full((size, size), -0.5 * model.dim * models.LOG_2PI
-                      - np.log(model.sigma).sum())
-        for j in range(model.dim):
-            out -= 0.5 * ((data[:, j, None] - means[None, :, j]) / model.sigma[j]) ** 2
-    else:
+    if isinstance(model, models.TabularModel):
         out = np.zeros((size, size))
         for d in range(model.dim):
             out += model._log_cond[d][np.ix_(data[:, d], data[:, d])]
+        np.fill_diagonal(out, -np.inf)
+        return out
+    if isinstance(model, models.GaussianModel):
+        points = data @ model._white_cc.T
+        means = (data @ model.sigma_c_given_pi.T + model.mu_c) @ model._white_cc.T
+        const = -0.5 * (model.dim * models.LOG_2PI + model._logdet_cc)
+        scale = 1.0
+    else:
+        points, means = data, model._features(data) @ model.alpha + model.mu
+        const = -0.5 * model.dim * models.LOG_2PI - np.log(model.sigma).sum()
+        scale = model.sigma
+    centre = points[np.argmin(np.abs(points - points.mean(axis=0)).max(axis=1))]
+    a, m = (points - centre) / scale, (means - centre) / scale
+    ones = np.ones((size, 1))
+    left = np.hstack([a, const - 0.5 * (a ** 2).sum(axis=1, keepdims=True), ones])
+    # C-ordered, as the package's: a transposed operand takes another BLAS kernel
+    right = np.hstack([m, ones, -0.5 * (m ** 2).sum(axis=1, keepdims=True)]).T.copy()
+    out = left @ right
     np.fill_diagonal(out, -np.inf)
     return out
 
@@ -625,6 +664,68 @@ class TestBlockedWeights:
         if bad != "diagonal":
             with pytest.raises(DataError, match=r"pair \(0, 1\)"):
                 vb._log_weights(data, [table])
+
+
+def _difference_log_conditionals(model, data):
+    """The continuous families' log-conditionals in the difference form: the
+    squared differences of the rows and the means summed one dimension at a
+    time over T x T temporaries."""
+    size = len(data)
+    if isinstance(model, models.GaussianModel):
+        white = data @ model._white_cc.T
+        white_means = (data @ model.sigma_c_given_pi.T + model.mu_c) @ model._white_cc.T
+        maha = np.zeros((size, size))
+        for i in range(model.dim):
+            maha += (white[:, i, None] - white_means[None, :, i]) ** 2
+        return -0.5 * (model.dim * models.LOG_2PI + model._logdet_cc + maha)
+    means = model._features(data) @ model.alpha + model.mu
+    out = np.full((size, size), -0.5 * model.dim * models.LOG_2PI - np.log(model.sigma).sum())
+    for j in range(model.dim):
+        out -= 0.5 * ((data[:, j, None] - means[None, :, j]) / model.sigma[j]) ** 2
+    return out
+
+
+def _translated(model, shift):
+    """The model of rows moved by ``shift``: every conditional mean moves
+    with its parent row, so each log-weight is unchanged."""
+    if isinstance(model, models.GaussianModel):
+        return models.GaussianModel(model.mu_c + shift - model.sigma_c_given_pi @ shift,
+                                    model.mu_pi + shift, model.sigma_c_given_pi,
+                                    model.sigma_cc, model.sigma_pipi)
+    if model.kernel == "rbf":
+        return models.KernelModel(model.anchors + shift, model.alpha, model.mu + shift,
+                                  model.sigma, kernel="rbf", gamma=model.gamma)
+    return models.KernelModel(model.anchors, model.alpha,
+                              model.mu + shift - shift @ model.anchors.T @ model.alpha,
+                              model.sigma, kernel="linear")
+
+
+class TestExpandedKernel:
+    """The continuous families' fill, one matrix product of the squared
+    distance expanded about a centre, against the difference form."""
+
+    @pytest.mark.parametrize("regime", ["standardized", "shifted", "one_far_row", "two_rows"])
+    @pytest.mark.parametrize("family", ["gaussian", "rbf", "linear"])
+    def test_ordinary_pairs_match_the_difference_form(self, family, regime):
+        rng = np.random.default_rng(56)
+        size = _block_sizes()[4]  # two row blocks
+        model, data = _family(family, rng, size)
+        data = (data - data.mean(axis=0)) / data.std(axis=0)
+        ordinary = np.ones(size, dtype=bool)
+        if regime == "shifted":
+            shift = np.full(data.shape[1], 1e4)
+            model, data = _translated(model, shift), data + shift
+        elif regime == "one_far_row":
+            data[7] += 1e6
+            ordinary[7] = False
+        elif regime == "two_rows":
+            data, ordinary = data[:2], ordinary[:2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _kernel_log_conditionals(model, data)
+            want = _difference_log_conditionals(model, data)
+        pairs = ordinary[:, None] & ordinary[None, :] & ~np.eye(len(data), dtype=bool)
+        assert np.all(np.isfinite(got[pairs]))
+        assert np.abs(got - want)[pairs].max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

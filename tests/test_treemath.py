@@ -141,6 +141,32 @@ class TestLogPartition:
             with pytest.raises(ZeroPartitionError):
                 tm.tree_entropy(beta, 0)
 
+    @pytest.mark.parametrize("case", ["random", "first_root_unreachable"])
+    def test_per_root_records_share_one_fill(self, bordered_counts, case):
+        # every root's record copies one fill of Q and writes its own border
+        # e_r, to the bytes of a fresh record; where node 0 roots no tree the
+        # fill is the next root's
+        beta, _ = random_instance(6, np.random.default_rng(12))
+        if case == "first_root_unreachable":
+            log = beta.log_entries.copy()
+            log[:, 0] = -np.inf
+            np.fill_diagonal(log, -np.inf)
+            beta = tm.WeightMatrix(log_entries=log)
+        for _ in range(2):
+            bordered_counts.clear()
+            per_root = tm.log_partition_per_root(beta)
+            assert bordered_counts["set-up"] == 1
+        assert bordered_counts["slogdet", 7] == 6 - (case != "random")
+        want = np.full(6, -np.inf)
+        for r in range(6):
+            fresh = outcome(lambda: (tm._rooted(beta, r).log_z,))
+            if fresh is not ZeroPartitionError:
+                want[r] = fresh[0]
+                shared = tm._rooted(beta, r, tm._rooted(beta, 2 if r == 1 else 1))
+                assert shared.matrix.tobytes() == tm._rooted(beta, r).matrix.tobytes()
+        assert per_root.tobytes() == want.tobytes()
+        assert np.isfinite(per_root[0]) == (case == "random")
+
     def test_all_zero_is_an_error(self):
         beta = tm.WeightMatrix(entries=np.zeros((3, 3)))
         roots = tm.RootWeights(values=np.ones(3))
@@ -614,6 +640,26 @@ class TestBorderedRecord:
     """One ``_Bordered`` record against the fresh entry points, bit for bit,
     on the regimes of ``edit_cases``."""
 
+    def test_slogdet_factors_the_transpose(self, monkeypatch):
+        # det M^T = det M, and the transpose of the C-ordered matrix is
+        # F-contiguous: numpy's copy of it for LAPACK is a contiguous one
+        seen, slogdet = [], np.linalg.slogdet
+
+        def recorded(a):
+            seen.append(a)
+            return slogdet(a)
+
+        beta, roots = random_instance(6, np.random.default_rng(13))
+        record = tm._Bordered(beta, roots)
+        monkeypatch.setattr(np.linalg, "slogdet", recorded)
+        log_z = record.log_z
+        monkeypatch.undo()
+        assert len(seen) == 1 and seen[0].flags.f_contiguous
+        assert np.shares_memory(seen[0], record.matrix)
+        assert seen[0].T.tobytes() == record.matrix.tobytes()
+        want = record.offset + np.linalg.slogdet(record.matrix)[1]
+        assert abs(log_z - want) <= 1e-12 * abs(want)
+
     @pytest.mark.parametrize("size", [2, 3, 7])
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -784,7 +830,7 @@ def rescaled_copy_record(beta, roots):
         if beta.structural_zeros \
                 and not tm._has_positive_arborescence(log > -np.inf, candidates):
             return ZeroPartitionError
-        sign, value = np.linalg.slogdet(matrix)
+        sign, value = np.linalg.slogdet(matrix.T)  # as the package factors it
         if sign > 0.0 and value != -np.inf:
             return (float(value),)
         order = [int(r) for r in np.argsort(p)[::-1] if p[r] > 0.0]
