@@ -40,13 +40,19 @@ class Dataset:
     y: np.ndarray | None
 
 
+# Categorical cells are integers below this. The tabular family keeps a
+# k x k float64 table per attribute, k the largest cell plus one: 8 MiB at
+# this bound, where a cell of 1e12 asked numpy for 7.28 TiB.
+MAX_CATEGORIES = 1024
+
+
 def ingest_csv(path, label_column=None, categorical=False) -> Dataset:
     """Parse a headered CSV into attributes and (optionally) labels.
 
     Every column but the label column is an attribute. Attribute cells must
-    be numeric (or small nonnegative integers with ``categorical``); an
-    empty label cell marks a missing label. Errors carry row and column
-    coordinates.
+    be numeric (or, with ``categorical``, nonnegative integers below
+    ``MAX_CATEGORIES``); an empty label cell marks a missing label. Errors
+    carry row and column coordinates.
     """
     try:
         with open(path, newline="") as handle:
@@ -93,10 +99,11 @@ def ingest_csv(path, label_column=None, categorical=False) -> Dataset:
         # NaN and huge cells cast to garbage, which the comparison catches
         with np.errstate(invalid="ignore"):
             as_int = X.astype(np.int64)
-        bad = np.argwhere((as_int != X) | (X < 0))
+        bad = np.argwhere((as_int != X) | (X < 0) | (X >= MAX_CATEGORIES))
         if len(bad):
             raise DataError(f"{path}: row {bad[0][0] + 2}, column "
-                            f"{attribute_columns[bad[0][1]]!r}: not a small nonnegative integer")
+                            f"{attribute_columns[bad[0][1]]!r}: not a small nonnegative "
+                            f"integer (below {MAX_CATEGORIES})")
         X = as_int
     y = np.array(labels, dtype=np.int64) if label_idx is not None else None
     return Dataset(X=X, y=y)

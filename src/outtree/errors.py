@@ -15,8 +15,11 @@ class DataError(OutTreeError):
 
 class NumericalFaultError(OutTreeError):
     """A computation produced a value that is impossible for valid inputs,
-    e.g. a negative determinant of a bordered Laplacian."""
+    e.g. an LU sign <= 0, a singular or an inaccurate inverse of a bordered
+    Laplacian whose weights support an out-tree."""
 
 
 class ZeroPartitionError(OutTreeError):
-    """No out-tree has positive weight (the partition function is zero)."""
+    """No out-tree has positive weight (the partition function is zero):
+    none fits inside the support of the log-weights from a root of positive
+    weight. Decided from that support alone, never from a factorization."""

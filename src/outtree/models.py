@@ -420,6 +420,15 @@ class GaussianModel(MutationModel):
                              factor * self.sigma_cc, self.sigma_pipi)
 
 
+def _seed_rows(data):
+    """The rows a seed model is fitted to, as a float matrix of at least
+    two rows (a sample variance needs two)."""
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    if len(data) < 2:
+        raise DataError("need at least 2 rows to fit a seed model")
+    return data
+
+
 def gaussian_init_iid(data, ridge=1e-6) -> GaussianModel:
     """Seed model matching the iid Gaussian fit.
 
@@ -429,10 +438,8 @@ def gaussian_init_iid(data, ridge=1e-6) -> GaussianModel:
     the iid likelihood exactly. ``ridge=None`` disables regularization and
     rejects degenerate data instead.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    data = _seed_rows(data)
     size, d = data.shape
-    if size < 2:
-        raise DataError("need at least 2 rows to fit a seed model")
     mean = data.mean(axis=0)
     centered = data - mean
     cov = centered.T @ centered / (size - 1)
@@ -784,7 +791,7 @@ def kernel_init_iid(data, kernel="rbf", gamma=None, alpha_penalty=1e-3) -> Kerne
     """Seed kernel model anchored at the training rows, with zero regression
     weights (conditional = marginal) and per-dimension moment-matched
     mu/sigma. The RBF bandwidth defaults to the median pairwise distance."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    data = _seed_rows(data)
     if gamma is None and kernel == "rbf":
         # a row block of distances at a time, each summed over the dimensions
         # as before; the median reads the off-diagonal entries as a view

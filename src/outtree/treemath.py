@@ -54,6 +54,16 @@ non-finite log-weight and exp maps it to exactly 0. A replaced row and
 column (a label flip) is patched into a copy of the current bordered
 matrix, equal bit for bit to a fresh fill.
 
+Z = 0 is decided once, from the weights' support. Z is a sum of
+nonnegative tree weights (Tutte's directed matrix tree theorem), so it is
+0 exactly when no out-tree from a root of positive weight fits inside the
+support of the log-weights: a record's set-up checks that
+(``_check_support``) and raises ``ZeroPartitionError``, and nothing else
+in a record does. Every later failure of a record's factorization (an LU
+sign <= 0 or an exactly singular LU, a singular LAPACK inverse, an inverse
+that fails its accuracy check) raises ``NumericalFaultError``: a pivot
+that underflowed is roundoff, not a structural zero.
+
 Weights, root weights and trees are immutable after construction and safe
 to share across threads; a record computes its determinant and inverse on
 first read, and it and the factorization session are single-writer.
@@ -61,7 +71,6 @@ first read, and it and the factorization session are single-writer.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -412,7 +421,9 @@ class _Bordered:
     with structural zeros are first checked for an out-tree over their
     support: where none exists Z = 0 exactly, but the LU can still return a
     small positive determinant made of roundoff, so this raises
-    ``ZeroPartitionError`` before any factoring.
+    ``ZeroPartitionError`` before any factoring. That check alone decides
+    Z = 0: a record that passed it and then fails to factor (an LU sign
+    <= 0, a singular or inaccurate inverse) raises ``NumericalFaultError``.
     """
 
     beta = None  # the weights of a record set up from a ``WeightMatrix``
@@ -548,7 +559,7 @@ class _Bordered:
 
     @cached_property
     def logdet(self) -> float:
-        return _augmented_logdet(self.matrix, self.normalized)
+        return _augmented_logdet(self.matrix)
 
     @property
     def log_z(self) -> float:
@@ -560,7 +571,8 @@ class _Bordered:
         try:
             return _block_inverse(self.matrix)
         except np.linalg.LinAlgError as exc:
-            raise ZeroPartitionError("no out-tree has positive weight") from exc
+            raise NumericalFaultError("singular bordered Laplacian whose weights "
+                                      "support an out-tree") from exc
 
     @property
     def inverse(self) -> np.ndarray:
@@ -780,15 +792,11 @@ def _invert_in_place(block, scratch, leaf):
 def _has_positive_arborescence(support, root_order):
     """Whether some candidate root reaches every node over positive edges.
 
-    ``support[u, v]`` marks a positive weight for the edge v -> u. Complete
-    support (every off-diagonal weight positive, the generic continuous
-    case) short-circuits; sparse supports run a breadth-first sweep per
-    candidate root, cheap at the desk scales where structural zeros occur.
+    ``support[u, v]`` marks a positive weight for the edge v -> u. A
+    breadth-first sweep runs per candidate root, cheap at the desk scales
+    where structural zeros occur.
     """
     size = support.shape[0]
-    off_diag = ~np.eye(size, dtype=bool)
-    if np.all(support[off_diag]):
-        return True
     # a node reached from a failed root reaches no more than that root did
     ruled_out = np.zeros(size, dtype=bool)
     for root in root_order:
@@ -807,36 +815,25 @@ def _has_positive_arborescence(support, root_order):
     return False
 
 
-def _augmented_logdet(q_hat, adjusted_norm):
-    """Log |det| of the bordered matrix, robust to indeterminate LU signs.
+def _augmented_logdet(matrix):
+    """ln det of a bordered matrix whose weights passed ``_check_support``.
 
-    The true determinant is a nonnegative sum of tree weights, but chain-
-    structured instances are nonsymmetric operators whose smallest singular
-    value shrinks exponentially in T while the determinant stays a healthy
-    positive number, so LU may report a zero or negative pivot that is pure
-    roundoff. When that happens, reachability over the positive-weight
-    support decides whether the partition function is structurally zero
-    (``ZeroPartitionError``); if not, the log-magnitude is taken as the sum
-    of log singular values. A clearly negative determinant (smallest
-    singular value well above the roundoff floor) is a numerical fault.
+    Its determinant is sum_r p(r) Z_r of the scaled weights, a sum of tree
+    weights with at least one positive term, so it is positive. An LU sign
+    <= 0 (0 for an exactly zero pivot) is roundoff: on chain-structured or
+    near-disconnected weights the smallest singular value can fall below
+    roundoff, or a scaled weight underflow to 0, while the determinant
+    stays positive. That raises ``NumericalFaultError``, never
+    ``ZeroPartitionError``.
     """
     # det M^T = det M, and numpy copies the Fortran-ordered transpose for
-    # LAPACK contiguously; an exactly singular LU's -inf is handled below
+    # LAPACK contiguously; an exactly singular LU's -inf raises below
     with np.errstate(divide="ignore"):
-        sign, logdet = np.linalg.slogdet(q_hat.T)
-    if sign > 0.0 and logdet != -np.inf:
-        return float(logdet)
-    root_order = np.argsort(adjusted_norm)[::-1]
-    root_order = [int(r) for r in root_order if adjusted_norm[r] > 0.0]
-    # a positive weight is a negative off-diagonal entry of Q; its diagonal is >= 0
-    if not _has_positive_arborescence(q_hat[1:, 1:] < 0.0, root_order):
-        raise ZeroPartitionError("no out-tree has positive weight")
-    singular = np.linalg.svd(q_hat, compute_uv=False)
-    floor = singular[0] * np.finfo(float).eps * q_hat.shape[0]
-    if sign < 0.0 and singular[-1] > floor:
-        raise NumericalFaultError("negative determinant for augmented Laplacian")
-    with np.errstate(divide="ignore"):
-        return float(np.log(np.maximum(singular, floor)).sum())
+        sign, logdet = np.linalg.slogdet(matrix.T)
+    if not sign > 0.0:
+        raise NumericalFaultError(f"LU sign {sign:g} for a bordered Laplacian "
+                                  "whose weights support an out-tree")
+    return float(logdet)
 
 
 def _rooted(beta, r, like=None):
@@ -853,8 +850,9 @@ def _rooted(beta, r, like=None):
 
 
 def _rooted_marginal(beta, r):
-    """(ln Z_r, P_r) off one ``_rooted`` record, its ``slogdet`` (where
-    Z_r = 0 raises) and then its checked inverse; row r of P_r is zeros."""
+    """(ln Z_r, P_r) off one ``_rooted`` record (whose set-up raises where
+    Z_r = 0), its ``slogdet`` and then its checked inverse; row r of P_r is
+    zeros."""
     record = _rooted(beta, r)
     log_z = record.log_z
     p, _ = record.posterior_weights()
@@ -867,13 +865,16 @@ def log_partition_per_root(beta: WeightMatrix) -> np.ndarray:
 
     Q is filled once: each root's record copies the matrix of the one
     before it and writes its own border. Entries are -inf where no out-tree
-    rooted at r has positive weight.
+    rooted at r fits the weights' support; a record that passes that check
+    and fails to factor raises ``NumericalFaultError``.
     """
     out, record = np.full(beta.size, -np.inf), None
     for r in range(beta.size):
-        with contextlib.suppress(ZeroPartitionError):
+        try:
             record = _rooted(beta, r, record)
-            out[r] = record.log_z
+        except ZeroPartitionError:
+            continue
+        out[r] = record.log_z
     return out
 
 
@@ -1028,14 +1029,15 @@ class IncrementalLogdet:
     a record without setting it up or factoring it again. The record's
     inverse is computed on the first screen, so a search that never screens
     candidates (two classes) never inverts. Weights with no out-tree of
-    positive weight raise ``ZeroPartitionError``, at construction too; a
+    positive weight raise ``ZeroPartitionError`` and a record whose LU
+    sign is not positive ``NumericalFaultError``, at construction too; a
     replacement whose record raises leaves the session unchanged.
     Single-writer: one mutable session at a time.
     """
 
     def __init__(self, beta: WeightMatrix, roots: RootWeights):
         self._record = _Bordered(beta, roots)
-        self._record.logdet  # factor now, so weights with Z = 0 raise here
+        self._record.logdet  # factor now, so a record that cannot be factored raises here
 
     @property
     def log_partition(self) -> float:

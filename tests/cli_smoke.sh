@@ -9,8 +9,9 @@
 # JSON error record of a usage error, of numeric flags out of range, of a
 # malformed checkpoint, of a labelled row whose weights overflow, of a
 # model document with a NaN mean, of a non-integer cell scored under a
-# tabular model, of inputs with no attribute columns or no rows and of a
-# scatter3d plot whose edge list has fewer nodes than its input has rows.
+# tabular model, of inputs with no attribute columns or no rows, of a
+# one-row kernel fit, of a categorical cell of 1e12 and of a scatter3d plot
+# whose edge list has fewer nodes than its input has rows.
 # Run from the root of a checkout: bash tests/cli_smoke.sh
 set -euo pipefail
 dir=$(mktemp -d)
@@ -166,6 +167,15 @@ printf '\n\n\n' > "$dir/blank.csv"
 expect_error 3 fit --input "$dir/blank.csv" --output "$dir/never.model"
 printf 'a,b\n' > "$dir/header.csv"
 expect_error 3 vb --input "$dir/header.csv" --output "$dir/never.ckpt"
+# one row gives no seed model in either family; a category of 1e12 would
+# ask for a table of terabytes
+printf 'a,b\n1,2\n' > "$dir/one.csv"
+expect_error 3 fit --model-family kernel --input "$dir/one.csv" --output "$dir/never.model"
+test "$(wc -l < "$dir/err")" -eq 1
+printf 'a,b\n0,1\n1,1000000000000\n' > "$dir/huge.csv"
+expect_error 3 fit --model-family tabular --input "$dir/huge.csv" --output "$dir/never.model"
+grep -q "row 3, column 'b'" "$dir/err"
+test ! -e "$dir/never.model"
 # a 2-node edge list for 3 rows: no plot is written
 printf 'x,y,z\n0,0,0\n1,1,1\n2,2,2\n' > "$dir/xyz.csv"
 printf 'child,parent\n0,root\n1,0\n' > "$dir/two.edges"

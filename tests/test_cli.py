@@ -52,6 +52,14 @@ class TestIngest:
         with pytest.raises(DataError, match="maybe"):
             cli.ingest_csv(str(path), label_column="y")
 
+    def test_categories_stop_below_the_bound(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write(path, f"a\n0\n{cli.MAX_CATEGORIES - 1}\n")
+        assert cli.ingest_csv(str(path), categorical=True).X.max() == cli.MAX_CATEGORIES - 1
+        write(path, f"a\n0\n{cli.MAX_CATEGORIES}\n")
+        with pytest.raises(DataError, match="row 3, column 'a'"):
+            cli.ingest_csv(str(path), categorical=True)
+
     @pytest.mark.parametrize("text, what", [("\n\n\n", "no attribute columns"),
                                             ("a,b\n", "no data rows")])
     @pytest.mark.parametrize("command", ["vb", "fit"])
@@ -285,7 +293,7 @@ class TestCommands:
         assert cli.main(["eval", "--input", train, "--test", test,
                          "--model", model_path]) == 3
         assert error_record(capsys, 3)["message"] == \
-            f"{test}: row 3, column 'x0': not a small nonnegative integer"
+            f"{test}: row 3, column 'x0': not a small nonnegative integer (below 1024)"
 
     def test_tabular_fit_of_all_zero_columns(self, tmp_path):
         # a model with no free parameter stops at once and is scored
@@ -502,6 +510,29 @@ class TestCommands:
         assert code == 3
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "DataError"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", ["gaussian", "kernel"])
+    def test_one_row_fit_is_a_data_error(self, tmp_path, capsys, family):
+        # either family's seed model takes a sample variance, which needs two
+        # rows: one JSON record and no warning
+        path = str(tmp_path / "one.csv")
+        write(path, "a,b\n1,2\n")
+        assert cli.main(["fit", "--model-family", family, "--input", path,
+                         "--output", str(tmp_path / "m.model")]) == 3
+        record = error_record(capsys, 3)
+        assert record["error"] == "DataError"
+        assert record["message"] == "need at least 2 rows to fit a seed model"
+
+    @pytest.mark.parametrize("command", [["fit", "--model-family", "tabular"], ["vb"]])
+    def test_huge_category_is_a_data_error(self, tmp_path, capsys, command):
+        # each attribute gets a k x k table, k its largest cell plus one: a
+        # cell of 1e12 is named by row and column before any table is made
+        path = str(tmp_path / "cats.csv")
+        write(path, "x0,x1\n0,1\n1,1000000000000\n1,0\n")
+        assert cli.main([*command, "--input", path, "--output", str(tmp_path / "out")]) == 3
+        assert error_record(capsys, 3)["message"] == \
+            f"{path}: row 3, column 'x1': not a small nonnegative integer (below 1024)"
 
     def test_overflowing_held_out_row_writes_one_line(self, tmp_path):
         # the score's arithmetic overflows on a row of 1e300; the run ends

@@ -196,6 +196,38 @@ class TestLogPartition:
                 with pytest.raises(ZeroPartitionError):
                     tm.IncrementalLogdet(beta, roots)
 
+    def test_negative_lu_sign_is_a_numerical_fault(self):
+        # F1: at the nearest-neighbour seed of 60 standardized spiral rows
+        # the LU sign is -1; the sum of log singular values read there gave
+        # -70.98 where mpmath gives -92.26
+        record = spiral_record(60, cli.nn_regression_seed)
+        assert np.linalg.slogdet(record.matrix)[0] < 0.0
+        with pytest.raises(NumericalFaultError):
+            tm.log_partition(record.beta, record.roots)
+        with pytest.raises(NumericalFaultError):
+            record.factor()
+
+    def test_underflow_between_blocks_is_not_a_zero(self):
+        # two blocks of three nodes, every edge between them 1000 nats below
+        # those within: each of the 486 out-trees uses one such edge, so
+        # ln Z = ln 486 - 1000, but the scaled weights exp(-1000) are 0 and
+        # the bordered matrix is singular; that is a numerical fault, and
+        # no route reads it as Z = 0 or as ln Z_r = -inf
+        block = np.arange(6) < 3
+        log = np.where(block[:, None] == block[None, :], 0.0, -1e3)
+        np.fill_diagonal(log, -np.inf)
+        beta, roots = tm.WeightMatrix(log_entries=log), tm.RootWeights(values=np.ones(6))
+        assert not beta.structural_zeros
+        want = tm.brute_force_log_partition(beta, roots)
+        assert abs(want.log_z - (np.log(486) - 1e3)) <= 1e-9
+        assert np.all(np.isfinite(want.per_root_log_z))
+        for read in (lambda: tm.log_partition(beta, roots),
+                     lambda: tm.edge_marginals(beta, roots),
+                     lambda: tm.log_partition_per_root(beta),
+                     lambda: tm.root_posterior(beta, roots)):
+            with pytest.raises(NumericalFaultError):
+                read()
+
     def test_structural_zeros_flag(self):
         rng = np.random.default_rng(4)
         beta, roots = random_instance(5, rng)
@@ -489,7 +521,9 @@ class TestIncrementalLogdet:
             session._cross(0, np.full(2, -np.inf), np.full(2, -np.inf))
         assert session.log_partition == before
         # every edge into nodes 2 and 3 from the roots 0 and 1 sits 2e3 nats
-        # down: a patched record that raises when it is factored, on commit
+        # down: the weights support out-trees, but their scaled weights
+        # underflow to 0, so the patched record's bordered matrix is singular
+        # and it raises a numerical fault when it is factored, on commit
         roots = tm.RootWeights(log_values=[0.0, 0.0, -np.inf, -np.inf])
         session = tm.IncrementalLogdet(tm.WeightMatrix(entries=np.ones((4, 4)) - np.eye(4)),
                                        roots)
@@ -497,7 +531,7 @@ class TestIncrementalLogdet:
         kept, before = session._record, session.log_partition
         record = session._cross(3, [-2e3, -2e3, 0.0, 0.0], np.zeros(4))
         assert not record.beta.structural_zeros
-        with pytest.raises(ZeroPartitionError):
+        with pytest.raises(NumericalFaultError):
             session._commit(record)
         assert session._record is kept and session.log_partition == before
 
@@ -830,24 +864,15 @@ def rescaled_copy_record(beta, roots):
         if beta.structural_zeros \
                 and not tm._has_positive_arborescence(log > -np.inf, candidates):
             return ZeroPartitionError
-        sign, value = np.linalg.slogdet(matrix.T)  # as the package factors it
-        if sign > 0.0 and value != -np.inf:
-            return (float(value),)
-        order = [int(r) for r in np.argsort(p)[::-1] if p[r] > 0.0]
-        if not tm._has_positive_arborescence(scaled > 0.0, order):
-            return ZeroPartitionError
-        singular = np.linalg.svd(matrix, compute_uv=False)
-        floor = singular[0] * np.finfo(float).eps * matrix.shape[0]
-        if sign < 0.0 and singular[-1] > floor:
-            return NumericalFaultError
         with np.errstate(divide="ignore"):
-            return (float(np.log(np.maximum(singular, floor)).sum()),)
+            sign, value = np.linalg.slogdet(matrix.T)  # as the package factors it
+        return (float(value),) if sign > 0.0 else NumericalFaultError
 
     def weights():
         try:
             inv = tm._block_inverse(matrix)[0]
         except np.linalg.LinAlgError:
-            return ZeroPartitionError
+            return NumericalFaultError
         core = inv[1:, 1:]
         w = np.subtract(np.diag(core)[:, None], core.T, out=np.empty_like(scaled))
         w *= scaled
@@ -908,16 +933,18 @@ class TestFillFromLogWeights:
     def test_support_is_read_off_the_matrix(self, size):
         # every edge into the second half is 2e3 nats below the edges within
         # it, and only the first half may be the root: the rescaled weights,
-        # and so the entries of Q, hold no out-tree of positive weight
+        # and so the entries of Q, hold no out-tree of positive weight, but
+        # the log-weights' support does, so Z > 0 and the LU sign <= 0 is a
+        # numerical fault, not a structural zero
         second = np.arange(size) >= size // 2
         log = np.where(second[:, None] & ~second[None, :], -2e3, 0.0)
         np.fill_diagonal(log, -np.inf)
         roots = tm.RootWeights(log_values=np.where(second, -np.inf, 0.0))
         beta = tm.WeightMatrix(log_entries=log)
         record = tm._Bordered(beta, roots)
-        assert np.linalg.slogdet(record.matrix)[0] <= 0.0  # the fallback runs
-        assert outcome(lambda: (record.logdet,)) is ZeroPartitionError
-        assert rescaled_copy_record(beta, roots)[1] is ZeroPartitionError
+        assert np.linalg.slogdet(record.matrix)[0] <= 0.0
+        assert outcome(lambda: (record.logdet,)) is NumericalFaultError
+        assert rescaled_copy_record(beta, roots)[1] is NumericalFaultError
 
     @pytest.mark.parametrize("size", [2, 90, 400])
     def test_lazy_scaled_is_the_rescaled_copy_and_read_only(self, size):
@@ -1190,7 +1217,7 @@ class TestBlockInverse:
         beta, roots, leaf = case
         try:
             record = tm._Bordered(beta, roots)
-            want = tm._augmented_logdet(record.matrix, record.normalized)
+            want = tm._augmented_logdet(record.matrix)
         except (ZeroPartitionError, NumericalFaultError):
             return
         with pytest.MonkeyPatch.context() as patch:
@@ -1283,7 +1310,7 @@ class TestFactor:
     @pytest.mark.parametrize("model_of", [models.gaussian_init_iid, fitted_gaussian])
     def test_log_z_off_the_recursion_is_lus(self, bordered_counts, count, model_of):
         record = spiral_record(count, model_of)
-        want = tm._augmented_logdet(record.matrix, record.normalized)
+        want = tm._augmented_logdet(record.matrix)
         bordered_counts.clear()
         log_z = record.factor()
         inverse, residual, _ = record._inverted
